@@ -247,34 +247,24 @@ def gaussian_moments(g: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
     return g.mean, g._cov
 
 
-def split_last(
-    g: GaussianBelief,
-) -> tuple[GaussianBelief, GaussianBelief, np.ndarray]:
-    """Marginals of the leading coordinates and of the last coordinate of a
-    proper Gaussian belief, and the cross-covariance between the two.
+def independent(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
+    """The joint of two independent beliefs: their means stacked, with
+    block-diagonal precision."""
+    precision = np.zeros((a.dim + b.dim, a.dim + b.dim))
+    precision[:a.dim, :a.dim] = a.precision
+    precision[a.dim:, a.dim:] = b.precision
+    return GaussianBelief(np.append(a.mean, b.mean), precision)
 
-    Both marginals are read off the joint's moments and precision, so
-    neither needs a further inversion.
-    """
+
+def split_last(g: GaussianBelief) -> tuple[GaussianBelief, GaussianBelief]:
+    """Marginals of the leading coordinates and of the last coordinate of a
+    proper Gaussian belief."""
     mean, cov = gaussian_moments(g)
     lam = g.precision
-    corner = lam[-1, -1]
     # the leading marginal's precision is the Schur complement of the corner
     edge = lam[:-1, -1]
-    lead = _known_moments(mean[:-1], lam[:-1, :-1] - edge[:, None] * (edge / corner),
-                          cov[:-1, :-1], g._logdet - math.log(corner))
-    last = _known_moments(mean[-1:], 1.0 / cov[-1:, -1:], cov[-1:, -1:],
-                          -math.log(cov[-1, -1]))
-    return lead, last, cov[:-1, -1]
-
-
-def _known_moments(mean, precision, cov, logdet) -> GaussianBelief:
-    """A proper belief whose covariance and log-determinant are already
-    known, so that they are not computed again."""
-    g = GaussianBelief.__new__(GaussianBelief)
-    g.precision, g._mean, g._potential = precision, mean, None
-    g._proper, g._cov, g._logdet = True, cov, logdet
-    return g
+    schur = lam[:-1, :-1] - edge[:, None] * (edge / lam[-1, -1])
+    return GaussianBelief(mean[:-1], schur), GaussianBelief(mean[-1:], 1.0 / cov[-1:, -1:])
 
 
 def logdet_precision(g: GaussianBelief) -> float:

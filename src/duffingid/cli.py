@@ -144,7 +144,7 @@ def cmd_simulate(args) -> int:
 def _load_series(args) -> TimeSeries:
     spec = DatasetSpec(
         path=args.data,
-        input_column=args.input_column,
+        input_column=getattr(args, "input_column", "u"),
         output_column=args.output_column,
         delta=getattr(args, "delta", SILVERBOX_DELTA),
     )
@@ -212,17 +212,12 @@ def cmd_evaluate(args) -> int:
     pred_spec = DatasetSpec(path=args.pred, input_column="y_hat",
                             output_column="sq_error", delta=1.0)
     pred = dataio.load_csv(pred_spec).u
-    data = _load_series_for_eval(args)
+    data = _load_series(args)
     if args.split_index > 0:
         data, _ = dataio.split(data, args.split_index)
     mse = engine.evaluate_mse(pred, data.y)
     print(f"{mse:.3e}")
     return 0
-
-
-def _load_series_for_eval(args) -> TimeSeries:
-    spec = DatasetSpec(path=args.data, output_column=args.output_column)
-    return dataio.load_csv(spec)
 
 
 def cmd_report(args) -> int:

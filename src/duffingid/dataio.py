@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .beliefs import GammaBelief, GaussianBelief
+from .beliefs import GammaBelief, GaussianBelief, independent
 from .duffing import TimeSeries
 from .engine import BeliefSet, PriorConfig
 
@@ -186,9 +186,10 @@ def belief_set_to_dict(beliefs: BeliefSet) -> dict:
 
 
 def belief_set_from_dict(d: dict) -> BeliefSet:
+    """The stored marginals of theta and eta load as independent."""
     return BeliefSet(
-        q_theta=_gaussian_from_dict(d["theta"]),
-        q_eta=_gaussian_from_dict(d["eta"]),
+        q_coeffs=independent(_gaussian_from_dict(d["theta"]),
+                             _gaussian_from_dict(d["eta"])),
         q_gamma=GammaBelief(d["gamma"]["shape"], d["gamma"]["rate"]),
         q_xi=GammaBelief(d["xi"]["shape"], d["xi"]["rate"]),
         q_state=_gaussian_from_dict(d["state"]),

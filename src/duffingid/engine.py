@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.special import gammaln
 
 from .beliefs import (
     GammaBelief,
@@ -31,6 +32,7 @@ from .beliefs import (
     entropy_gamma,
     entropy_gaussian,
     gaussian_moments,
+    independent,
     logdet_precision,
     split_last,
 )
@@ -59,26 +61,24 @@ class InferenceError(RuntimeError):
 class BeliefSet:
     """State at one time step under q(z) q(theta, eta) q(gamma) q(xi).
 
-    `q_coeffs` is the joint belief over w = (theta, eta); `q_theta` and
-    `q_eta` are its marginals. A set built from `q_theta` and `q_eta` alone
-    reads them as independent: `q_coeffs` is then their product.
+    `q_coeffs` is the one belief over the coefficients w = (theta, eta);
+    `q_theta` and `q_eta` are read-only views of its marginals, computed on
+    each access. Build `q_coeffs` from separate beliefs over theta and eta
+    with `beliefs.independent`.
     """
 
-    q_theta: GaussianBelief
-    q_eta: GaussianBelief
+    q_coeffs: GaussianBelief
     q_gamma: GammaBelief
     q_xi: GammaBelief
     q_state: GaussianBelief
-    q_coeffs: GaussianBelief | None = None
 
-    def __post_init__(self):
-        if self.q_coeffs is None:
-            d = self.q_theta.dim
-            precision = np.zeros((d + 1, d + 1))
-            precision[:d, :d] = self.q_theta.precision
-            precision[d:, d:] = self.q_eta.precision
-            object.__setattr__(self, "q_coeffs", GaussianBelief.from_natural(
-                precision, np.append(self.q_theta.potential, self.q_eta.potential)))
+    @property
+    def q_theta(self) -> GaussianBelief:
+        return split_last(self.q_coeffs)[0]
+
+    @property
+    def q_eta(self) -> GaussianBelief:
+        return split_last(self.q_coeffs)[1]
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,9 @@ def initial_beliefs(cfg: PriorConfig) -> BeliefSet:
     if m0.size != cfg.n_coeffs:
         raise ValueError("m0_theta size does not match the model mode")
     return BeliefSet(
-        q_theta=GaussianBelief(m0, np.eye(cfg.n_coeffs) / cfg.v0_theta),
-        q_eta=GaussianBelief([cfg.m0_eta], [[1.0 / cfg.v0_eta]]),
+        q_coeffs=independent(
+            GaussianBelief(m0, np.eye(cfg.n_coeffs) / cfg.v0_theta),
+            GaussianBelief([cfg.m0_eta], [[1.0 / cfg.v0_eta]])),
         q_gamma=GammaBelief(cfg.a0_gamma, cfg.b0_gamma),
         q_xi=GammaBelief(cfg.a0_xi, cfg.b0_xi),
         q_state=GaussianBelief(np.asarray(cfg.state0_mean, dtype=float),
@@ -166,7 +167,7 @@ def step_update(
 
     # 1-step-ahead predictive for y before the observation enters
     forward = nlarx.msg_forward_state(
-        beliefs.q_state, beliefs.q_theta, beliefs.q_eta, beliefs.q_gamma, ncfg)
+        beliefs.q_state, beliefs.q_coeffs, beliefs.q_gamma, ncfg)
     pred_mean = float(forward.mean[0])
     pred_var = 1.0 / beliefs.q_gamma.mean + 1.0 / beliefs.q_xi.mean
 
@@ -175,21 +176,19 @@ def step_update(
     trace = []
     for _ in range(cfg.iterations_per_step):
         m9 = nlarx.msg_forward_state(
-            incoming.q_state, current.q_theta, current.q_eta, current.q_gamma, ncfg)
+            incoming.q_state, current.q_coeffs, current.q_gamma, ncfg)
         m5 = nlarx.msg_likelihood_state(y_t, current.q_xi)
         q_z = combine_gaussian(m9, m5)
 
         m6 = nlarx.msg_coefficients(q_z, incoming.q_state, current.q_gamma, ncfg)
         q_coeffs = combine_gaussian(incoming.q_coeffs, m6)
-        q_theta, q_eta, cov_theta_eta = split_last(q_coeffs)
-        m8 = nlarx.msg_gamma(q_z, incoming.q_state, q_theta, q_eta, ncfg,
-                             cov_theta_eta)
+        m8 = nlarx.msg_gamma(q_z, incoming.q_state, q_coeffs, ncfg)
         q_gamma = combine_gamma(incoming.q_gamma, m8)
 
         m11 = nlarx.msg_xi(y_t, q_z)
         q_xi = combine_gamma(incoming.q_xi, m11)
 
-        current = BeliefSet(q_theta, q_eta, q_gamma, q_xi, q_z, q_coeffs)
+        current = BeliefSet(q_coeffs, q_gamma, q_xi, q_z)
         if cfg.trace_free_energy:
             trace.append(compute_free_energy(current, u_t, y_t, incoming, cfg))
 
@@ -230,10 +229,8 @@ def compute_free_energy(
     z_mean, z_cov = gaussian_moments(beliefs.q_state)
     zp_mean, zp_cov = gaussian_moments(prior.q_state)
     e_gamma = beliefs.q_gamma.mean
-    _, coeff_cov = gaussian_moments(beliefs.q_coeffs)
     q1 = nlarx.expected_square_residual(
-        beliefs.q_state, prior.q_state, beliefs.q_theta, beliefs.q_eta, ncfg,
-        coeff_cov[:-1, -1])
+        beliefs.q_state, prior.q_state, beliefs.q_coeffs, ncfg)
     q2 = (z_mean[1] - zp_mean[0]) ** 2 + z_cov[1, 1] + zp_cov[0, 0]
     e_log_trans = (
         -_LOG_2PI
@@ -276,8 +273,6 @@ def _gaussian_cross(q: GaussianBelief, prior: GaussianBelief) -> float:
 
 def _gamma_cross(q: GammaBelief, prior: GammaBelief) -> float:
     """E_q[log prior] for Gamma q and prior."""
-    from scipy.special import gammaln
-
     return float(
         prior.shape * math.log(prior.rate)
         - gammaln(prior.shape)
@@ -295,15 +290,13 @@ def identify_stream(
     """
     beliefs = initial_beliefs(cfg)
     reports: list[StepReport] = []
-    n_steps = 0
     for t, (u_t, y_t) in enumerate(samples):
         try:
             beliefs, report = step_update(beliefs, float(u_t), float(y_t), cfg, t=t)
         except (ValueError, RuntimeError) as exc:
             raise InferenceError(t, str(exc)) from exc
         reports.append(report)
-        n_steps += 1
-    if n_steps == 0:
+    if not reports:
         raise ValueError("insufficient data: empty sample stream")
     return beliefs, reports
 
@@ -320,9 +313,10 @@ def identify(data: TimeSeries, cfg: PriorConfig) -> tuple[BeliefSet, list[StepRe
 
 def posterior_coefficients(beliefs: BeliefSet) -> ArCoefficients:
     """Point estimates (posterior means) in autoregressive form."""
+    mean = beliefs.q_coeffs.mean
     return ArCoefficients(
-        theta=beliefs.q_theta.mean.copy(),
-        eta=float(beliefs.q_eta.mean[0]),
+        theta=mean[:-1].copy(),
+        eta=float(mean[-1]),
         gamma=beliefs.q_gamma.mean,
     )
 

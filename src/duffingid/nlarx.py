@@ -2,15 +2,18 @@
 the measurement likelihood node.
 
 Each message is exp(E_q[log factor]) under the factorization
-q(z) q(theta, eta) q(gamma) q(xi): the drift coefficients theta and the
-input gain eta share one Gaussian over w = (theta, eta), whose regressor is
-psi(z) = (phi(z), u). Expectations of the cubic drift are taken under a
-first-order Taylor surrogate of the regressor phi(z) = (x, x^3, x_prev),
-expanded at the mean of the belief over the previous state:
+q(z) q(w) q(gamma) q(xi), where w = (theta, eta) holds the drift
+coefficients theta and the input gain eta in one Gaussian, and its
+regressor is psi(z) = (phi(z), u). The messages read theta, eta and
+Cov(theta, eta) from blocks of that one belief. Expectations of the cubic
+drift are taken under a first-order Taylor surrogate of the regressor
+phi(z) = (x, x^3, x_prev), expanded at the mean of the belief over the
+previous state:
 
     phi(z) ~= phi(z_bar) + J (z - z_bar),   J = d(phi)/dz at z_bar.
 
-All message math below is exact given that surrogate.
+`_surrogate` builds psi and J; all message math below is exact given that
+surrogate.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beliefs import GammaBelief, GaussianBelief, gaussian_moments
-from .duffing import S, g_eval, regressor, s
+from .duffing import S, regressor, s
 
 
 @dataclass(frozen=True)
@@ -41,34 +44,21 @@ class NodeConfig:
         return 3 if self.cubic else 2
 
 
-@dataclass(frozen=True)
-class LinearizedG:
-    """Affine surrogate of the drift at an expansion point: g value, its
-    state gradient, and the regressor (which is also dg/dtheta)."""
-
-    value: float
-    grad_z: np.ndarray
-    grad_theta: np.ndarray
-
-
-def linearize_g(theta_mean: np.ndarray, z_mean: np.ndarray) -> LinearizedG:
-    """First-order expansion of g(theta, z) around (theta_mean, z_mean)."""
-    theta_mean = np.asarray(theta_mean, dtype=float)
-    z_mean = np.asarray(z_mean, dtype=float)
-    phi = regressor(z_mean, theta_mean.size)
-    jac = regressor_jacobian(z_mean, theta_mean.size)
-    return LinearizedG(
-        value=float(theta_mean @ phi),
-        grad_z=jac.T @ theta_mean,
-        grad_theta=phi,
-    )
-
-
 def regressor_jacobian(z_mean: np.ndarray, n_coeffs: int = 3) -> np.ndarray:
     """d(phi)/dz at z_mean; shape (n_coeffs, 2)."""
     if n_coeffs == 3:
         return np.array([[1.0, 0.0], [3.0 * z_mean[0] ** 2, 0.0], [0.0, 1.0]])
     return np.eye(2)
+
+
+def _surrogate(zp_mean: np.ndarray, cfg: NodeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The regressor psi = (phi(z_bar), u) of w and the Jacobian J of phi,
+    both at the previous-state mean z_bar."""
+    d = cfg.n_coeffs
+    psi = np.empty(d + 1)
+    psi[:d] = regressor(zp_mean, d)
+    psi[d] = cfg.u
+    return psi, regressor_jacobian(zp_mean, d)
 
 
 def msg_coefficients(
@@ -79,16 +69,12 @@ def msg_coefficients(
 ) -> GaussianBelief:
     """Message toward w = (theta, eta); may be rank-deficient.
 
-    With psi = (phi(z_bar), u) and J~ = [J; 0], the precision is
-    E[gamma] (psi psi' + J~ Sigma_zprev J~') and the potential
-    E[gamma] psi E[x_next].
+    With J~ = [J; 0], the precision is E[gamma] (psi psi' + J~ Sigma_zprev J~')
+    and the potential E[gamma] psi E[x_next].
     """
     zp_mean, zp_cov = gaussian_moments(q_zprev)
+    psi, jac = _surrogate(zp_mean, cfg)
     d = cfg.n_coeffs
-    jac = regressor_jacobian(zp_mean, d)
-    psi = np.empty(d + 1)
-    psi[:d] = regressor(zp_mean, d)
-    psi[d] = cfg.u
     e_gamma = q_gamma.mean
     precision = psi[:, None] * psi
     precision[:d, :d] += jac @ zp_cov @ jac.T
@@ -133,14 +119,11 @@ def msg_eta(
 def msg_gamma(
     q_z: GaussianBelief,
     q_zprev: GaussianBelief,
-    q_theta: GaussianBelief,
-    q_eta: GaussianBelief,
+    q_coeffs: GaussianBelief,
     cfg: NodeConfig,
-    cov_theta_eta: np.ndarray | None = None,
 ) -> GammaBelief:
     """Message toward the process precision: Gamma(3/2, E[residual^2]/2)."""
-    rate = 0.5 * expected_square_residual(
-        q_z, q_zprev, q_theta, q_eta, cfg, cov_theta_eta)
+    rate = 0.5 * expected_square_residual(q_z, q_zprev, q_coeffs, cfg)
     if rate < 0:
         raise RuntimeError(f"negative gamma message rate {rate}: moment bookkeeping bug")
     return GammaBelief(shape=1.5, rate=rate)
@@ -149,47 +132,45 @@ def msg_gamma(
 def expected_square_residual(
     q_z: GaussianBelief,
     q_zprev: GaussianBelief,
-    q_theta: GaussianBelief,
-    q_eta: GaussianBelief,
+    q_coeffs: GaussianBelief,
     cfg: NodeConfig,
-    cov_theta_eta: np.ndarray | None = None,
 ) -> float:
     """E[(x_next - g(theta, z_prev) - eta*u)^2] with the affine surrogate for
-    phi. q_theta and q_eta are the marginals of the coefficient belief and
-    cov_theta_eta their cross-covariance Cov(theta, eta) (None when they are
-    independent). Sum of the squared mean residual and the variance of the
-    residual, so nonnegative by construction."""
+    phi, under the coefficient belief q(w) = q(theta, eta). Sum of the
+    squared mean residual and the variance of the residual, so nonnegative
+    by construction."""
     z_mean, z_cov = gaussian_moments(q_z)
     zp_mean, zp_cov = gaussian_moments(q_zprev)
-    th_mean, th_cov = gaussian_moments(q_theta)
-    eta_mean, eta_cov = gaussian_moments(q_eta)
-    phi = regressor(zp_mean, cfg.n_coeffs)
-    jac = regressor_jacobian(zp_mean, cfg.n_coeffs)
+    w_mean, w_cov = gaussian_moments(q_coeffs)
+    psi, jac = _surrogate(zp_mean, cfg)
+    d = cfg.n_coeffs
+    phi, th_mean, th_cov = psi[:d], w_mean[:d], w_cov[:d, :d]
     grad_z = jac.T @ th_mean
-    mean_resid = z_mean[0] - float(th_mean @ phi) - eta_mean[0] * cfg.u
+    mean_resid = z_mean[0] - float(th_mean @ phi) - w_mean[d] * cfg.u
     return (
         mean_resid**2
         + z_cov[0, 0]
         + float(grad_z @ zp_cov @ grad_z)
         + float(phi @ th_cov @ phi)
         + float(np.trace(th_cov @ jac @ zp_cov @ jac.T))
-        + cfg.u**2 * eta_cov[0, 0]
-        + (0.0 if cov_theta_eta is None
-           else 2.0 * cfg.u * float(phi @ cov_theta_eta))
+        + cfg.u**2 * w_cov[d, d]
+        + 2.0 * cfg.u * float(phi @ w_cov[:d, d])
     )
 
 
 def msg_forward_state(
     q_zprev: GaussianBelief,
-    q_theta: GaussianBelief,
-    q_eta: GaussianBelief,
+    q_coeffs: GaussianBelief,
     q_gamma: GammaBelief,
     cfg: NodeConfig,
 ) -> GaussianBelief:
     """Forward message to the new state: mean E[f], precision diag(E[gamma], 1/eps)."""
     zp_mean, _ = gaussian_moments(q_zprev)
-    g_bar = g_eval(q_theta.mean, zp_mean)
-    mean = S @ zp_mean + s * (g_bar + q_eta.mean[0] * cfg.u)
+    psi, _ = _surrogate(zp_mean, cfg)
+    d = cfg.n_coeffs
+    w_mean = q_coeffs.mean
+    g_bar = float(w_mean[:d] @ psi[:d])
+    mean = S @ zp_mean + s * (g_bar + w_mean[d] * cfg.u)
     precision = np.diag([q_gamma.mean, 1.0 / cfg.epsilon])
     return GaussianBelief(mean, precision)
 

@@ -31,6 +31,7 @@ from duffingid.beliefs import (
     GaussianBelief,
     combine_gaussian,
     gaussian_moments,
+    independent,
 )
 from duffingid.dataio import DatasetSpec, SILVERBOX_DELTA, SILVERBOX_SPLIT, \
     load_csv, split
@@ -218,7 +219,8 @@ class TestCriterion3MessageOracles:
             out = msg_eta(q_z, q_zprev, q_theta, q_gamma, cfg)
             checks.append(("msg_eta", out, oracle_msg_eta(
                 zm, zc, zpm, zpc, tm, tc, q_gamma.mean, cfg.u)))
-            out = msg_forward_state(q_zprev, q_theta, q_eta, q_gamma, cfg)
+            q_coeffs = independent(q_theta, q_eta)
+            out = msg_forward_state(q_zprev, q_coeffs, q_gamma, cfg)
             checks.append(("msg_forward_state", out, oracle_msg_forward_state(
                 zpm, zpc, tm, tc, em[0], ec[0, 0], q_gamma.mean, cfg.u,
                 cfg.epsilon)))
@@ -229,7 +231,7 @@ class TestCriterion3MessageOracles:
                 except AssertionError:
                     failures.append(f"{name} case {seed}")
 
-            gamma_msg = msg_gamma(q_z, q_zprev, q_theta, q_eta, cfg)
+            gamma_msg = msg_gamma(q_z, q_zprev, q_coeffs, cfg)
             rate_or = 0.5 * oracle_expected_square_residual(
                 zm, zc, zpm, zpc, tm, tc, em[0], ec[0, 0], cfg.u)
             if gamma_msg.shape != 1.5 or not math.isclose(
@@ -269,6 +271,7 @@ class TestCriterion3MessageOracles:
         q_theta = pinned_gaussian(theta)
         q_eta = pinned_gaussian([eta])
         q_gamma = pinned_gamma(gamma)
+        q_coeffs = independent(q_theta, q_eta)
 
         out = msg_theta(q_z, q_zprev, q_eta, q_gamma, cfg)
         try:
@@ -286,11 +289,11 @@ class TestCriterion3MessageOracles:
         except AssertionError:
             failures.append("msg_eta degenerate reduction")
 
-        out = msg_gamma(q_z, q_zprev, q_theta, q_eta, cfg)
+        out = msg_gamma(q_z, q_zprev, q_coeffs, cfg)
         if out.shape != 1.5 or abs(out.rate - 0.5 * 0.3 ** 2) > 1e-10:
             failures.append("msg_gamma degenerate reduction")
 
-        out = msg_forward_state(q_zprev, q_theta, q_eta, q_gamma, cfg)
+        out = msg_forward_state(q_zprev, q_coeffs, q_gamma, cfg)
         try:
             prec = np.diag([gamma, 1.0 / eps])
             assert_natural_close(out.precision, out.potential, prec,

@@ -14,6 +14,7 @@ from duffingid.beliefs import (
     entropy_gamma,
     entropy_gaussian,
     gaussian_moments,
+    independent,
     logdet_precision,
     split_last,
 )
@@ -229,7 +230,7 @@ class TestSplitLast:
         for _ in range(20):
             joint = GaussianBelief.from_natural(
                 np.linalg.inv(_random_spd(rng, dim)), rng.normal(0, 1, dim))
-            lead, last, cross = split_last(joint)
+            lead, last = split_last(joint)
             mean = np.linalg.solve(joint.precision, joint.potential)
             cov = np.linalg.inv(joint.precision)
             for part, rows in ((lead, slice(None, -1)), (last, slice(-1, None))):
@@ -245,8 +246,24 @@ class TestSplitLast:
                     logdet_precision(part),
                     -np.linalg.slogdet(cov[rows, rows])[1], rtol=1e-9,
                     atol=1e-12)
-            np.testing.assert_allclose(cross, cov[:-1, -1], rtol=1e-9,
-                                       atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_independent_joint_splits_back(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        a = GaussianBelief.from_moments(rng.normal(0, 1, dim),
+                                        _random_spd(rng, dim))
+        b = GaussianBelief([rng.normal(0, 1)], [[rng.uniform(0.5, 2.0)]])
+        joint = independent(a, b)
+        # built from the means, so they come back exactly
+        np.testing.assert_array_equal(joint.mean, np.append(a.mean, b.mean))
+        np.testing.assert_array_equal(joint.precision[:dim, :dim], a.precision)
+        np.testing.assert_array_equal(joint.precision[dim:, dim:], b.precision)
+        np.testing.assert_array_equal(joint.precision[:dim, dim:], 0.0)
+        lead, last = split_last(joint)
+        np.testing.assert_array_equal(lead.mean, a.mean)
+        np.testing.assert_array_equal(lead.precision, a.precision)
+        np.testing.assert_array_equal(last.mean, b.mean)
+        np.testing.assert_allclose(last.precision, b.precision, rtol=1e-14)
 
 
 class TestEntropies:

@@ -14,7 +14,7 @@ from duffingid.dataio import (
     save_csv,
 )
 from duffingid.dataio import RunArtifact
-from duffingid.beliefs import GammaBelief, GaussianBelief
+from duffingid.beliefs import GammaBelief, GaussianBelief, independent
 from duffingid.duffing import TimeSeries
 from duffingid.engine import BeliefSet
 
@@ -36,8 +36,8 @@ def make_truth_artifact(path, delta=0.1, xi=1e8):
     """Artifact whose posterior means are the exact generating coefficients."""
     coeffs = phys_to_ar(PhysicalParams(**PARAMS), delta)
     beliefs = BeliefSet(
-        q_theta=GaussianBelief(coeffs.theta, np.eye(3) * 1e6),
-        q_eta=GaussianBelief([coeffs.eta], [[1e8]]),
+        q_coeffs=independent(GaussianBelief(coeffs.theta, np.eye(3) * 1e6),
+                             GaussianBelief([coeffs.eta], [[1e8]])),
         q_gamma=GammaBelief(10.0, 10.0 / coeffs.gamma),
         q_xi=GammaBelief(10.0, 10.0 / xi),
         q_state=GaussianBelief([0.0, 0.0], np.eye(2)),

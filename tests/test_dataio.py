@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from duffingid import PriorConfig
-from duffingid.beliefs import GammaBelief, GaussianBelief
+from duffingid.beliefs import GammaBelief, GaussianBelief, independent
 from duffingid.dataio import (
     ConfigError,
     DatasetError,
@@ -145,9 +145,9 @@ class TestConfig:
 
 def make_artifact():
     beliefs = BeliefSet(
-        q_theta=GaussianBelief([1.9, -0.03, -0.95],
-                               np.diag([10.0, 5.0, 10.0])),
-        q_eta=GaussianBelief([0.0095], [[1e4]]),
+        q_coeffs=independent(
+            GaussianBelief([1.9, -0.03, -0.95], np.diag([10.0, 5.0, 10.0])),
+            GaussianBelief([0.0095], [[1e4]])),
         q_gamma=GammaBelief(100.5, 2.5e-3),
         q_xi=GammaBelief(1e8 + 50.0, 1e3 + 0.2),
         q_state=GaussianBelief([0.01, 0.02], np.diag([1e5, 1e8])),

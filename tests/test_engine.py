@@ -20,7 +20,12 @@ from duffingid import (
     simulate_rollout,
 )
 from duffingid import nlarx
-from duffingid.beliefs import GammaBelief, GaussianBelief, gaussian_moments
+from duffingid.beliefs import (
+    GammaBelief,
+    GaussianBelief,
+    gaussian_moments,
+    independent,
+)
 from duffingid.duffing import TimeSeries, g_eval
 from duffingid.engine import (
     compute_free_energy,
@@ -44,8 +49,8 @@ def frozen_beliefs(coeffs, xi=1e6):
     """BeliefSet whose means are the given coefficients (for prediction)."""
     d = coeffs.theta.size
     return BeliefSet(
-        q_theta=GaussianBelief(coeffs.theta, np.eye(d)),
-        q_eta=GaussianBelief([coeffs.eta], [[1.0]]),
+        q_coeffs=independent(GaussianBelief(coeffs.theta, np.eye(d)),
+                             GaussianBelief([coeffs.eta], [[1.0]])),
         q_gamma=GammaBelief(2.0, 2.0 / coeffs.gamma),
         q_xi=GammaBelief(2.0, 2.0 / xi),
         q_state=GaussianBelief([0.0, 0.0], np.eye(2)),
@@ -88,7 +93,7 @@ class TestStepUpdate:
         cfg = PriorConfig()
         beliefs = initial_beliefs(cfg)
         forward = nlarx.msg_forward_state(
-            beliefs.q_state, beliefs.q_theta, beliefs.q_eta, beliefs.q_gamma,
+            beliefs.q_state, beliefs.q_coeffs, beliefs.q_gamma,
             cfg.node_config(0.4))
         _, report = step_update(beliefs, 0.4, 0.12, cfg)
         assert report.prediction_mean == pytest.approx(forward.mean[0])
@@ -101,7 +106,7 @@ class TestStepUpdate:
         cfg = PriorConfig(iterations_per_step=1, a0_xi=1.0, b0_xi=1e12)
         beliefs = initial_beliefs(cfg)
         forward = nlarx.msg_forward_state(
-            beliefs.q_state, beliefs.q_theta, beliefs.q_eta, beliefs.q_gamma,
+            beliefs.q_state, beliefs.q_coeffs, beliefs.q_gamma,
             cfg.node_config(0.3))
         after, _ = step_update(beliefs, 0.3, 0.2, cfg)
         np.testing.assert_allclose(after.q_state.mean, forward.mean, atol=1e-9)
@@ -159,16 +164,15 @@ class TestFreeEnergy:
         zp = np.array([0.3, -0.1])
         u, y = 0.5, 1.1
         prior = BeliefSet(
-            q_theta=GaussianBelief(theta, np.eye(3) / pin),
-            q_eta=GaussianBelief([eta], [[1 / pin]]),
+            q_coeffs=independent(GaussianBelief(theta, np.eye(3) / pin),
+                                 GaussianBelief([eta], [[1 / pin]])),
             q_gamma=GammaBelief(big, big / gam),
             q_xi=GammaBelief(big, big / xi),
             q_state=GaussianBelief(zp, np.eye(2) / pin))
         f0 = g_eval(theta, zp) + eta * u
         prec = np.diag([gam + xi, 1 / eps])
         pot = np.array([gam * f0 + xi * y, zp[0] / eps])
-        posterior = BeliefSet(prior.q_theta, prior.q_eta, prior.q_gamma,
-                              prior.q_xi,
+        posterior = BeliefSet(prior.q_coeffs, prior.q_gamma, prior.q_xi,
                               GaussianBelief.from_natural(prec, pot))
         fe = compute_free_energy(posterior, u, y, prior, cfg)
         var = 1 / gam + 1 / xi
@@ -180,8 +184,8 @@ class TestFreeEnergy:
         shifted = GaussianBelief(
             posterior.q_state.mean + np.array([0.1, 0.0]), prec)
         fe_shifted = compute_free_energy(
-            BeliefSet(prior.q_theta, prior.q_eta, prior.q_gamma, prior.q_xi,
-                      shifted), u, y, prior, cfg)
+            BeliefSet(prior.q_coeffs, prior.q_gamma, prior.q_xi, shifted),
+            u, y, prior, cfg)
         assert fe_shifted - fe == pytest.approx(0.5 * (gam + xi) * 0.01,
                                                 abs=1e-6)
 

@@ -8,13 +8,12 @@ from duffingid.beliefs import (
     GaussianBelief,
     combine_gaussian,
     gaussian_moments,
-    split_last,
+    independent,
 )
+from duffingid.duffing import regressor
 from duffingid.nlarx import (
-    LinearizedG,
     NodeConfig,
     expected_square_residual,
-    linearize_g,
     msg_coefficients,
     msg_eta,
     msg_forward_state,
@@ -78,39 +77,47 @@ def random_coefficients(rng, cubic=True):
     return GaussianBelief.from_moments(rng.normal(0, 0.7, d + 1), cov)
 
 
-class TestLinearizeG:
+class TestRegressorJacobian:
+    @staticmethod
+    def finite_difference_jacobian(z, n_coeffs=3):
+        return np.array([
+            finite_difference_gradient(lambda zv: regressor(zv, n_coeffs)[i], z)
+            for i in range(n_coeffs)])
+
     def test_hand_case_and_finite_differences(self):
-        theta = np.array([1.0, 1.0, 1.0])
         z = np.array([2.0, 3.0])
-        lin = linearize_g(theta, z)
-        assert lin.value == 13.0
-        np.testing.assert_allclose(lin.grad_z, [13.0, 1.0])
-        np.testing.assert_allclose(lin.grad_theta, [2.0, 8.0, 3.0])
-
-        def g_of_z(zv):
-            return theta[0] * zv[0] + theta[1] * zv[0] ** 3 + theta[2] * zv[1]
-
-        def g_of_theta(th):
-            return th[0] * z[0] + th[1] * z[0] ** 3 + th[2] * z[1]
-
-        np.testing.assert_allclose(
-            lin.grad_z, finite_difference_gradient(g_of_z, z), atol=1e-6)
-        np.testing.assert_allclose(
-            lin.grad_theta, finite_difference_gradient(g_of_theta, theta),
-            atol=1e-6)
+        np.testing.assert_array_equal(regressor(z), [2.0, 8.0, 3.0])
+        jac = regressor_jacobian(z)
+        np.testing.assert_array_equal(jac, [[1.0, 0.0], [12.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(jac, self.finite_difference_jacobian(z),
+                                   atol=1e-6)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            z = rng.normal(0.0, 1.5, 2)
+            np.testing.assert_allclose(
+                regressor_jacobian(z), self.finite_difference_jacobian(z),
+                atol=1e-6)
 
     def test_linear_model_is_exact(self):
-        lin = linearize_g(np.array([1.7, 0.0, -0.4]), np.array([0.9, 0.1]))
-        assert lin.grad_z[0] == 1.7
+        # with no cubic coefficient the state gradient J' theta of the drift
+        # is the coefficient vector itself, wherever it is expanded
+        theta = np.array([1.7, 0.0, -0.4])
+        grad_z = regressor_jacobian(np.array([0.9, 0.1])).T @ theta
+        np.testing.assert_array_equal(grad_z, [1.7, -0.4])
 
     def test_cubic_vanishes_at_origin(self):
-        lin = linearize_g(np.array([0.5, 2.0, -0.3]), np.array([0.0, 4.0]))
-        np.testing.assert_allclose(lin.grad_theta, [0.0, 0.0, 4.0])
-        np.testing.assert_allclose(lin.grad_z, [0.5, -0.3])
+        z = np.array([0.0, 4.0])
+        np.testing.assert_array_equal(regressor(z), [0.0, 0.0, 4.0])
+        jac = regressor_jacobian(z)
+        np.testing.assert_array_equal(jac[1], [0.0, 0.0])
+        np.testing.assert_allclose(jac, self.finite_difference_jacobian(z),
+                                   atol=1e-6)
 
     def test_larx_jacobian_is_identity(self):
-        np.testing.assert_array_equal(
-            regressor_jacobian(np.array([1.0, 2.0]), 2), np.eye(2))
+        z = np.array([1.0, 2.0])
+        np.testing.assert_array_equal(regressor_jacobian(z, 2), np.eye(2))
+        np.testing.assert_allclose(self.finite_difference_jacobian(z, 2),
+                                   np.eye(2), atol=1e-6)
 
 
 class TestMsgTheta:
@@ -235,16 +242,14 @@ class TestMsgGamma:
         # x_next - g - eta*u = 2 exactly
         cfg = NodeConfig(u=1.0)
         out = msg_gamma(pinned_gaussian([4.5, 0.0]), pinned_gaussian([1.0, 0.5]),
-                        pinned_gaussian([1.0, 1.0, 1.0]), pinned_gaussian([0.0]),
-                        cfg)
+                        pinned_gaussian([1.0, 1.0, 1.0, 0.0]), cfg)
         assert out.shape == 1.5
         np.testing.assert_allclose(out.rate, 2.0, atol=1e-10)
 
     def test_zero_residual_is_improper_message(self):
         cfg = NodeConfig(u=0.5)
         out = msg_gamma(pinned_gaussian([3.0, 0.0]), pinned_gaussian([1.0, 0.5]),
-                        pinned_gaussian([1.0, 1.0, 1.0]), pinned_gaussian([1.0]),
-                        cfg)
+                        pinned_gaussian([1.0, 1.0, 1.0, 1.0]), cfg)
         assert out.shape == 1.5
         # exact zero needs exactly-degenerate beliefs; pinned variances leave
         # a ~1e-17 remnant
@@ -254,7 +259,7 @@ class TestMsgGamma:
     def test_quadrature_oracle(self, seed):
         rng = np.random.default_rng(300 + seed)
         q_z, q_zprev, q_theta, q_eta, q_gamma, cfg = random_case(rng)
-        out = msg_gamma(q_z, q_zprev, q_theta, q_eta, cfg)
+        out = msg_gamma(q_z, q_zprev, independent(q_theta, q_eta), cfg)
         from duffingid.beliefs import gaussian_moments
         zm, zc = gaussian_moments(q_z)
         zpm, zpc = gaussian_moments(q_zprev)
@@ -270,16 +275,16 @@ class TestMsgGamma:
     def test_quadrature_oracle_correlated_coefficients(self, seed, cubic):
         rng = np.random.default_rng(350 + seed)
         q_z, q_zprev, _, _, q_gamma, cfg = random_case(rng, cubic=cubic)
-        q_theta, q_eta, cross = split_last(random_coefficients(rng, cubic))
-        assert np.abs(cross).max() > 0.05
-        out = msg_gamma(q_z, q_zprev, q_theta, q_eta, cfg, cross)
+        q_coeffs = random_coefficients(rng, cubic)
+        d = cfg.n_coeffs
+        wm, wc = gaussian_moments(q_coeffs)
+        assert np.abs(wc[:d, d]).max() > 0.05
+        out = msg_gamma(q_z, q_zprev, q_coeffs, cfg)
         zm, zc = gaussian_moments(q_z)
         zpm, zpc = gaussian_moments(q_zprev)
-        tm, tc = gaussian_moments(q_theta)
-        em, ec = gaussian_moments(q_eta)
         rate_or = 0.5 * oracle_expected_square_residual(
-            zm, zc, zpm, zpc, tm, tc, em[0], ec[0, 0], cfg.u, cubic=cubic,
-            th_eta_cov=cross)
+            zm, zc, zpm, zpc, wm[:d], wc[:d, :d], wm[d], wc[d, d], cfg.u,
+            cubic=cubic, th_eta_cov=wc[:d, d])
         assert out.shape == 1.5
         np.testing.assert_allclose(out.rate, rate_or, rtol=1e-6)
 
@@ -287,11 +292,11 @@ class TestMsgGamma:
         rng = np.random.default_rng(4)
         for _ in range(50):
             q_z, q_zprev, q_theta, q_eta, _, cfg = random_case(rng)
-            val = expected_square_residual(q_z, q_zprev, q_theta, q_eta, cfg)
+            val = expected_square_residual(
+                q_z, q_zprev, independent(q_theta, q_eta), cfg)
             assert val >= 0.0
-            q_theta, q_eta, cross = split_last(random_coefficients(rng))
-            val = expected_square_residual(q_z, q_zprev, q_theta, q_eta, cfg,
-                                           cross)
+            val = expected_square_residual(q_z, q_zprev,
+                                           random_coefficients(rng), cfg)
             assert val >= 0.0
 
 
@@ -299,8 +304,8 @@ class TestMsgForwardState:
     def test_hand_case(self):
         cfg = NodeConfig(u=0.25, epsilon=1e-8)
         out = msg_forward_state(pinned_gaussian([1.0, 0.5]),
-                                pinned_gaussian([2.0, 0.0, -1.0]),
-                                pinned_gaussian([1.0]), pinned_gamma(10.0), cfg)
+                                pinned_gaussian([2.0, 0.0, -1.0, 1.0]),
+                                pinned_gamma(10.0), cfg)
         np.testing.assert_allclose(out.mean, [1.75, 1.0], rtol=1e-10)
         np.testing.assert_allclose(out.precision, np.diag([10.0, 1e8]),
                                    rtol=1e-10)
@@ -311,8 +316,9 @@ class TestMsgForwardState:
         theta = np.array([1.2, 0.3, -0.8])
         zprev = np.array([0.6, -0.2])
         eta, gamma = 1.4, 2.5
-        out = msg_forward_state(pinned_gaussian(zprev), pinned_gaussian(theta),
-                                pinned_gaussian([eta]), pinned_gamma(gamma), cfg)
+        out = msg_forward_state(pinned_gaussian(zprev),
+                                pinned_gaussian(np.append(theta, eta)),
+                                pinned_gamma(gamma), cfg)
         drift = theta[0] * 0.6 + theta[1] * 0.6**3 + theta[2] * -0.2
         f = np.array([drift + eta * cfg.u, zprev[0]])
         assert_natural_close(out.precision, out.potential,
@@ -323,7 +329,8 @@ class TestMsgForwardState:
     def test_quadrature_oracle(self, seed):
         rng = np.random.default_rng(400 + seed)
         _, q_zprev, q_theta, q_eta, q_gamma, cfg = random_case(rng)
-        out = msg_forward_state(q_zprev, q_theta, q_eta, q_gamma, cfg)
+        out = msg_forward_state(q_zprev, independent(q_theta, q_eta), q_gamma,
+                                cfg)
         from duffingid.beliefs import gaussian_moments
         zpm, zpc = gaussian_moments(q_zprev)
         tm, tc = gaussian_moments(q_theta)
@@ -349,7 +356,8 @@ class TestMsgLikelihoodState:
     def test_combines_with_forward_message(self):
         rng = np.random.default_rng(6)
         _, q_zprev, q_theta, q_eta, q_gamma, cfg = random_case(rng)
-        forward = msg_forward_state(q_zprev, q_theta, q_eta, q_gamma, cfg)
+        forward = msg_forward_state(q_zprev, independent(q_theta, q_eta),
+                                    q_gamma, cfg)
         likelihood = msg_likelihood_state(0.1, GammaBelief(3.0, 1.0))
         posterior = combine_gaussian(forward, likelihood)
         np.testing.assert_allclose(
@@ -384,13 +392,14 @@ class TestStructuralProperties:
         rng = np.random.default_rng(8)
         for _ in range(20):
             q_z, q_zprev, q_theta, q_eta, q_gamma, cfg = random_case(rng)
+            q_coeffs = independent(q_theta, q_eta)
             for msg in (msg_theta(q_z, q_zprev, q_eta, q_gamma, cfg),
-                        msg_forward_state(q_zprev, q_theta, q_eta, q_gamma, cfg),
+                        msg_forward_state(q_zprev, q_coeffs, q_gamma, cfg),
                         msg_eta(q_z, q_zprev, q_theta, q_gamma, cfg)):
                 np.testing.assert_allclose(msg.precision, msg.precision.T,
                                            atol=1e-12)
                 assert np.linalg.eigvalsh(msg.precision).min() >= -1e-10
-            gamma_msg = msg_gamma(q_z, q_zprev, q_theta, q_eta, cfg)
+            gamma_msg = msg_gamma(q_z, q_zprev, q_coeffs, cfg)
             assert gamma_msg.shape == 1.5 and gamma_msg.rate >= 0.0
 
     def test_larx_matches_reduced_nlarx(self):
@@ -425,8 +434,8 @@ class TestStructuralProperties:
             np.testing.assert_allclose(eta3.potential, eta2.potential,
                                        rtol=1e-9)
 
-            g3 = msg_gamma(q_z, q_zprev, q_theta3, q_eta, cfg3)
-            g2 = msg_gamma(q_z, q_zprev, q_theta2, q_eta, cfg2)
+            g3 = msg_gamma(q_z, q_zprev, independent(q_theta3, q_eta), cfg3)
+            g2 = msg_gamma(q_z, q_zprev, independent(q_theta2, q_eta), cfg2)
             np.testing.assert_allclose(g3.rate, g2.rate, rtol=1e-9)
 
 
@@ -438,8 +447,3 @@ class TestNodeConfig:
     def test_coefficient_count(self):
         assert NodeConfig(u=0.0).n_coeffs == 3
         assert NodeConfig(u=0.0, cubic=False).n_coeffs == 2
-
-    def test_linearized_g_invariants(self):
-        lin = LinearizedG(value=1.0, grad_z=np.array([0.5, -0.3]),
-                          grad_theta=np.array([1.0, 1.0, 2.0]))
-        assert lin.grad_theta[2] == 2.0
