@@ -104,13 +104,13 @@ class GaussianBelief:
         """Invert the precision if positive definite; cache cov and logdet.
 
         Dimensions up to four use closed-form inverses (see
-        `_closed_form_inverse`); these dominate the inference hot loop and
+        `closed_form_inverse`); these dominate the inference hot loop and
         skip the LAPACK call overhead.
         """
         p = self.precision
         d = p.shape[0]
         if d <= 4:
-            inverse = _closed_form_inverse(p)
+            inverse = closed_form_inverse(p)
             if inverse is None:
                 return False
             self._cov, det = inverse
@@ -130,7 +130,7 @@ class GaussianBelief:
         return f"GaussianBelief(mean={self.mean!r}, precision={self.precision!r})"
 
 
-def _closed_form_inverse(p: np.ndarray) -> tuple[np.ndarray, float] | None:
+def closed_form_inverse(p: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Inverse and determinant of a symmetric matrix of dimension 1 to 4, or
     None when it is not positive definite (Sylvester's criterion).
 

@@ -91,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split-index", type=int, default=0)
+    p.add_argument("--input-column", default="u")
     p.add_argument("--output-column", default="y")
     p.set_defaults(func=cmd_evaluate)
 
@@ -144,7 +145,7 @@ def cmd_simulate(args) -> int:
 def _load_series(args) -> TimeSeries:
     spec = DatasetSpec(
         path=args.data,
-        input_column=getattr(args, "input_column", "u"),
+        input_column=args.input_column,
         output_column=args.output_column,
         delta=getattr(args, "delta", SILVERBOX_DELTA),
     )

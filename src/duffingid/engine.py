@@ -1,6 +1,6 @@
-"""Online inference loop: per-step message schedule, variational updates
-under the factorization q(z) q(theta, eta) q(gamma) q(xi), free-energy
-evaluation and the frozen-parameter prediction protocols.
+"""Online inference loop: per-step variational updates under the
+factorization q(z) q(theta, eta) q(gamma) q(xi), free-energy evaluation and
+the frozen-parameter prediction protocols.
 
 The drift coefficients theta and the input gain eta share one Gaussian
 belief. Near resonance the input and the lagged states are strongly
@@ -13,28 +13,60 @@ observation paired with a step measures the state *after* the input of that
 step has acted, so a step consumes the input sample one position behind the
 output sample. The simulator in `duffing` and both prediction protocols use
 the same pairing.
+
+One online step is one private kernel, `_step_kernel`, over a flat state
+(`_Flat`): q(theta, eta) as precision, potential, mean, covariance and the
+log-determinant of its precision, the Gamma shapes and rates as floats, and
+q(z) likewise. It predicts, then iterates the message schedule; every
+iteration combines the fresh messages with the beliefs the step started
+from (the previous posteriors act as this step's priors), so repeated
+iterations refine rather than double-count the observation.
+`identify_stream` folds the kernel over the stream and builds one `BeliefSet`
+at the end; `step_update` flattens a `BeliefSet`, runs the kernel and wraps
+the result. The `nlarx` messages, `combine_*` and `compute_free_energy`
+compose the same step from belief objects and stay the tested reference.
+
+Rounding rule: the kernel reproduces that composition bit for bit, so every
+float operation keeps its order there. q(z) is scalar algebra, because its
+precision is always diag(E[gamma] + E[xi], 1/eps) and the closed-form 2x2
+inverse then rounds like scalar code; so are the Gamma updates. The
+coefficient message's precision psi psi' + J Sigma J' is built once per
+step with numpy and scaled by E[gamma] in every iteration, and the
+coefficient posterior uses `GaussianBelief`'s closed-form inverse. The
+coefficient mean `cov @ potential`, the forward mean and the expected
+squared residual keep their numpy expressions (`nlarx.forward_mean`,
+`nlarx.residual_moment`): the BLAS may fuse their multiply-adds, which
+scalar code cannot reproduce. The kernel and `compute_free_energy` evaluate
+the free energy with one function, `_free_energy`; the kernel hands it the
+expected squared residual of its gamma update, which has the same inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from .beliefs import (
     GammaBelief,
     GaussianBelief,
-    combine_gamma,
-    combine_gaussian,
-    entropy_gamma,
-    entropy_gaussian,
+    ImproperBeliefError,
+    closed_form_inverse,
     gaussian_moments,
     independent,
     logdet_precision,
     split_last,
+)
+# not called here; the benchmark's span tracer looks them up in this module
+from .beliefs import (  # noqa: F401
+    combine_gamma,
+    combine_gaussian,
+    entropy_gamma,
+    entropy_gaussian,
 )
 from .duffing import (
     DIVERGENCE_LIMIT,
@@ -63,7 +95,7 @@ class BeliefSet:
 
     `q_coeffs` is the one belief over the coefficients w = (theta, eta);
     `q_theta` and `q_eta` are read-only views of its marginals, computed on
-    each access. Build `q_coeffs` from separate beliefs over theta and eta
+    first access. Build `q_coeffs` from separate beliefs over theta and eta
     with `beliefs.independent`.
     """
 
@@ -72,13 +104,17 @@ class BeliefSet:
     q_xi: GammaBelief
     q_state: GaussianBelief
 
+    @cached_property
+    def _marginals(self) -> tuple[GaussianBelief, GaussianBelief]:
+        return split_last(self.q_coeffs)
+
     @property
     def q_theta(self) -> GaussianBelief:
-        return split_last(self.q_coeffs)[0]
+        return self._marginals[0]
 
     @property
     def q_eta(self) -> GaussianBelief:
-        return split_last(self.q_coeffs)[1]
+        return self._marginals[1]
 
 
 @dataclass(frozen=True)
@@ -152,57 +188,138 @@ def initial_beliefs(cfg: PriorConfig) -> BeliefSet:
     )
 
 
+class _Flat(NamedTuple):
+    """The step kernel's state: q(theta, eta) in natural and moment form with
+    the log-determinant of its precision, the Gamma shapes and rates, and
+    q(z) likewise."""
+
+    coeffs_precision: np.ndarray
+    coeffs_potential: np.ndarray
+    coeffs_mean: np.ndarray
+    coeffs_cov: np.ndarray
+    coeffs_logdet: float
+    gamma_shape: float
+    gamma_rate: float
+    xi_shape: float
+    xi_rate: float
+    state_precision: np.ndarray
+    state_potential: np.ndarray
+    state_mean: np.ndarray
+    state_cov: np.ndarray
+    state_logdet: float
+
+
+def _flatten(beliefs: BeliefSet) -> _Flat:
+    if not (beliefs.q_gamma.is_proper and beliefs.q_xi.is_proper):
+        raise ImproperBeliefError("moments undefined for improper belief")
+    q_coeffs, q_state = beliefs.q_coeffs, beliefs.q_state
+    return _Flat(
+        q_coeffs.precision, q_coeffs.potential, *gaussian_moments(q_coeffs),
+        logdet_precision(q_coeffs),
+        beliefs.q_gamma.shape, beliefs.q_gamma.rate,
+        beliefs.q_xi.shape, beliefs.q_xi.rate,
+        q_state.precision, q_state.potential, *gaussian_moments(q_state),
+        logdet_precision(q_state))
+
+
+def _wrap(state: _Flat) -> BeliefSet:
+    return BeliefSet(
+        q_coeffs=GaussianBelief.from_natural(state.coeffs_precision,
+                                             state.coeffs_potential),
+        q_gamma=GammaBelief(state.gamma_shape, state.gamma_rate),
+        q_xi=GammaBelief(state.xi_shape, state.xi_rate),
+        q_state=GaussianBelief.from_natural(state.state_precision,
+                                            state.state_potential),
+    )
+
+
+def _step_kernel(
+    state: _Flat, u: float, y: float, cfg: PriorConfig, t: int
+) -> tuple[_Flat, StepReport]:
+    """One online step over the flat state; see the module docstring."""
+    if not (math.isfinite(u) and math.isfinite(y)):
+        raise ValueError(f"non-finite input/output sample: u={u!r}, y={y!r}")
+    prec0, pot0, w = state.coeffs_precision, state.coeffs_potential, state.coeffs_mean
+    ag0, bg0 = state.gamma_shape, state.gamma_rate
+    ax0, bx0 = state.xi_shape, state.xi_rate
+    zp_mean, zp_cov = state.state_mean, state.state_cov
+    d = cfg.n_coeffs
+    eps = cfg.epsilon
+    inv_eps = 1.0 / eps
+    last = cfg.iterations_per_step - 1
+    psi = nlarx.regressor_psi(zp_mean, d, u)
+    jac = nlarx.regressor_jacobian(zp_mean, d)
+    # precision of the coefficient message per unit E[gamma]; exactly symmetric
+    info = psi[:, None] * psi
+    info[:d, :d] += jac @ zp_cov @ jac.T
+    hz1 = inv_eps * zp_mean[0]
+    ag = ag0 + 1.5 - 1.0
+    ax = ax0 + 1.5 - 1.0
+    eg, ex = ag0 / bg0, ax0 / bx0
+    pred_var = 1.0 / eg + 1.0 / ex
+    trace = []
+    for k in range(cfg.iterations_per_step):
+        forward = nlarx.forward_mean(w, psi)
+        if k == 0:  # the prediction, taken before y enters
+            pred_mean = float(forward)
+
+        # q(z): forward message N((forward, zp0), diag(E[gamma], 1/eps)) times
+        # the likelihood message; its precision is diag(E[gamma] + E[xi], 1/eps)
+        za = eg + ex
+        zdet = za * inv_eps
+        if not (za > 0.0 and zdet > 0.0):
+            raise ImproperBeliefError("improper posterior")
+        zc00, zc11 = inv_eps / zdet, za / zdet
+        hz0 = eg * forward + ex * y
+        zm0 = zc00 * hz0
+
+        # q(w): prior for the step plus the coefficient message
+        prec = prec0 + eg * info
+        pot = pot0 + psi * (eg * zm0)
+        inverse = closed_form_inverse(prec)
+        if inverse is None:
+            raise ImproperBeliefError("improper posterior")
+        cov_w, det_w = inverse
+        w = cov_w @ pot
+
+        esr = nlarx.residual_moment(zm0, zc00, zp_cov, w, cov_w, psi, jac)
+        rate = 0.5 * esr
+        if rate < 0:
+            raise RuntimeError(
+                f"negative gamma message rate {rate}: moment bookkeeping bug")
+        bg = bg0 + rate
+        bx = bx0 + 0.5 * ((y - zm0) ** 2 + zc00)
+        if not (bg > 0.0 and bx > 0.0):
+            raise ImproperBeliefError("improper posterior")
+        eg, ex = ag / bg, ax / bx
+
+        if cfg.trace_free_energy or k == last:
+            # q(z) as `combine_gaussian` builds it: its closed-form inverse
+            # puts -0.0 off the diagonal of the covariance
+            current = _Flat(
+                prec, pot, w, cov_w, math.log(det_w), ag, bg, ax, bx,
+                np.array([[za, 0.0], [0.0, inv_eps]]), np.array([hz0, hz1]),
+                np.array([zm0, zc11 * hz1]),
+                np.array([[zc00, -0.0], [-0.0, zc11]]), math.log(zdet))
+            trace.append(_free_energy(current, state, esr, y, eps))
+
+    report = StepReport(
+        t=t,
+        free_energy=trace[-1],
+        prediction_mean=pred_mean,
+        prediction_var=pred_var,
+        free_energy_trace=tuple(trace) if cfg.trace_free_energy else (),
+    )
+    return current, report
+
+
 def step_update(
     beliefs: BeliefSet, u_t: float, y_t: float, cfg: PriorConfig, t: int = 0
 ) -> tuple[BeliefSet, StepReport]:
-    """One online step: predict, then iterate the message schedule.
-
-    Within every iteration the fresh messages are combined with the beliefs
-    the step started from (the previous posteriors act as this step's
-    priors), so repeated iterations refine rather than double-count the
-    observation. The returned state belief becomes the next step's previous
-    state.
-    """
-    ncfg = cfg.node_config(u_t)
-
-    # 1-step-ahead predictive for y before the observation enters
-    forward = nlarx.msg_forward_state(
-        beliefs.q_state, beliefs.q_coeffs, beliefs.q_gamma, ncfg)
-    pred_mean = float(forward.mean[0])
-    pred_var = 1.0 / beliefs.q_gamma.mean + 1.0 / beliefs.q_xi.mean
-
-    incoming = beliefs
-    current = beliefs
-    trace = []
-    for _ in range(cfg.iterations_per_step):
-        m9 = nlarx.msg_forward_state(
-            incoming.q_state, current.q_coeffs, current.q_gamma, ncfg)
-        m5 = nlarx.msg_likelihood_state(y_t, current.q_xi)
-        q_z = combine_gaussian(m9, m5)
-
-        m6 = nlarx.msg_coefficients(q_z, incoming.q_state, current.q_gamma, ncfg)
-        q_coeffs = combine_gaussian(incoming.q_coeffs, m6)
-        m8 = nlarx.msg_gamma(q_z, incoming.q_state, q_coeffs, ncfg)
-        q_gamma = combine_gamma(incoming.q_gamma, m8)
-
-        m11 = nlarx.msg_xi(y_t, q_z)
-        q_xi = combine_gamma(incoming.q_xi, m11)
-
-        current = BeliefSet(q_coeffs, q_gamma, q_xi, q_z)
-        if cfg.trace_free_energy:
-            trace.append(compute_free_energy(current, u_t, y_t, incoming, cfg))
-
-    final_free_energy = (
-        trace[-1] if trace
-        else compute_free_energy(current, u_t, y_t, incoming, cfg))
-    report = StepReport(
-        t=t,
-        free_energy=final_free_energy,
-        prediction_mean=pred_mean,
-        prediction_var=pred_var,
-        free_energy_trace=tuple(trace),
-    )
-    return current, report
+    """One online step: predict, then iterate the message schedule. The
+    returned state belief becomes the next step's previous state."""
+    state, report = _step_kernel(_flatten(beliefs), float(u_t), float(y_t), cfg, t)
+    return _wrap(state), report
 
 
 def compute_free_energy(
@@ -215,41 +332,57 @@ def compute_free_energy(
     """Single-timestep free energy E_q[log q] - E_q[log p], with the same
     affine surrogate the messages use. The previous-state belief is held
     fixed and enters only through the transition expectation."""
-    prior = beliefs_prior_for_step
-    ncfg = cfg.node_config(u_t)
+    esr = nlarx.expected_square_residual(
+        beliefs.q_state, beliefs_prior_for_step.q_state, beliefs.q_coeffs,
+        cfg.node_config(u_t))
+    return _free_energy(_flatten(beliefs), _flatten(beliefs_prior_for_step),
+                        esr, y_t, cfg.epsilon)
+
+
+def _free_energy(q: _Flat, prior: _Flat, esr: float, y: float, eps: float) -> float:
+    """`compute_free_energy` over flat states, given the expected squared
+    residual of q(z), q(w) and the previous state."""
+    ag, bg, ax, bx = q.gamma_shape, q.gamma_rate, q.xi_shape, q.xi_rate
+    ag0, bg0 = prior.gamma_shape, prior.gamma_rate
+    ax0, bx0 = prior.xi_shape, prior.xi_rate
+    dg_g, dg_x = digamma(ag), digamma(ax)
+    n = q.coeffs_mean.size
+    e_gamma, log_gamma = ag / bg, float(dg_g - math.log(bg))
+    e_xi, log_xi = ax / bx, float(dg_x - math.log(bx))
+    z_mean, z_cov = q.state_mean, q.state_cov
 
     neg_entropy = -(
-        entropy_gaussian(beliefs.q_state)
-        + entropy_gaussian(beliefs.q_coeffs)
-        + entropy_gamma(beliefs.q_gamma)
-        + entropy_gamma(beliefs.q_xi)
+        0.5 * (2 * (1.0 + _LOG_2PI) - q.state_logdet)
+        + 0.5 * (n * (1.0 + _LOG_2PI) - q.coeffs_logdet)
+        + float(ag - math.log(bg) + gammaln(ag) + (1.0 - ag) * dg_g)
+        + float(ax - math.log(bx) + gammaln(ax) + (1.0 - ax) * dg_x)
     )
 
     # transition factor
-    z_mean, z_cov = gaussian_moments(beliefs.q_state)
-    zp_mean, zp_cov = gaussian_moments(prior.q_state)
-    e_gamma = beliefs.q_gamma.mean
-    q1 = nlarx.expected_square_residual(
-        beliefs.q_state, prior.q_state, beliefs.q_coeffs, ncfg)
-    q2 = (z_mean[1] - zp_mean[0]) ** 2 + z_cov[1, 1] + zp_cov[0, 0]
+    q2 = (z_mean[1] - prior.state_mean[0]) ** 2 + z_cov[1, 1] + prior.state_cov[0, 0]
     e_log_trans = (
         -_LOG_2PI
-        + 0.5 * (beliefs.q_gamma.mean_log - math.log(cfg.epsilon))
-        - 0.5 * (e_gamma * q1 + q2 / cfg.epsilon)
+        + 0.5 * (log_gamma - math.log(eps))
+        - 0.5 * (e_gamma * esr + q2 / eps)
     )
 
     # likelihood factor
-    e_xi = beliefs.q_xi.mean
     e_log_lik = (
         -0.5 * _LOG_2PI
-        + 0.5 * beliefs.q_xi.mean_log
-        - 0.5 * e_xi * ((y_t - z_mean[0]) ** 2 + z_cov[0, 0])
+        + 0.5 * log_xi
+        - 0.5 * e_xi * ((y - z_mean[0]) ** 2 + z_cov[0, 0])
     )
 
+    # E_q[log prior] of the coefficient, gamma and xi priors
+    lam0 = prior.coeffs_precision
+    diff = q.coeffs_mean - prior.coeffs_mean
+    quad = float(diff @ lam0 @ diff) + float(np.trace(lam0 @ q.coeffs_cov))
     e_log_priors = (
-        _gaussian_cross(beliefs.q_coeffs, prior.q_coeffs)
-        + _gamma_cross(beliefs.q_gamma, prior.q_gamma)
-        + _gamma_cross(beliefs.q_xi, prior.q_xi)
+        (-0.5 * n * _LOG_2PI + 0.5 * prior.coeffs_logdet - 0.5 * quad)
+        + float(ag0 * math.log(bg0) - gammaln(ag0)
+                + (ag0 - 1.0) * log_gamma - bg0 * e_gamma)
+        + float(ax0 * math.log(bx0) - gammaln(ax0)
+                + (ax0 - 1.0) * log_xi - bx0 * e_xi)
     )
 
     free_energy = neg_entropy - e_log_trans - e_log_lik - e_log_priors
@@ -262,25 +395,6 @@ def compute_free_energy(
     return float(free_energy)
 
 
-def _gaussian_cross(q: GaussianBelief, prior: GaussianBelief) -> float:
-    """E_q[log prior] for Gaussian q and prior."""
-    mean, cov = gaussian_moments(q)
-    logdet = logdet_precision(prior)
-    diff = mean - prior.mean
-    quad = float(diff @ prior.precision @ diff) + float(np.trace(prior.precision @ cov))
-    return -0.5 * q.dim * _LOG_2PI + 0.5 * logdet - 0.5 * quad
-
-
-def _gamma_cross(q: GammaBelief, prior: GammaBelief) -> float:
-    """E_q[log prior] for Gamma q and prior."""
-    return float(
-        prior.shape * math.log(prior.rate)
-        - gammaln(prior.shape)
-        + (prior.shape - 1.0) * q.mean_log
-        - prior.rate * q.mean
-    )
-
-
 def identify_stream(
     samples: Iterable[tuple[float, float]], cfg: PriorConfig
 ) -> tuple[BeliefSet, list[StepReport]]:
@@ -288,17 +402,17 @@ def identify_stream(
 
     Single pass, O(1) memory in the stream length beyond the reports.
     """
-    beliefs = initial_beliefs(cfg)
+    state = _flatten(initial_beliefs(cfg))
     reports: list[StepReport] = []
     for t, (u_t, y_t) in enumerate(samples):
         try:
-            beliefs, report = step_update(beliefs, float(u_t), float(y_t), cfg, t=t)
+            state, report = _step_kernel(state, float(u_t), float(y_t), cfg, t)
         except (ValueError, RuntimeError) as exc:
             raise InferenceError(t, str(exc)) from exc
         reports.append(report)
     if not reports:
         raise ValueError("insufficient data: empty sample stream")
-    return beliefs, reports
+    return _wrap(state), reports
 
 
 def identify(data: TimeSeries, cfg: PriorConfig) -> tuple[BeliefSet, list[StepReport]]:

@@ -12,8 +12,10 @@ previous state:
 
     phi(z) ~= phi(z_bar) + J (z - z_bar),   J = d(phi)/dz at z_bar.
 
-`_surrogate` builds psi and J; all message math below is exact given that
-surrogate.
+`regressor_psi` and `regressor_jacobian` build psi and J; all message math
+below is exact given that surrogate. `forward_mean` and `residual_moment`
+are the array-level forms of two messages, shared with the engine's step
+kernel so that both evaluate them in the same floating-point order.
 """
 
 from __future__ import annotations
@@ -51,14 +53,46 @@ def regressor_jacobian(z_mean: np.ndarray, n_coeffs: int = 3) -> np.ndarray:
     return np.eye(2)
 
 
-def _surrogate(zp_mean: np.ndarray, cfg: NodeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The regressor psi = (phi(z_bar), u) of w and the Jacobian J of phi,
-    both at the previous-state mean z_bar."""
-    d = cfg.n_coeffs
-    psi = np.empty(d + 1)
-    psi[:d] = regressor(zp_mean, d)
-    psi[d] = cfg.u
-    return psi, regressor_jacobian(zp_mean, d)
+def regressor_psi(zp_mean: np.ndarray, n_coeffs: int, u: float) -> np.ndarray:
+    """The regressor psi = (phi(z_bar), u) of w at the previous-state mean."""
+    psi = np.empty(n_coeffs + 1)
+    psi[:n_coeffs] = regressor(zp_mean, n_coeffs)
+    psi[n_coeffs] = u
+    return psi
+
+
+def forward_mean(w_mean: np.ndarray, psi: np.ndarray) -> float:
+    """E[x_next] = E[theta]' phi(z_bar) + E[eta] u."""
+    d = psi.size - 1
+    return float(w_mean[:d] @ psi[:d]) + w_mean[d] * psi[d]
+
+
+def residual_moment(
+    x_mean: float,
+    x_var: float,
+    zp_cov: np.ndarray,
+    w_mean: np.ndarray,
+    w_cov: np.ndarray,
+    psi: np.ndarray,
+    jac: np.ndarray,
+) -> float:
+    """`expected_square_residual` from moments: x_mean and x_var of the new
+    position, the previous-state covariance, the mean and covariance of w,
+    and psi and J at the previous-state mean."""
+    d = psi.size - 1
+    u = psi[d]
+    phi, th_mean, th_cov = psi[:d], w_mean[:d], w_cov[:d, :d]
+    grad_z = jac.T @ th_mean
+    mean_resid = x_mean - float(th_mean @ phi) - w_mean[d] * u
+    return (
+        mean_resid**2
+        + x_var
+        + float(grad_z @ zp_cov @ grad_z)
+        + float(phi @ th_cov @ phi)
+        + float(np.trace(th_cov @ jac @ zp_cov @ jac.T))
+        + u**2 * w_cov[d, d]
+        + 2.0 * u * float(phi @ w_cov[:d, d])
+    )
 
 
 def msg_coefficients(
@@ -73,8 +107,9 @@ def msg_coefficients(
     and the potential E[gamma] psi E[x_next].
     """
     zp_mean, zp_cov = gaussian_moments(q_zprev)
-    psi, jac = _surrogate(zp_mean, cfg)
     d = cfg.n_coeffs
+    psi = regressor_psi(zp_mean, d, cfg.u)
+    jac = regressor_jacobian(zp_mean, d)
     e_gamma = q_gamma.mean
     precision = psi[:, None] * psi
     precision[:d, :d] += jac @ zp_cov @ jac.T
@@ -142,20 +177,10 @@ def expected_square_residual(
     z_mean, z_cov = gaussian_moments(q_z)
     zp_mean, zp_cov = gaussian_moments(q_zprev)
     w_mean, w_cov = gaussian_moments(q_coeffs)
-    psi, jac = _surrogate(zp_mean, cfg)
     d = cfg.n_coeffs
-    phi, th_mean, th_cov = psi[:d], w_mean[:d], w_cov[:d, :d]
-    grad_z = jac.T @ th_mean
-    mean_resid = z_mean[0] - float(th_mean @ phi) - w_mean[d] * cfg.u
-    return (
-        mean_resid**2
-        + z_cov[0, 0]
-        + float(grad_z @ zp_cov @ grad_z)
-        + float(phi @ th_cov @ phi)
-        + float(np.trace(th_cov @ jac @ zp_cov @ jac.T))
-        + cfg.u**2 * w_cov[d, d]
-        + 2.0 * cfg.u * float(phi @ w_cov[:d, d])
-    )
+    return residual_moment(
+        z_mean[0], z_cov[0, 0], zp_cov, w_mean, w_cov,
+        regressor_psi(zp_mean, d, cfg.u), regressor_jacobian(zp_mean, d))
 
 
 def msg_forward_state(
@@ -166,11 +191,9 @@ def msg_forward_state(
 ) -> GaussianBelief:
     """Forward message to the new state: mean E[f], precision diag(E[gamma], 1/eps)."""
     zp_mean, _ = gaussian_moments(q_zprev)
-    psi, _ = _surrogate(zp_mean, cfg)
     d = cfg.n_coeffs
-    w_mean = q_coeffs.mean
-    g_bar = float(w_mean[:d] @ psi[:d])
-    mean = S @ zp_mean + s * (g_bar + w_mean[d] * cfg.u)
+    psi = regressor_psi(zp_mean, d, cfg.u)
+    mean = S @ zp_mean + s * forward_mean(q_coeffs.mean, psi)
     precision = np.diag([q_gamma.mean, 1.0 / cfg.epsilon])
     return GaussianBelief(mean, precision)
 

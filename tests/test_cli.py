@@ -192,6 +192,19 @@ class TestIdentifyPredictEvaluate:
         run("evaluate", "--pred", pred, "--data", data)
         assert capsys.readouterr().out.strip() == "1.000e-04"
 
+    def test_evaluate_named_input_column(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        y = np.zeros(50)
+        save_csv(TimeSeries(np.ones(50), y, 0.1), data, input_column="force")
+        pred = tmp_path / "pred.csv"
+        save_csv(TimeSeries(y + 0.01, np.zeros(50), 0.1), pred,
+                 input_column="y_hat", output_column="sq_error")
+        assert run("evaluate", "--pred", pred, "--data", data) == 2
+        capsys.readouterr()
+        assert run("evaluate", "--pred", pred, "--data", data,
+                   "--input-column", "force") == 0
+        assert capsys.readouterr().out.strip() == "1.000e-04"
+
     def test_report(self, tmp_path, capsys):
         art = make_truth_artifact(tmp_path / "truth.yaml")
         assert run("report", "--artifact", art) == 0

@@ -1,6 +1,7 @@
 """Online inference loop, free energy and prediction protocols."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,19 @@ class TestIdentify:
                 identify_stream(stream, PriorConfig())
             except InferenceError as exc:
                 assert exc.step == 2
+
+    @pytest.mark.parametrize("column", ["u", "y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_fails_early(self, column, value):
+        bad = (value, 0.04) if column == "u" else (0.1, value)
+        stream = [(0.1, 0.05)] * 7 + [bad, (0.1, 0.05)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InferenceError,
+                               match="step 7: non-finite input/output sample"
+                               ) as info:
+                identify_stream(stream, PriorConfig())
+        assert info.value.step == 7
 
     def test_larx_recovery_within_three_std(self):
         # the state-filtered posterior is mildly overconfident, so the seed
