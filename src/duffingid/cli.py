@@ -91,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split-index", type=int, default=0)
-    p.add_argument("--input-column", default="u")
     p.add_argument("--output-column", default="y")
     p.set_defaults(func=cmd_evaluate)
 
@@ -213,7 +212,10 @@ def cmd_evaluate(args) -> int:
     pred_spec = DatasetSpec(path=args.pred, input_column="y_hat",
                             output_column="sq_error", delta=1.0)
     pred = dataio.load_csv(pred_spec).u
-    data = _load_series(args)
+    # the input column plays no part in the error, so only y is required
+    data_spec = DatasetSpec(path=args.data, input_column=args.output_column,
+                            output_column=args.output_column)
+    data = dataio.load_csv(data_spec)
     if args.split_index > 0:
         data, _ = dataio.split(data, args.split_index)
     mse = engine.evaluate_mse(pred, data.y)

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -95,7 +94,7 @@ class BeliefSet:
 
     `q_coeffs` is the one belief over the coefficients w = (theta, eta);
     `q_theta` and `q_eta` are read-only views of its marginals, computed on
-    first access. Build `q_coeffs` from separate beliefs over theta and eta
+    each access. Build `q_coeffs` from separate beliefs over theta and eta
     with `beliefs.independent`.
     """
 
@@ -104,17 +103,13 @@ class BeliefSet:
     q_xi: GammaBelief
     q_state: GaussianBelief
 
-    @cached_property
-    def _marginals(self) -> tuple[GaussianBelief, GaussianBelief]:
-        return split_last(self.q_coeffs)
-
     @property
     def q_theta(self) -> GaussianBelief:
-        return self._marginals[0]
+        return split_last(self.q_coeffs)[0]
 
     @property
     def q_eta(self) -> GaussianBelief:
-        return self._marginals[1]
+        return split_last(self.q_coeffs)[1]
 
 
 @dataclass(frozen=True)

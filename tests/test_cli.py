@@ -199,10 +199,7 @@ class TestIdentifyPredictEvaluate:
         pred = tmp_path / "pred.csv"
         save_csv(TimeSeries(y + 0.01, np.zeros(50), 0.1), pred,
                  input_column="y_hat", output_column="sq_error")
-        assert run("evaluate", "--pred", pred, "--data", data) == 2
-        capsys.readouterr()
-        assert run("evaluate", "--pred", pred, "--data", data,
-                   "--input-column", "force") == 0
+        assert run("evaluate", "--pred", pred, "--data", data) == 0
         assert capsys.readouterr().out.strip() == "1.000e-04"
 
     def test_report(self, tmp_path, capsys):
