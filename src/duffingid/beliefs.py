@@ -22,112 +22,89 @@ class ImproperBeliefError(ValueError):
 
 
 class GaussianBelief:
-    """Multivariate Gaussian in information form.
+    """Multivariate Gaussian in information form, as a value.
 
-    `precision` must be symmetric PSD. A proper belief (usable as a marginal
-    posterior) additionally has strictly positive-definite precision; messages
-    may be singular. Construct either from a mean or from the precision-weighted
-    mean (`from_natural`); the missing representation, the covariance and the
-    log-determinant are computed lazily and cached. Immutable after
-    construction, so values are safe to share.
+    `precision` is symmetric PSD and `potential` is the precision-weighted
+    mean h = Lambda @ mu. A proper belief (usable as a marginal posterior)
+    has positive-definite precision and carries its covariance `cov` and
+    `logdet`, the log-determinant of its precision. Messages may be
+    singular: their `cov` and `logdet` are None, and built `from_natural`
+    their mean is the minimum-norm least-squares one. Both constructors
+    compute all five fields, and nothing changes them afterwards, so values
+    are safe to share.
     """
 
-    __slots__ = ("precision", "_mean", "_potential", "_proper", "_cov", "_logdet")
+    __slots__ = ("precision", "potential", "mean", "cov", "logdet")
 
     def __init__(self, mean, precision):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        precision = np.atleast_2d(np.asarray(precision, dtype=float))
-        if precision.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"precision shape {precision.shape} does not match dim {mean.size}")
-        # symmetrize to guard against drift from repeated updates
-        self.precision = 0.5 * (precision + precision.T)
-        self._mean = mean
-        self._potential = None
-        self._proper = None
-        self._cov = None
-        self._logdet = None
+        precision = _symmetric(precision, mean.size)
+        self.precision, self.potential, self.mean = precision, precision @ mean, mean
+        self.cov, self.logdet = _inverse(precision)
 
     @classmethod
     def from_natural(cls, precision, potential) -> "GaussianBelief":
-        """Build from (Lambda, h); h must lie in the range of Lambda.
-
-        For singular messages the mean, if ever requested, is the
-        minimum-norm representative.
-        """
-        self = cls.__new__(cls)
+        """Build from (Lambda, h); h must lie in the range of Lambda."""
         potential = np.atleast_1d(np.asarray(potential, dtype=float))
-        precision = np.atleast_2d(np.asarray(precision, dtype=float))
-        if precision.shape != (potential.size, potential.size):
-            raise ValueError(
-                f"precision shape {precision.shape} does not match dim {potential.size}")
-        self.precision = 0.5 * (precision + precision.T)
-        self._mean = None
-        self._potential = potential
-        self._proper = None
-        self._cov = None
-        self._logdet = None
-        return self
+        precision = _symmetric(precision, potential.size)
+        cov, logdet = _inverse(precision)
+        if cov is None:
+            mean, *_ = np.linalg.lstsq(precision, potential, rcond=None)
+        else:
+            mean = cov @ potential
+        return cls._from_parts(precision, potential, mean, cov, logdet)
 
     @classmethod
     def from_moments(cls, mean, cov) -> "GaussianBelief":
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         return cls(mean, np.linalg.inv(cov))
 
+    @classmethod
+    def _from_parts(cls, precision, potential, mean, cov, logdet) -> "GaussianBelief":
+        """A belief from all five fields, computed by the caller and not
+        checked here."""
+        self = object.__new__(cls)
+        self.precision, self.potential, self.mean = precision, potential, mean
+        self.cov, self.logdet = cov, logdet
+        return self
+
     @property
     def dim(self) -> int:
         return self.precision.shape[0]
 
-    @property
-    def mean(self) -> np.ndarray:
-        if self._mean is None:
-            if self._is_proper():
-                self._mean = self._cov @ self._potential
-            else:
-                self._mean, *_ = np.linalg.lstsq(
-                    self.precision, self._potential, rcond=None)
-        return self._mean
-
-    @property
-    def potential(self) -> np.ndarray:
-        """Precision-weighted mean (the natural parameter h = Lambda @ mu)."""
-        if self._potential is None:
-            self._potential = self.precision @ self._mean
-        return self._potential
-
-    def _is_proper(self) -> bool:
-        if self._proper is None:
-            self._proper = self._factorize()
-        return self._proper
-
-    def _factorize(self) -> bool:
-        """Invert the precision if positive definite; cache cov and logdet.
-
-        Dimensions up to four use closed-form inverses (see
-        `closed_form_inverse`); these dominate the inference hot loop and
-        skip the LAPACK call overhead.
-        """
-        p = self.precision
-        d = p.shape[0]
-        if d <= 4:
-            inverse = closed_form_inverse(p)
-            if inverse is None:
-                return False
-            self._cov, det = inverse
-            self._logdet = math.log(det)
-            return True
-        try:
-            low = np.linalg.cholesky(p)
-        except np.linalg.LinAlgError:
-            return False
-        inv_low = np.linalg.solve(low, np.eye(d))
-        cov = inv_low.T @ inv_low
-        self._cov = 0.5 * (cov + cov.T)
-        self._logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-        return True
-
     def __repr__(self) -> str:
         return f"GaussianBelief(mean={self.mean!r}, precision={self.precision!r})"
+
+
+def _symmetric(precision, dim: int) -> np.ndarray:
+    precision = np.atleast_2d(np.asarray(precision, dtype=float))
+    if precision.shape != (dim, dim):
+        raise ValueError(f"precision shape {precision.shape} does not match dim {dim}")
+    # symmetrize to guard against drift from repeated updates
+    return 0.5 * (precision + precision.T)
+
+
+def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
+    """Covariance and log-determinant of a positive-definite precision, or
+    (None, None).
+
+    Dimensions up to four use closed-form inverses (see
+    `closed_form_inverse`), which skip the LAPACK call overhead.
+    """
+    d = p.shape[0]
+    if d <= 4:
+        inverse = closed_form_inverse(p)
+        if inverse is None:
+            return None, None
+        cov, det = inverse
+        return cov, math.log(det)
+    try:
+        low = np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        return None, None
+    inv_low = np.linalg.solve(low, np.eye(d))
+    cov = inv_low.T @ inv_low
+    return 0.5 * (cov + cov.T), 2.0 * float(np.sum(np.log(np.diag(low))))
 
 
 def closed_form_inverse(p: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -212,13 +189,6 @@ class GammaBelief:
             raise ImproperBeliefError("moments undefined for improper belief")
         return self.shape / self.rate
 
-    @property
-    def mean_log(self) -> float:
-        """E[log x] = digamma(shape) - log(rate)."""
-        if not self.is_proper:
-            raise ImproperBeliefError("moments undefined for improper belief")
-        return float(special.digamma(self.shape) - math.log(self.rate))
-
 
 def combine_gaussian(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
     """Normalized product of two Gaussian densities (information-form addition)."""
@@ -226,7 +196,7 @@ def combine_gaussian(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     out = GaussianBelief.from_natural(
         a.precision + b.precision, a.potential + b.potential)
-    if not out._is_proper():
+    if out.cov is None:
         raise ImproperBeliefError("improper posterior")
     return out
 
@@ -242,9 +212,9 @@ def combine_gamma(a: GammaBelief, b: GammaBelief) -> GammaBelief:
 
 def gaussian_moments(g: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of a proper Gaussian belief."""
-    if not g._is_proper():
+    if g.cov is None:
         raise ImproperBeliefError("moments undefined for improper belief")
-    return g.mean, g._cov
+    return g.mean, g.cov
 
 
 def independent(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
@@ -267,18 +237,11 @@ def split_last(g: GaussianBelief) -> tuple[GaussianBelief, GaussianBelief]:
     return GaussianBelief(mean[:-1], schur), GaussianBelief(mean[-1:], 1.0 / cov[-1:, -1:])
 
 
-def logdet_precision(g: GaussianBelief) -> float:
-    """log det Lambda of a proper Gaussian belief."""
-    if not g._is_proper():
-        raise ImproperBeliefError("log-determinant undefined for improper belief")
-    return g._logdet
-
-
 def entropy_gaussian(g: GaussianBelief) -> float:
     """Differential entropy 0.5*(d*(1+log 2pi) + log det Sigma)."""
-    if not g._is_proper():
+    if g.cov is None:
         raise ImproperBeliefError("entropy undefined for improper belief")
-    return 0.5 * (g.dim * (1.0 + _LOG_2PI) - g._logdet)
+    return 0.5 * (g.dim * (1.0 + _LOG_2PI) - g.logdet)
 
 
 def entropy_gamma(g: GammaBelief) -> float:

@@ -209,16 +209,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    pred_spec = DatasetSpec(path=args.pred, input_column="y_hat",
-                            output_column="sq_error", delta=1.0)
-    pred = dataio.load_csv(pred_spec).u
-    # the input column plays no part in the error, so only y is required
-    data_spec = DatasetSpec(path=args.data, input_column=args.output_column,
-                            output_column=args.output_column)
-    data = dataio.load_csv(data_spec)
+    (pred,) = dataio.load_columns(args.pred, ("y_hat",))
+    # the input column plays no part in the error, so only y is read
+    (y,) = dataio.load_columns(args.data, (args.output_column,))
     if args.split_index > 0:
-        data, _ = dataio.split(data, args.split_index)
-    mse = engine.evaluate_mse(pred, data.y)
+        dataio.check_split(len(y), args.split_index)
+        y = y[:args.split_index]
+    mse = engine.evaluate_mse(pred, y)
     print(f"{mse:.3e}")
     return 0
 

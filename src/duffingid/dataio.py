@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,42 +44,46 @@ class DatasetSpec:
     input_column: str = "u"
     output_column: str = "y"
     delta: float = SILVERBOX_DELTA
-    split_index: int = SILVERBOX_SPLIT
+
+
+def load_columns(path, columns) -> list[np.ndarray]:
+    """The named columns of a header CSV as float arrays; rejects NaN/inf
+    values and names the row of the first bad one."""
+    path = Path(path)
+    if not path.exists():
+        raise DatasetError(f"no such data file: {path}")
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
+        for column in columns:
+            if column not in header:
+                raise DatasetError(
+                    f"{path}: missing column {column!r} (found {header})")
+        index = [header.index(column) for column in columns]
+        values = array("d")  # row after row, 8 bytes a value
+        for row_number, row in enumerate(filter(None, reader), start=1):
+            try:
+                parsed = [float(row[i]) for i in index]
+            except (IndexError, ValueError):
+                raise DatasetError(
+                    f"{path}: unparseable value in row {row_number}") from None
+            if not all(map(math.isfinite, parsed)):
+                raise DatasetError(f"{path}: non-finite value in row {row_number}")
+            values.extend(parsed)
+    if not values:
+        raise DatasetError(f"{path}: no data rows")
+    return list(np.frombuffer(values).reshape(-1, len(index)).T.copy())
 
 
 def load_csv(spec: DatasetSpec) -> TimeSeries:
     """Parse a two-column CSV into a TimeSeries; rejects NaN/inf values."""
-    path = Path(spec.path)
-    if not path.exists():
-        raise DatasetError(f"no such data file: {path}")
-    u_vals: list[float] = []
-    y_vals: list[float] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DatasetError(f"{path}: empty file")
-        for column in (spec.input_column, spec.output_column):
-            if column not in reader.fieldnames:
-                raise DatasetError(
-                    f"{path}: missing column {column!r} "
-                    f"(found {reader.fieldnames})")
-        for row_number, row in enumerate(reader, start=1):
-            try:
-                u = float(row[spec.input_column])
-                y = float(row[spec.output_column])
-            except (TypeError, ValueError):
-                raise DatasetError(
-                    f"{path}: unparseable value in row {row_number}") from None
-            if not (math.isfinite(u) and math.isfinite(y)):
-                raise DatasetError(f"{path}: non-finite value in row {row_number}")
-            u_vals.append(u)
-            y_vals.append(y)
-    if not u_vals:
-        raise DatasetError(f"{path}: no data rows")
+    u, y = load_columns(spec.path, (spec.input_column, spec.output_column))
     try:
-        return TimeSeries(np.array(u_vals), np.array(y_vals), spec.delta)
+        return TimeSeries(u, y, spec.delta)
     except ValueError as exc:
-        raise DatasetError(f"{path}: {exc}") from None
+        raise DatasetError(f"{spec.path}: {exc}") from None
 
 
 def save_csv(ts: TimeSeries, path, input_column: str = "u",
@@ -91,13 +96,17 @@ def save_csv(ts: TimeSeries, path, input_column: str = "u",
             writer.writerow([repr(float(u)), repr(float(y))])
 
 
-def split(ts: TimeSeries, split_index: int) -> tuple[TimeSeries, TimeSeries]:
-    """Cut into (validation, training): validation is the leading segment."""
-    n = len(ts)
+def check_split(n: int, split_index: int) -> None:
+    """Both segments of a split of n samples need at least 3."""
     if not 3 <= split_index <= n - 3:
         raise DatasetError(
             f"split index {split_index} out of range for {n} samples "
             "(both segments need at least 3)")
+
+
+def split(ts: TimeSeries, split_index: int) -> tuple[TimeSeries, TimeSeries]:
+    """Cut into (validation, training): validation is the leading segment."""
+    check_split(len(ts), split_index)
     validation = TimeSeries(ts.u[:split_index], ts.y[:split_index], ts.delta)
     training = TimeSeries(ts.u[split_index:], ts.y[split_index:], ts.delta)
     return validation, training

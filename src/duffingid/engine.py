@@ -14,19 +14,17 @@ step has acted, so a step consumes the input sample one position behind the
 output sample. The simulator in `duffing` and both prediction protocols use
 the same pairing.
 
-One online step is one private kernel, `_step_kernel`, over a flat state
-(`_Flat`): q(theta, eta) as precision, potential, mean, covariance and the
-log-determinant of its precision, the Gamma shapes and rates as floats, and
-q(z) likewise. It predicts, then iterates the message schedule; every
-iteration combines the fresh messages with the beliefs the step started
-from (the previous posteriors act as this step's priors), so repeated
-iterations refine rather than double-count the observation.
-`identify_stream` folds the kernel over the stream and builds one `BeliefSet`
-at the end; `step_update` flattens a `BeliefSet`, runs the kernel and wraps
-the result. The `nlarx` messages, `combine_*` and `compute_free_energy`
-compose the same step from belief objects and stay the tested reference.
+One online step is `step_update`. It predicts, then iterates the message
+schedule; every iteration combines the fresh messages with the beliefs the
+step started from (the previous posteriors act as this step's priors), so
+repeated iterations refine rather than double-count the observation. It
+computes the messages and posteriors on the arrays and floats those
+beliefs carry, builds no belief per message, and builds the posterior
+`BeliefSet` once, at the end. `identify_stream` folds it over the stream.
+The `nlarx` messages, `combine_*` and `compute_free_energy` compose the
+same step from belief objects and stay the tested reference.
 
-Rounding rule: the kernel reproduces that composition bit for bit, so every
+Rounding rule: the step reproduces that composition bit for bit, so every
 float operation keeps its order there. q(z) is scalar algebra, because its
 precision is always diag(E[gamma] + E[xi], 1/eps) and the closed-form 2x2
 inverse then rounds like scalar code; so are the Gamma updates. The
@@ -36,8 +34,8 @@ coefficient posterior uses `GaussianBelief`'s closed-form inverse. The
 coefficient mean `cov @ potential`, the forward mean and the expected
 squared residual keep their numpy expressions (`nlarx.forward_mean`,
 `nlarx.residual_moment`): the BLAS may fuse their multiply-adds, which
-scalar code cannot reproduce. The kernel and `compute_free_energy` evaluate
-the free energy with one function, `_free_energy`; the kernel hands it the
+scalar code cannot reproduce. The step and `compute_free_energy` evaluate
+the free energy with one function, `_free_energy`; the step hands it the
 expected squared residual of its gamma update, which has the same inputs.
 """
 
@@ -45,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -55,9 +53,7 @@ from .beliefs import (
     GaussianBelief,
     ImproperBeliefError,
     closed_form_inverse,
-    gaussian_moments,
     independent,
-    logdet_precision,
     split_last,
 )
 # not called here; the benchmark's span tracer looks them up in this module
@@ -67,12 +63,12 @@ from .beliefs import (  # noqa: F401
     entropy_gamma,
     entropy_gaussian,
 )
+from .duffing import step_mean  # noqa: F401
 from .duffing import (
     DIVERGENCE_LIMIT,
     ArCoefficients,
     TimeSeries,
     UnstableSimulationError,
-    step_mean,
 )
 from . import nlarx
 from .nlarx import NodeConfig
@@ -183,61 +179,27 @@ def initial_beliefs(cfg: PriorConfig) -> BeliefSet:
     )
 
 
-class _Flat(NamedTuple):
-    """The step kernel's state: q(theta, eta) in natural and moment form with
-    the log-determinant of its precision, the Gamma shapes and rates, and
-    q(z) likewise."""
-
-    coeffs_precision: np.ndarray
-    coeffs_potential: np.ndarray
-    coeffs_mean: np.ndarray
-    coeffs_cov: np.ndarray
-    coeffs_logdet: float
-    gamma_shape: float
-    gamma_rate: float
-    xi_shape: float
-    xi_rate: float
-    state_precision: np.ndarray
-    state_potential: np.ndarray
-    state_mean: np.ndarray
-    state_cov: np.ndarray
-    state_logdet: float
-
-
-def _flatten(beliefs: BeliefSet) -> _Flat:
-    if not (beliefs.q_gamma.is_proper and beliefs.q_xi.is_proper):
+def _require_proper(beliefs: BeliefSet) -> None:
+    if (beliefs.q_coeffs.cov is None or beliefs.q_state.cov is None
+            or not (beliefs.q_gamma.is_proper and beliefs.q_xi.is_proper)):
         raise ImproperBeliefError("moments undefined for improper belief")
-    q_coeffs, q_state = beliefs.q_coeffs, beliefs.q_state
-    return _Flat(
-        q_coeffs.precision, q_coeffs.potential, *gaussian_moments(q_coeffs),
-        logdet_precision(q_coeffs),
-        beliefs.q_gamma.shape, beliefs.q_gamma.rate,
-        beliefs.q_xi.shape, beliefs.q_xi.rate,
-        q_state.precision, q_state.potential, *gaussian_moments(q_state),
-        logdet_precision(q_state))
 
 
-def _wrap(state: _Flat) -> BeliefSet:
-    return BeliefSet(
-        q_coeffs=GaussianBelief.from_natural(state.coeffs_precision,
-                                             state.coeffs_potential),
-        q_gamma=GammaBelief(state.gamma_shape, state.gamma_rate),
-        q_xi=GammaBelief(state.xi_shape, state.xi_rate),
-        q_state=GaussianBelief.from_natural(state.state_precision,
-                                            state.state_potential),
-    )
-
-
-def _step_kernel(
-    state: _Flat, u: float, y: float, cfg: PriorConfig, t: int
-) -> tuple[_Flat, StepReport]:
-    """One online step over the flat state; see the module docstring."""
+def step_update(
+    beliefs: BeliefSet, u_t: float, y_t: float, cfg: PriorConfig, t: int = 0
+) -> tuple[BeliefSet, StepReport]:
+    """One online step: predict, then iterate the message schedule (see the
+    module docstring). The returned state belief becomes the next step's
+    previous state."""
+    u, y = float(u_t), float(y_t)
     if not (math.isfinite(u) and math.isfinite(y)):
         raise ValueError(f"non-finite input/output sample: u={u!r}, y={y!r}")
-    prec0, pot0, w = state.coeffs_precision, state.coeffs_potential, state.coeffs_mean
-    ag0, bg0 = state.gamma_shape, state.gamma_rate
-    ax0, bx0 = state.xi_shape, state.xi_rate
-    zp_mean, zp_cov = state.state_mean, state.state_cov
+    _require_proper(beliefs)
+    prec0, pot0 = beliefs.q_coeffs.precision, beliefs.q_coeffs.potential
+    w = beliefs.q_coeffs.mean
+    ag0, bg0 = beliefs.q_gamma.shape, beliefs.q_gamma.rate
+    ax0, bx0 = beliefs.q_xi.shape, beliefs.q_xi.rate
+    zp_mean, zp_cov = beliefs.q_state.mean, beliefs.q_state.cov
     d = cfg.n_coeffs
     eps = cfg.epsilon
     inv_eps = 1.0 / eps
@@ -254,9 +216,11 @@ def _step_kernel(
     pred_var = 1.0 / eg + 1.0 / ex
     trace = []
     for k in range(cfg.iterations_per_step):
-        forward = nlarx.forward_mean(w, psi)
+        # the scalar algebra below runs on Python floats, which round like
+        # numpy scalars at a fraction of their cost per operation
+        forward = float(nlarx.forward_mean(w, psi))
         if k == 0:  # the prediction, taken before y enters
-            pred_mean = float(forward)
+            pred_mean = forward
 
         # q(z): forward message N((forward, zp0), diag(E[gamma], 1/eps)) times
         # the likelihood message; its precision is diag(E[gamma] + E[xi], 1/eps)
@@ -277,7 +241,7 @@ def _step_kernel(
         cov_w, det_w = inverse
         w = cov_w @ pot
 
-        esr = nlarx.residual_moment(zm0, zc00, zp_cov, w, cov_w, psi, jac)
+        esr = float(nlarx.residual_moment(zm0, zc00, zp_cov, w, cov_w, psi, jac))
         rate = 0.5 * esr
         if rate < 0:
             raise RuntimeError(
@@ -289,14 +253,16 @@ def _step_kernel(
         eg, ex = ag / bg, ax / bx
 
         if cfg.trace_free_energy or k == last:
+            q_coeffs = GaussianBelief._from_parts(
+                prec, pot, w, cov_w, math.log(det_w))
             # q(z) as `combine_gaussian` builds it: its closed-form inverse
             # puts -0.0 off the diagonal of the covariance
-            current = _Flat(
-                prec, pot, w, cov_w, math.log(det_w), ag, bg, ax, bx,
+            q_state = GaussianBelief._from_parts(
                 np.array([[za, 0.0], [0.0, inv_eps]]), np.array([hz0, hz1]),
                 np.array([zm0, zc11 * hz1]),
                 np.array([[zc00, -0.0], [-0.0, zc11]]), math.log(zdet))
-            trace.append(_free_energy(current, state, esr, y, eps))
+            trace.append(_free_energy(q_coeffs, q_state, ag, bg, ax, bx,
+                                      beliefs, esr, y, eps))
 
     report = StepReport(
         t=t,
@@ -305,16 +271,9 @@ def _step_kernel(
         prediction_var=pred_var,
         free_energy_trace=tuple(trace) if cfg.trace_free_energy else (),
     )
-    return current, report
-
-
-def step_update(
-    beliefs: BeliefSet, u_t: float, y_t: float, cfg: PriorConfig, t: int = 0
-) -> tuple[BeliefSet, StepReport]:
-    """One online step: predict, then iterate the message schedule. The
-    returned state belief becomes the next step's previous state."""
-    state, report = _step_kernel(_flatten(beliefs), float(u_t), float(y_t), cfg, t)
-    return _wrap(state), report
+    posterior = BeliefSet(q_coeffs, GammaBelief(ag, bg), GammaBelief(ax, bx),
+                          q_state)
+    return posterior, report
 
 
 def compute_free_energy(
@@ -327,34 +286,42 @@ def compute_free_energy(
     """Single-timestep free energy E_q[log q] - E_q[log p], with the same
     affine surrogate the messages use. The previous-state belief is held
     fixed and enters only through the transition expectation."""
+    _require_proper(beliefs)
+    _require_proper(beliefs_prior_for_step)
     esr = nlarx.expected_square_residual(
         beliefs.q_state, beliefs_prior_for_step.q_state, beliefs.q_coeffs,
         cfg.node_config(u_t))
-    return _free_energy(_flatten(beliefs), _flatten(beliefs_prior_for_step),
-                        esr, y_t, cfg.epsilon)
+    q_gamma, q_xi = beliefs.q_gamma, beliefs.q_xi
+    return _free_energy(beliefs.q_coeffs, beliefs.q_state, q_gamma.shape,
+                        q_gamma.rate, q_xi.shape, q_xi.rate,
+                        beliefs_prior_for_step, esr, y_t, cfg.epsilon)
 
 
-def _free_energy(q: _Flat, prior: _Flat, esr: float, y: float, eps: float) -> float:
-    """`compute_free_energy` over flat states, given the expected squared
-    residual of q(z), q(w) and the previous state."""
-    ag, bg, ax, bx = q.gamma_shape, q.gamma_rate, q.xi_shape, q.xi_rate
-    ag0, bg0 = prior.gamma_shape, prior.gamma_rate
-    ax0, bx0 = prior.xi_shape, prior.xi_rate
+def _free_energy(
+    q_coeffs: GaussianBelief, q_state: GaussianBelief, ag: float, bg: float,
+    ax: float, bx: float, prior: BeliefSet, esr: float, y: float, eps: float,
+) -> float:
+    """`compute_free_energy` from q(w), q(z), the Gamma shapes and rates of
+    q(gamma) and q(xi), the step's prior and the expected squared residual
+    of q(z), q(w) and the previous state."""
+    ag0, bg0 = prior.q_gamma.shape, prior.q_gamma.rate
+    ax0, bx0 = prior.q_xi.shape, prior.q_xi.rate
     dg_g, dg_x = digamma(ag), digamma(ax)
-    n = q.coeffs_mean.size
+    n = q_coeffs.mean.size
     e_gamma, log_gamma = ag / bg, float(dg_g - math.log(bg))
     e_xi, log_xi = ax / bx, float(dg_x - math.log(bx))
-    z_mean, z_cov = q.state_mean, q.state_cov
+    z_mean, z_cov = q_state.mean, q_state.cov
 
     neg_entropy = -(
-        0.5 * (2 * (1.0 + _LOG_2PI) - q.state_logdet)
-        + 0.5 * (n * (1.0 + _LOG_2PI) - q.coeffs_logdet)
+        0.5 * (2 * (1.0 + _LOG_2PI) - q_state.logdet)
+        + 0.5 * (n * (1.0 + _LOG_2PI) - q_coeffs.logdet)
         + float(ag - math.log(bg) + gammaln(ag) + (1.0 - ag) * dg_g)
         + float(ax - math.log(bx) + gammaln(ax) + (1.0 - ax) * dg_x)
     )
 
     # transition factor
-    q2 = (z_mean[1] - prior.state_mean[0]) ** 2 + z_cov[1, 1] + prior.state_cov[0, 0]
+    zp_mean, zp_cov = prior.q_state.mean, prior.q_state.cov
+    q2 = (z_mean[1] - zp_mean[0]) ** 2 + z_cov[1, 1] + zp_cov[0, 0]
     e_log_trans = (
         -_LOG_2PI
         + 0.5 * (log_gamma - math.log(eps))
@@ -369,11 +336,11 @@ def _free_energy(q: _Flat, prior: _Flat, esr: float, y: float, eps: float) -> fl
     )
 
     # E_q[log prior] of the coefficient, gamma and xi priors
-    lam0 = prior.coeffs_precision
-    diff = q.coeffs_mean - prior.coeffs_mean
-    quad = float(diff @ lam0 @ diff) + float(np.trace(lam0 @ q.coeffs_cov))
+    lam0 = prior.q_coeffs.precision
+    diff = q_coeffs.mean - prior.q_coeffs.mean
+    quad = float(diff @ lam0 @ diff) + float(np.trace(lam0 @ q_coeffs.cov))
     e_log_priors = (
-        (-0.5 * n * _LOG_2PI + 0.5 * prior.coeffs_logdet - 0.5 * quad)
+        (-0.5 * n * _LOG_2PI + 0.5 * prior.q_coeffs.logdet - 0.5 * quad)
         + float(ag0 * math.log(bg0) - gammaln(ag0)
                 + (ag0 - 1.0) * log_gamma - bg0 * e_gamma)
         + float(ax0 * math.log(bx0) - gammaln(ax0)
@@ -397,17 +364,17 @@ def identify_stream(
 
     Single pass, O(1) memory in the stream length beyond the reports.
     """
-    state = _flatten(initial_beliefs(cfg))
+    beliefs = initial_beliefs(cfg)
     reports: list[StepReport] = []
     for t, (u_t, y_t) in enumerate(samples):
         try:
-            state, report = _step_kernel(state, float(u_t), float(y_t), cfg, t)
+            beliefs, report = step_update(beliefs, u_t, y_t, cfg, t)
         except (ValueError, RuntimeError) as exc:
             raise InferenceError(t, str(exc)) from exc
         reports.append(report)
     if not reports:
         raise ValueError("insufficient data: empty sample stream")
-    return _wrap(state), reports
+    return beliefs, reports
 
 
 def identify(data: TimeSeries, cfg: PriorConfig) -> tuple[BeliefSet, list[StepReport]]:
@@ -455,14 +422,19 @@ def simulate_rollout(
     first two true outputs and then propagated noise-free on its own
     predictions."""
     coeffs = posterior_coefficients(beliefs_frozen)
-    y, u = data.y, data.u
-    pred = y.copy()
-    z = np.array([y[1], y[0]])
-    for t in range(2, len(y)):
-        z = step_mean(coeffs, z, u[t - 1])
-        if abs(z[0]) > DIVERGENCE_LIMIT:
+    th = coeffs.theta.tolist()
+    th1, th2, th3 = th if len(th) == 3 else (th[0], 0.0, th[1])
+    eta = coeffs.eta
+    pred = data.y.copy()
+    # memoryviews read and write Python floats without copying the series
+    out = memoryview(pred)
+    x, x_prev = out[1], out[0]
+    for t, u in enumerate(memoryview(data.u)[1:-1], start=2):
+        # the noise-free recursion of `duffing.simulate`
+        x, x_prev = th1 * x + th2 * x ** 3 + th3 * x_prev + eta * u, x
+        if abs(x) > DIVERGENCE_LIMIT:
             raise UnstableSimulationError(t)
-        pred[t] = z[0]
+        out[t] = x
     return pred
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from duffingid import PriorConfig, identify
 from duffingid.beliefs import (
     GammaBelief,
     GaussianBelief,
@@ -15,7 +16,6 @@ from duffingid.beliefs import (
     entropy_gaussian,
     gaussian_moments,
     independent,
-    logdet_precision,
     split_last,
 )
 from oracles import (
@@ -23,6 +23,31 @@ from oracles import (
     grid_product_moments_1d,
     grid_product_moments_2d,
 )
+from test_acceptance import RUN_CONFIG, make_series
+
+# q_theta and q_eta of the 300-step golden runs (`test_golden.py`),
+# recorded before GaussianBelief computed its fields at construction
+GOLDEN_MARGINALS = {
+    "nlarx": dict(
+        theta_mean=[1.9067204932111974, 0.07213920535819796,
+                    -0.9258515118692789],
+        theta_precision=[[48830.52338814778, 882.0168127520545,
+                          48413.175809008564],
+                         [882.0168127520545, 24.826031170239446,
+                          874.6683279256476],
+                         [48413.175809008564, 874.6683279256476,
+                          48934.981126115024]],
+        eta_mean=[0.012743201690587264],
+        eta_precision=[[38336.310688265716]],
+    ),
+    "larx": dict(
+        theta_mean=[1.9080637190491563, -0.9259122213343223],
+        theta_precision=[[49786.467525963075, 49364.06733429558],
+                         [49364.06733429558, 49900.277948625975]],
+        eta_mean=[0.012777548563667447],
+        eta_precision=[[39133.67479587068]],
+    ),
+}
 
 
 def _gauss_logpdf(mean, cov):
@@ -203,7 +228,7 @@ class TestGaussianMoments:
                                        rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(g.precision @ mean, pot,
                                        rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(logdet_precision(g),
+            np.testing.assert_allclose(g.logdet,
                                        np.linalg.slogdet(g.precision)[1],
                                        rtol=1e-12, atol=1e-12)
 
@@ -221,6 +246,44 @@ class TestGaussianMoments:
         g = GaussianBelief.from_natural(prec, np.zeros(dim))
         with pytest.raises(ImproperBeliefError):
             gaussian_moments(g)
+
+
+class TestValueType:
+    def test_singular_message_has_no_moments(self):
+        prec = np.array([[2.0, 1.0], [1.0, 0.5]])  # rank 1
+        pot = prec @ np.array([0.3, -0.4])
+        g = GaussianBelief.from_natural(prec, pot)
+        assert g.cov is None and g.logdet is None
+        want, *_ = np.linalg.lstsq(prec, pot, rcond=None)
+        np.testing.assert_array_equal(g.mean, want)
+        np.testing.assert_array_equal(g.potential, pot)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_both_constructors_agree(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        prec = np.linalg.inv(_random_spd(rng, dim))
+        prec = 0.5 * (prec + prec.T)  # exactly symmetric: no constructor changes it
+        mean = rng.normal(0, 1, dim)
+        from_mean = GaussianBelief(mean, prec)
+        from_natural = GaussianBelief.from_natural(prec, prec @ mean)
+        np.testing.assert_array_equal(from_mean.precision, from_natural.precision)
+        np.testing.assert_array_equal(from_mean.potential, from_natural.potential)
+        np.testing.assert_array_equal(from_mean.cov, from_natural.cov)
+        assert from_mean.logdet == from_natural.logdet
+        np.testing.assert_allclose(from_mean.mean, from_natural.mean,
+                                   rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("mode, trace", [("nlarx", False), ("larx", True)])
+    def test_marginal_views_on_the_golden_run(self, mode, trace):
+        cfg = PriorConfig(model_mode=mode, trace_free_energy=trace, **RUN_CONFIG)
+        beliefs, _ = identify(make_series(sim_seed=7, T=301), cfg)
+        want = GOLDEN_MARGINALS[mode]
+        for name in ("theta", "eta"):
+            got = getattr(beliefs, f"q_{name}")
+            np.testing.assert_allclose(got.mean, want[f"{name}_mean"],
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got.precision, want[f"{name}_precision"],
+                                       rtol=1e-12, atol=0.0)
 
 
 class TestSplitLast:
@@ -243,7 +306,7 @@ class TestSplitLast:
                     gaussian_moments(part)[1], cov[rows, rows], rtol=1e-9,
                     atol=1e-12)
                 np.testing.assert_allclose(
-                    logdet_precision(part),
+                    part.logdet,
                     -np.linalg.slogdet(cov[rows, rows])[1], rtol=1e-9,
                     atol=1e-12)
 

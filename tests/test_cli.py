@@ -202,6 +202,18 @@ class TestIdentifyPredictEvaluate:
         assert run("evaluate", "--pred", pred, "--data", data) == 0
         assert capsys.readouterr().out.strip() == "1.000e-04"
 
+    def test_evaluate_prediction_file_with_only_y_hat(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        y = np.linspace(0.0, 1.0, 30)
+        save_csv(TimeSeries(np.zeros(30), y, 0.1), data)
+        pred = tmp_path / "pred.csv"
+        # `predict --split-index 20` writes the 20 validation predictions
+        rows = "".join(f"{v!r}\n" for v in (y[:20] + 0.02).tolist())
+        pred.write_text("y_hat\n" + rows)
+        assert run("evaluate", "--pred", pred, "--data", data,
+                   "--split-index", 20) == 0
+        assert capsys.readouterr().out.strip() == "4.000e-04"
+
     def test_report(self, tmp_path, capsys):
         art = make_truth_artifact(tmp_path / "truth.yaml")
         assert run("report", "--artifact", art) == 0

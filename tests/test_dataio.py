@@ -50,6 +50,12 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 2"):
             load_csv(DatasetSpec(path=path))
 
+    def test_short_row_named_after_a_blank_line(self, tmp_path):
+        # blank lines are skipped and do not count as rows
+        path = write(tmp_path / "d.csv", "u,y\n0.1,0.2\n\n0.3\n0.5,0.6\n")
+        with pytest.raises(DatasetError, match="unparseable value in row 2"):
+            load_csv(DatasetSpec(path=path))
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path / "d.csv", "a,y\n0.1,0.2\n")
         with pytest.raises(DatasetError, match="missing column 'u'"):

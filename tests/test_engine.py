@@ -352,6 +352,32 @@ class TestPredictionProtocols:
         assert abs(pred[-1]) < 1e-3
         assert np.abs(pred).max() <= 0.06
 
+    @pytest.mark.parametrize("keep", [[0, 1, 2], [0, 2]])
+    def test_rollout_matches_step_mean_recursion(self, keep):
+        from duffingid.duffing import ArCoefficients, step_mean
+        coeffs = ArCoefficients(self.coeffs.theta[keep], self.coeffs.eta, 1.0)
+        data = self.clean
+        pred = simulate_rollout(frozen_beliefs(coeffs), data, PriorConfig())
+        want = data.y.copy()
+        z = np.array([data.y[1], data.y[0]])
+        for t in range(2, len(data)):
+            z = step_mean(coeffs, z, data.u[t - 1])
+            want[t] = z[0]
+        # same recursion; only the summation order of the drift differs
+        np.testing.assert_allclose(pred, want, rtol=1e-12, atol=1e-15)
+
+    def test_larx_rollout_is_nlarx_without_the_cubic(self):
+        from duffingid.duffing import ArCoefficients
+        th = self.coeffs.theta
+        linear = ArCoefficients([th[0], th[2]], self.coeffs.eta, 1.0)
+        cubic_off = ArCoefficients([th[0], 0.0, th[2]], self.coeffs.eta, 1.0)
+        larx = simulate_rollout(frozen_beliefs(linear), self.clean, PriorConfig())
+        cubic = simulate_rollout(frozen_beliefs(cubic_off), self.clean,
+                                 PriorConfig())
+        np.testing.assert_array_equal(larx, cubic)
+        # the series has b != 0, so this is a real rollout, not a copy of y
+        assert np.abs(larx - self.clean.y).max() > 1e-6
+
     def test_rollout_divergence_guard(self):
         from duffingid.duffing import ArCoefficients
         unstable = ArCoefficients([3.0, 0.0, 1.5], 0.1, 1.0)
