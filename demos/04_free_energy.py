@@ -1,7 +1,8 @@
 """Free-energy descent: every belief update lowers a single objective.
 
-Within one time step the engine sweeps the beliefs several times; each
-sweep re-evaluates the free energy (an upper bound on surprise). In the
+Within one time step the engine sweeps the beliefs until they settle, at
+most `iterations_per_step` times; each sweep re-evaluates the free energy
+(an upper bound on surprise). In the
 linear model every sweep is exact coordinate descent, so the within-step
 trace is non-increasing to machine precision.
 """

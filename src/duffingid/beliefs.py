@@ -217,6 +217,17 @@ def gaussian_moments(g: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
     return g.mean, g.cov
 
 
+def expected_quadratic(a: list, mean: list, cov: list) -> float:
+    """E[x' A x] = mean' A mean + trace(A cov) for x with the given mean and
+    covariance, in scalar code on (nested) lists of floats. Only the leading
+    len(a) coordinates of x enter, so A may weigh a leading block."""
+    total = 0.0
+    for m_i, a_row, cov_row in zip(mean, a, cov):
+        for m_j, a_ij, cov_ij in zip(mean, a_row, cov_row):
+            total += a_ij * (m_i * m_j + cov_ij)
+    return total
+
+
 def independent(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
     """The joint of two independent beliefs: their means stacked, with
     block-diagonal precision."""

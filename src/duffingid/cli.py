@@ -163,6 +163,7 @@ def cmd_identify(args) -> int:
     beliefs, reports = engine.identify(data, cfg)
 
     stride = max(1, len(reports) // 1000)
+    mean_iterations = sum(r.iterations for r in reports) / len(reports)
     free_energies = [r.free_energy for r in reports[::stride]]
     coeffs = engine.posterior_coefficients(beliefs)
     phys = ar_to_phys(coeffs, data.delta, xi=beliefs.q_xi.mean)
@@ -172,7 +173,8 @@ def cmd_identify(args) -> int:
         beliefs=beliefs,
         free_energies=free_energies,
         metrics={"final_free_energy": reports[-1].free_energy,
-                 "steps": len(reports)},
+                 "steps": len(reports),
+                 "mean_iterations": mean_iterations},
         physical={"m": phys.m, "c": phys.c, "a": phys.a, "b": phys.b,
                   "tau": phys.tau},
     )

@@ -131,10 +131,12 @@ def ar_to_phys(coeffs: ArCoefficients, delta: float, xi: float) -> PhysicalParam
 
 def regressor(z: np.ndarray, n_coeffs: int = 3) -> np.ndarray:
     """Regression vector phi(z): (x, x^3, x_prev), or (x, x_prev) without
-    the cubic term."""
+    the cubic term. Scalar code: a cube that overflows gives inf, which the
+    engine reports as divergence, instead of a numpy warning."""
+    x, x_prev = float(z[0]), float(z[1])
     if n_coeffs == 3:
-        return np.array([z[0], z[0] ** 3, z[1]])
-    return np.array([z[0], z[1]])
+        return np.array([x, x * x * x, x_prev])
+    return np.array([x, x_prev])
 
 
 def g_eval(theta: np.ndarray, z: np.ndarray) -> float:

@@ -14,29 +14,34 @@ step has acted, so a step consumes the input sample one position behind the
 output sample. The simulator in `duffing` and both prediction protocols use
 the same pairing.
 
-One online step is `step_update`. It predicts, then iterates the message
-schedule; every iteration combines the fresh messages with the beliefs the
-step started from (the previous posteriors act as this step's priors), so
-repeated iterations refine rather than double-count the observation. It
-computes the messages and posteriors on the arrays and floats those
-beliefs carry, builds no belief per message, and builds the posterior
-`BeliefSet` once, at the end. `identify_stream` folds it over the stream.
-The `nlarx` messages, `combine_*` and `compute_free_energy` compose the
-same step from belief objects and stay the tested reference.
+One online step is `step_update`. It predicts, then sweeps the message
+schedule; every sweep combines the fresh messages with the beliefs the step
+started from (the previous posteriors act as this step's priors), so
+repeated sweeps refine rather than double-count the observation. From the
+second sweep on it stops once a sweep moved every coefficient mean by less
+than `CONVERGENCE_TOL` of its posterior sd and E[gamma] by less than
+`CONVERGENCE_TOL` relative; `PriorConfig.iterations_per_step` caps the
+sweeps. It builds no belief per message and the posterior `BeliefSet` once,
+at the end. `identify_stream` folds it over the stream. The `nlarx`
+messages, `combine_*` and `compute_free_energy` compose the same step from
+belief objects and stay the tested reference.
 
 Rounding rule: the step reproduces that composition bit for bit, so every
-float operation keeps its order there. q(z) is scalar algebra, because its
-precision is always diag(E[gamma] + E[xi], 1/eps) and the closed-form 2x2
-inverse then rounds like scalar code; so are the Gamma updates. The
-coefficient message's precision psi psi' + J Sigma J' is built once per
-step with numpy and scaled by E[gamma] in every iteration, and the
-coefficient posterior uses `GaussianBelief`'s closed-form inverse. The
-coefficient mean `cov @ potential`, the forward mean and the expected
-squared residual keep their numpy expressions (`nlarx.forward_mean`,
-`nlarx.residual_moment`): the BLAS may fuse their multiply-adds, which
-scalar code cannot reproduce. The step and `compute_free_energy` evaluate
-the free energy with one function, `_free_energy`; the step hands it the
-expected squared residual of its gamma update, which has the same inputs.
+float operation keeps its order there. What the previous state fixes is
+computed once per step: psi, J Sigma_zprev J' (`nlarx.regressor_spread`)
+and the coefficient message's precision per unit E[gamma]
+(`nlarx.coefficient_information`). The forward mean and the expected
+squared residual are scalar code shared with the messages
+(`nlarx.forward_mean`, `nlarx.residual_moment`). q(z) and the Gamma
+updates are scalar algebra too: q(z)'s precision is always diag(E[gamma] +
+E[xi], 1/eps), and the closed-form 2x2 inverse then rounds like scalar code.
+The coefficient posterior uses `GaussianBelief`'s closed-form inverse and
+keeps its numpy mean `cov @ potential`, whose multiply-adds the BLAS may
+fuse. The step and `compute_free_energy` share `_free_energy`; the step
+hands it the expected squared residual of its gamma update. A non-finite
+coefficient message precision, state mean, coefficient mean or expected
+squared residual raises `InferenceError` ("diverged") with the step index,
+before numpy can overflow on it.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .beliefs import (
     GaussianBelief,
     ImproperBeliefError,
     closed_form_inverse,
+    expected_quadratic,
     independent,
     split_last,
 )
@@ -74,6 +80,11 @@ from . import nlarx
 from .nlarx import NodeConfig
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# a step stops sweeping once a sweep moves every coefficient mean by less
+# than this fraction of its posterior sd and E[gamma] by less than this
+# fraction of itself; `PriorConfig.iterations_per_step` caps the sweeps
+CONVERGENCE_TOL = 1e-6
 
 
 class InferenceError(RuntimeError):
@@ -110,12 +121,14 @@ class BeliefSet:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Per-step diagnostics; the prediction is taken before observing y."""
+    """Per-step diagnostics; the prediction is taken before observing y.
+    `iterations` is the number of sweeps the step ran."""
 
     t: int
     free_energy: float
     prediction_mean: float
     prediction_var: float
+    iterations: int
     free_energy_trace: tuple = ()
 
 
@@ -125,7 +138,8 @@ class PriorConfig:
 
     Defaults are the benchmark choices: coefficient priors centred at 1 with
     precision 0.1, informative noise priors (shape-rate convention), and a
-    weakly informative unit state prior.
+    weakly informative unit state prior. `iterations_per_step` caps the
+    sweeps of a step, which stops earlier once it settles.
     """
 
     m0_theta: tuple = (1.0, 1.0, 1.0)
@@ -188,15 +202,14 @@ def _require_proper(beliefs: BeliefSet) -> None:
 def step_update(
     beliefs: BeliefSet, u_t: float, y_t: float, cfg: PriorConfig, t: int = 0
 ) -> tuple[BeliefSet, StepReport]:
-    """One online step: predict, then iterate the message schedule (see the
-    module docstring). The returned state belief becomes the next step's
-    previous state."""
+    """One online step: predict, then sweep the message schedule until it
+    settles (see the module docstring). The returned state belief becomes
+    the next step's previous state."""
     u, y = float(u_t), float(y_t)
     if not (math.isfinite(u) and math.isfinite(y)):
         raise ValueError(f"non-finite input/output sample: u={u!r}, y={y!r}")
     _require_proper(beliefs)
     prec0, pot0 = beliefs.q_coeffs.precision, beliefs.q_coeffs.potential
-    w = beliefs.q_coeffs.mean
     ag0, bg0 = beliefs.q_gamma.shape, beliefs.q_gamma.rate
     ax0, bx0 = beliefs.q_xi.shape, beliefs.q_xi.rate
     zp_mean, zp_cov = beliefs.q_state.mean, beliefs.q_state.cov
@@ -204,21 +217,25 @@ def step_update(
     eps = cfg.epsilon
     inv_eps = 1.0 / eps
     last = cfg.iterations_per_step - 1
+    # fixed within the step: psi, J Sigma_zprev J' and the precision of the
+    # coefficient message per unit E[gamma]
     psi = nlarx.regressor_psi(zp_mean, d, u)
-    jac = nlarx.regressor_jacobian(zp_mean, d)
-    # precision of the coefficient message per unit E[gamma]; exactly symmetric
-    info = psi[:, None] * psi
-    info[:d, :d] += jac @ zp_cov @ jac.T
+    psi_list = psi.tolist()
+    spread = nlarx.regressor_spread(zp_mean, zp_cov, d)
+    info = nlarx.coefficient_information(psi, spread)
+    if not all(map(math.isfinite, info.ravel().tolist())):
+        raise InferenceError(t, "diverged: non-finite coefficient message precision")
     hz1 = inv_eps * zp_mean[0]
     ag = ag0 + 1.5 - 1.0
     ax = ax0 + 1.5 - 1.0
     eg, ex = ag0 / bg0, ax0 / bx0
     pred_var = 1.0 / eg + 1.0 / ex
+    w_list = beliefs.q_coeffs.mean.tolist()
     trace = []
     for k in range(cfg.iterations_per_step):
         # the scalar algebra below runs on Python floats, which round like
         # numpy scalars at a fraction of their cost per operation
-        forward = float(nlarx.forward_mean(w, psi))
+        forward = nlarx.forward_mean(w_list, psi_list)
         if k == 0:  # the prediction, taken before y enters
             pred_mean = forward
 
@@ -231,6 +248,8 @@ def step_update(
         zc00, zc11 = inv_eps / zdet, za / zdet
         hz0 = eg * forward + ex * y
         zm0 = zc00 * hz0
+        if not math.isfinite(zm0):
+            raise InferenceError(t, "diverged: non-finite state mean")
 
         # q(w): prior for the step plus the coefficient message
         prec = prec0 + eg * info
@@ -240,19 +259,28 @@ def step_update(
             raise ImproperBeliefError("improper posterior")
         cov_w, det_w = inverse
         w = cov_w @ pot
+        w_previous, w_list, cov_list = w_list, w.tolist(), cov_w.tolist()
+        if not all(map(math.isfinite, w_list)):
+            raise InferenceError(t, "diverged: non-finite coefficient mean")
 
-        esr = float(nlarx.residual_moment(zm0, zc00, zp_cov, w, cov_w, psi, jac))
+        esr = nlarx.residual_moment(zm0, zc00, w_list, cov_list, psi_list, spread)
+        if not math.isfinite(esr):
+            raise InferenceError(t, "diverged: non-finite expected squared residual")
         rate = 0.5 * esr
         if rate < 0:
             raise RuntimeError(
                 f"negative gamma message rate {rate}: moment bookkeeping bug")
         bg = bg0 + rate
-        bx = bx0 + 0.5 * ((y - zm0) ** 2 + zc00)
+        miss = y - zm0
+        bx = bx0 + 0.5 * (miss * miss + zc00)
         if not (bg > 0.0 and bx > 0.0):
             raise ImproperBeliefError("improper posterior")
+        eg_previous = eg
         eg, ex = ag / bg, ax / bx
 
-        if cfg.trace_free_energy or k == last:
+        done = k == last or (k > 0 and _settled(
+            w_list, w_previous, cov_list, eg, eg_previous))
+        if cfg.trace_free_energy or done:
             q_coeffs = GaussianBelief._from_parts(
                 prec, pot, w, cov_w, math.log(det_w))
             # q(z) as `combine_gaussian` builds it: its closed-form inverse
@@ -263,17 +291,34 @@ def step_update(
                 np.array([[zc00, -0.0], [-0.0, zc11]]), math.log(zdet))
             trace.append(_free_energy(q_coeffs, q_state, ag, bg, ax, bx,
                                       beliefs, esr, y, eps))
+        if done:
+            break
 
     report = StepReport(
         t=t,
         free_energy=trace[-1],
         prediction_mean=pred_mean,
         prediction_var=pred_var,
+        iterations=k + 1,
         free_energy_trace=tuple(trace) if cfg.trace_free_energy else (),
     )
     posterior = BeliefSet(q_coeffs, GammaBelief(ag, bg), GammaBelief(ax, bx),
                           q_state)
     return posterior, report
+
+
+def _settled(w_mean: list[float], w_previous: list[float],
+             w_cov: list[list[float]], e_gamma: float,
+             e_gamma_previous: float) -> bool:
+    """Whether the last sweep moved every coefficient mean by less than
+    `CONVERGENCE_TOL` of its posterior sd and E[gamma] by less than
+    `CONVERGENCE_TOL` relative."""
+    if not abs(e_gamma - e_gamma_previous) < CONVERGENCE_TOL * e_gamma:
+        return False
+    for i, (now, before) in enumerate(zip(w_mean, w_previous)):
+        if not abs(now - before) < CONVERGENCE_TOL * math.sqrt(w_cov[i][i]):
+            return False
+    return True
 
 
 def compute_free_energy(
@@ -336,9 +381,9 @@ def _free_energy(
     )
 
     # E_q[log prior] of the coefficient, gamma and xi priors
-    lam0 = prior.q_coeffs.precision
-    diff = q_coeffs.mean - prior.q_coeffs.mean
-    quad = float(diff @ lam0 @ diff) + float(np.trace(lam0 @ q_coeffs.cov))
+    quad = expected_quadratic(prior.q_coeffs.precision.tolist(),
+                              (q_coeffs.mean - prior.q_coeffs.mean).tolist(),
+                              q_coeffs.cov.tolist())
     e_log_priors = (
         (-0.5 * n * _LOG_2PI + 0.5 * prior.q_coeffs.logdet - 0.5 * quad)
         + float(ag0 * math.log(bg0) - gammaln(ag0)
@@ -369,6 +414,8 @@ def identify_stream(
     for t, (u_t, y_t) in enumerate(samples):
         try:
             beliefs, report = step_update(beliefs, u_t, y_t, cfg, t)
+        except InferenceError:
+            raise
         except (ValueError, RuntimeError) as exc:
             raise InferenceError(t, str(exc)) from exc
         reports.append(report)

@@ -12,10 +12,13 @@ previous state:
 
     phi(z) ~= phi(z_bar) + J (z - z_bar),   J = d(phi)/dz at z_bar.
 
-`regressor_psi` and `regressor_jacobian` build psi and J; all message math
-below is exact given that surrogate. `forward_mean` and `residual_moment`
-are the array-level forms of two messages, shared with the engine's step
-kernel so that both evaluate them in the same floating-point order.
+`regressor_psi` and `regressor_jacobian` build psi and J, and
+`regressor_spread` builds J Sigma_zprev J'; all message math below is exact
+given that surrogate. `coefficient_information`, `forward_mean` and
+`residual_moment` are the scalar forms of three messages, shared with the
+engine's step so that both evaluate them in the same floating-point order;
+psi and J Sigma_zprev J' are fixed within a step, so the step computes them
+once.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import GammaBelief, GaussianBelief, gaussian_moments
+from .beliefs import (
+    GammaBelief,
+    GaussianBelief,
+    expected_quadratic,
+    gaussian_moments,
+)
 from .duffing import S, regressor, s
 
 
@@ -61,38 +69,67 @@ def regressor_psi(zp_mean: np.ndarray, n_coeffs: int, u: float) -> np.ndarray:
     return psi
 
 
-def forward_mean(w_mean: np.ndarray, psi: np.ndarray) -> float:
-    """E[x_next] = E[theta]' phi(z_bar) + E[eta] u."""
-    d = psi.size - 1
-    return float(w_mean[:d] @ psi[:d]) + w_mean[d] * psi[d]
+def regressor_spread(zp_mean: np.ndarray, zp_cov: np.ndarray,
+                     n_coeffs: int = 3) -> list[list[float]]:
+    """J Sigma_zprev J' at the previous-state mean, as nested lists of
+    floats: the covariance of phi(z_prev) under the affine surrogate. Built
+    entry by entry from `regressor_jacobian`'s structure, so it is exactly
+    symmetric and an overflow gives inf instead of a numpy warning."""
+    (s00, s01), (_, s11) = zp_cov.tolist()
+    if n_coeffs == 2:
+        return [[s00, s01], [s01, s11]]
+    x = float(zp_mean[0])
+    g = 3.0 * (x * x)  # d(x^3)/dx
+    gs00, gs01 = g * s00, g * s01
+    return [[s00, gs00, s01], [gs00, gs00 * g, gs01], [s01, gs01, s11]]
+
+
+def coefficient_information(psi: np.ndarray, spread: list[list[float]]) -> np.ndarray:
+    """psi psi' + J~ Sigma_zprev J~', the precision of the coefficient
+    message per unit E[gamma] (J~ = [J; 0]); exactly symmetric. Scalar
+    code, like `regressor_spread`."""
+    p = psi.tolist()
+    info = [[a * b for b in p] for a in p]
+    for row, spread_row in zip(info, spread):
+        for j, value in enumerate(spread_row):
+            row[j] += value
+    return np.array(info)
+
+
+def forward_mean(w_mean: list[float], psi: list[float]) -> float:
+    """E[x_next] = E[theta]' phi(z_bar) + E[eta] u, from w_mean and psi as
+    lists of floats."""
+    total = 0.0
+    for w_i, psi_i in zip(w_mean, psi):
+        total += w_i * psi_i
+    return total
 
 
 def residual_moment(
     x_mean: float,
     x_var: float,
-    zp_cov: np.ndarray,
-    w_mean: np.ndarray,
-    w_cov: np.ndarray,
-    psi: np.ndarray,
-    jac: np.ndarray,
+    w_mean: list[float],
+    w_cov: list[list[float]],
+    psi: list[float],
+    spread: list[list[float]],
 ) -> float:
-    """`expected_square_residual` from moments: x_mean and x_var of the new
-    position, the previous-state covariance, the mean and covariance of w,
-    and psi and J at the previous-state mean."""
-    d = psi.size - 1
-    u = psi[d]
-    phi, th_mean, th_cov = psi[:d], w_mean[:d], w_cov[:d, :d]
-    grad_z = jac.T @ th_mean
-    mean_resid = x_mean - float(th_mean @ phi) - w_mean[d] * u
-    return (
-        mean_resid**2
-        + x_var
-        + float(grad_z @ zp_cov @ grad_z)
-        + float(phi @ th_cov @ phi)
-        + float(np.trace(th_cov @ jac @ zp_cov @ jac.T))
-        + u**2 * w_cov[d, d]
-        + 2.0 * u * float(phi @ w_cov[:d, d])
-    )
+    """`expected_square_residual` from moments, in scalar code: x_mean and
+    x_var of the new position, the mean and covariance of w as (nested)
+    lists of floats, and psi and J Sigma_zprev J' (`regressor_spread`) at
+    the previous-state mean, which stay fixed within a step.
+
+    With the surrogate the residual is x_next - psi' w - (J'theta)'(z_prev
+    - z_bar), so its second moment is (x_mean - psi' E[w])^2 + x_var +
+    psi' Cov(w) psi + E[theta' J Sigma_zprev J' theta]; the last term
+    holds both E[theta]' J Sigma_zprev J' E[theta] and trace(Sigma_theta J
+    Sigma_zprev J').
+    """
+    resid = x_mean - forward_mean(w_mean, psi)
+    total = resid * resid + x_var
+    for psi_i, cov_row in zip(psi, w_cov):
+        for psi_j, cov_ij in zip(psi, cov_row):
+            total += psi_i * cov_ij * psi_j
+    return total + expected_quadratic(spread, w_mean, w_cov)
 
 
 def msg_coefficients(
@@ -109,10 +146,9 @@ def msg_coefficients(
     zp_mean, zp_cov = gaussian_moments(q_zprev)
     d = cfg.n_coeffs
     psi = regressor_psi(zp_mean, d, cfg.u)
-    jac = regressor_jacobian(zp_mean, d)
     e_gamma = q_gamma.mean
-    precision = psi[:, None] * psi
-    precision[:d, :d] += jac @ zp_cov @ jac.T
+    precision = coefficient_information(
+        psi, regressor_spread(zp_mean, zp_cov, d))
     return GaussianBelief.from_natural(
         e_gamma * precision, psi * (e_gamma * q_z.mean[0]))
 
@@ -179,8 +215,9 @@ def expected_square_residual(
     w_mean, w_cov = gaussian_moments(q_coeffs)
     d = cfg.n_coeffs
     return residual_moment(
-        z_mean[0], z_cov[0, 0], zp_cov, w_mean, w_cov,
-        regressor_psi(zp_mean, d, cfg.u), regressor_jacobian(zp_mean, d))
+        float(z_mean[0]), float(z_cov[0, 0]), w_mean.tolist(), w_cov.tolist(),
+        regressor_psi(zp_mean, d, cfg.u).tolist(),
+        regressor_spread(zp_mean, zp_cov, d))
 
 
 def msg_forward_state(
@@ -193,7 +230,7 @@ def msg_forward_state(
     zp_mean, _ = gaussian_moments(q_zprev)
     d = cfg.n_coeffs
     psi = regressor_psi(zp_mean, d, cfg.u)
-    mean = S @ zp_mean + s * forward_mean(q_coeffs.mean, psi)
+    mean = S @ zp_mean + s * forward_mean(q_coeffs.mean.tolist(), psi.tolist())
     precision = np.diag([q_gamma.mean, 1.0 / cfg.epsilon])
     return GaussianBelief(mean, precision)
 

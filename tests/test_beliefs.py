@@ -29,23 +29,23 @@ from test_acceptance import RUN_CONFIG, make_series
 # recorded before GaussianBelief computed its fields at construction
 GOLDEN_MARGINALS = {
     "nlarx": dict(
-        theta_mean=[1.9067204932111974, 0.07213920535819796,
-                    -0.9258515118692789],
-        theta_precision=[[48830.52338814778, 882.0168127520545,
-                          48413.175809008564],
-                         [882.0168127520545, 24.826031170239446,
-                          874.6683279256476],
-                         [48413.175809008564, 874.6683279256476,
-                          48934.981126115024]],
-        eta_mean=[0.012743201690587264],
-        eta_precision=[[38336.310688265716]],
+        theta_mean=[1.906720492936999, 0.07213920037905552,
+                    -0.9258515115617715],
+        theta_precision=[[48830.522773606725, 882.0168013826516,
+                          48413.17521062166],
+                         [882.0168013826516, 24.8260308385027,
+                          874.6683168966651],
+                         [48413.17521062166, 874.6683168966651,
+                          48934.98053206725]],
+        eta_mean=[0.012743201769269977],
+        eta_precision=[[38336.31022151793]],
     ),
     "larx": dict(
-        theta_mean=[1.9080637190491563, -0.9259122213343223],
-        theta_precision=[[49786.467525963075, 49364.06733429558],
-                         [49364.06733429558, 49900.277948625975]],
-        eta_mean=[0.012777548563667447],
-        eta_precision=[[39133.67479587068]],
+        theta_mean=[1.9080637185313987, -0.9259122208526257],
+        theta_precision=[[49786.46685109984, 49364.06667319542],
+                         [49364.06667319542, 49900.27728786988]],
+        eta_mean=[0.012777548614462012],
+        eta_precision=[[39133.67425354495]],
     ),
 }
 

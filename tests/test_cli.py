@@ -128,6 +128,9 @@ class TestIdentifyPredictEvaluate:
         assert payload["metrics"]["steps"] == 399
         assert set(payload["physical"]) == {"m", "c", "a", "b", "tau"}
         assert np.isfinite(payload["metrics"]["final_free_energy"])
+        # sweeps per step: never fewer than 2 under the default cap of 5,
+        # and the convergence stop ends most steps early
+        assert 2.0 <= payload["metrics"]["mean_iterations"] < 5.0
 
     def test_identify_missing_file(self, tmp_path):
         assert run("identify", "--data", tmp_path / "nope.csv",

@@ -35,6 +35,8 @@ from duffingid.engine import (
     step_update,
 )
 
+from test_acceptance import RUN_CONFIG, make_resonant_series
+
 DELTA = 0.1
 
 
@@ -144,6 +146,19 @@ class TestStepUpdate:
         # the joint is not a product, so the checks above are not trivial
         corr = cov[:d, d] / np.sqrt(np.diag(cov)[:d] * cov[d, d])
         assert np.abs(corr).max() > 0.05
+
+    @pytest.mark.parametrize("cap", [1, 3, 5])
+    def test_iterations_counts_the_sweeps(self, cap):
+        # one free energy per sweep in the trace; no step stops before its
+        # second sweep or runs past the cap, and early steps reach it
+        cfg = PriorConfig(iterations_per_step=cap, trace_free_energy=True,
+                          **RUN_CONFIG)
+        p = PhysicalParams(m=1, c=0.5, a=2, b=3, tau=10.0, xi=1e6)
+        ts, _ = make_series(p, 100, input_seed=63, sim_seed=63)
+        _, reports = identify(ts, cfg)
+        sweeps = [r.iterations for r in reports]
+        assert [len(r.free_energy_trace) for r in reports] == sweeps
+        assert min(sweeps) >= min(cap, 2) and max(sweeps) == cap
 
     def test_xi_shape_grows_half_per_step(self):
         cfg = PriorConfig(iterations_per_step=4)
@@ -270,6 +285,22 @@ class TestIdentify:
                                ) as info:
                 identify_stream(stream, PriorConfig())
         assert info.value.step == 7
+
+    @pytest.mark.parametrize("sim_seed, scale, step",
+                             [(42, 1e3, 5), (2, 600.0, 6)])
+    def test_divergence_fails_with_step_index(self, sim_seed, scale, step):
+        # inputs hundreds of times too large for the priors: the state mean
+        # grows about as its own cube until the coefficient message (seed
+        # 42) or the cube of the regressor itself (seed 2) overflows; that
+        # must stop the run with the step index and emit no numpy warning
+        series = make_resonant_series(sim_seed=sim_seed)
+        scaled = TimeSeries(series.u * scale, series.y, series.delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InferenceError,
+                               match=f"step {step}: diverged") as info:
+                identify(scaled, PriorConfig(**RUN_CONFIG))
+        assert info.value.step == step
 
     def test_larx_recovery_within_three_std(self):
         # the state-filtered posterior is mildly overconfident, so the seed

@@ -1,9 +1,11 @@
 """Fixed-seed golden values of a short identification run.
 
-The numbers were recorded from the engine that first kept one joint
-belief over the coefficients (theta, eta). A refactor meant to leave the
-estimates unchanged must reproduce them to 1e-12 relative. Regenerate them
-only for a deliberate change of the estimator, and record why.
+The numbers were first recorded from the engine that first kept one joint
+belief over the coefficients (theta, eta), and recorded again when each
+step began to stop sweeping at convergence (`engine.CONVERGENCE_TOL`). A
+refactor meant to leave the estimates unchanged must reproduce them to
+1e-12 relative. Regenerate them only for a deliberate change of the
+estimator, and record why.
 """
 
 import numpy as np
@@ -17,41 +19,40 @@ STEPS = (0, 1, 150, 299)
 
 GOLDEN = {
     "nlarx": dict(
-        coeffs_mean=[1.9067204932111974, 0.07213920535819796,
-                     -0.9258515118692789, 0.012743201690587264],
+        coeffs_mean=[1.906720492936999, 0.07213920037905552,
+                     -0.9258515115617715, 0.012743201769269977],
         coeffs_precision=[
-            [49114.962378420736, 886.1846014659487, 48699.42562655269,
-             -3312.500473820181],
-            [886.1846014659487, 24.88710037438405, 878.8626500815864,
-             -48.53695365852852],
-            [48699.42562655269, 878.8626500815864, 49223.053299221174,
-             -3333.588884336717],
-            [-3312.500473820181, -48.53695365852852, -3333.588884336717,
-             38576.495362078895]],
-        gamma=(151.0, 0.004147715654286885),
-        xi=(160.0, 0.00015467129589567544),
-        state_mean=[0.045384981525736626, 0.047657346661740325],
+            [49114.961768127796, 886.1845902232803, 48699.42503268776,
+             -3312.5004786023405],
+            [886.1845902232803, 24.887100045449227, 878.8626391837618,
+             -48.536954479613556],
+            [48699.42503268776, 878.8626391837618, 49223.052709972544,
+             -3333.5888920236266],
+            [-3312.5004786023405, -48.536954479613556, -3333.5888920236266,
+             38576.49489731973]],
+        gamma=(151.0, 0.004147715734131497),
+        xi=(160.0, 0.00015467130875775287),
+        state_mean=[0.04538498151856071, 0.04765734666203257],
         free_energy=[5000.466196796062, 47.084951769490374,
-                     43.63227040227053, 42.61967005523981],
+                     43.632274497101264, 42.61967392733217],
         prediction_mean=[0.01985671989323392, 0.0010625194792377383,
-                         0.03903517352120389, 0.0423854358987395],
+                         0.039035173516227976, 0.042385435892794886],
     ),
     "larx": dict(
-        coeffs_mean=[1.9080637190491563, -0.9259122213343223,
-                     0.012777548563667447],
+        coeffs_mean=[1.9080637185313987, -0.9259122208526257,
+                     0.012777548614462012],
         coeffs_precision=[
-            [50077.15619940055, 49656.65816472409, -3382.7381608795467],
-            [49656.65816472409, 50194.783383043105, -3404.873522967992],
-            [-3382.7381608795467, -3404.873522967992, 39364.85494861225]],
-        gamma=(151.0, 0.00406272295558757),
-        xi=(160.0, 0.00015464096229962445),
-        state_mean=[0.04538469976476559, 0.047659648127071665],
+            [50077.155523361565, 49656.65750262049, -3382.7381307005353],
+            [49656.65750262049, 50194.782721458185, -3404.873494686174],
+            [-3382.7381307005353, -3404.873494686174, 39364.85440544619]],
+        gamma=(151.0, 0.0040627230376463815),
+        xi=(160.0, 0.00015464097527781356),
+        state_mean=[0.04538469975771897, 0.04765964812750897],
         free_energy=[5000.466196796063, 47.0849517694831,
-                     43.59496372080746, 42.5652510557627],
+                     43.594967843506, 42.56525496030951],
         prediction_mean=[0.01985671989323392, 0.0010625194793972568,
-                         0.03909456552405804, 0.042444684252621025],
-        trace_at_150=[43.59496384888898, 43.59496372081364, 43.5949637208077,
-                      43.59496372080753, 43.59496372080746],
+                         0.03909456551497336, 0.042444684246386775],
+        trace_at_150=[43.594967971587174, 43.59496784351205, 43.594967843506],
     ),
 }
 

@@ -22,6 +22,7 @@ from duffingid.nlarx import (
     msg_theta,
     msg_xi,
     regressor_jacobian,
+    regressor_spread,
 )
 from oracles import (
     finite_difference_gradient,
@@ -112,6 +113,19 @@ class TestRegressorJacobian:
         np.testing.assert_array_equal(jac[1], [0.0, 0.0])
         np.testing.assert_allclose(jac, self.finite_difference_jacobian(z),
                                    atol=1e-6)
+
+    @pytest.mark.parametrize("n_coeffs", [2, 3])
+    def test_spread_is_the_jacobian_sandwich(self, n_coeffs):
+        # the step's J Sigma_zprev J', built entry by entry in scalar code
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            z = rng.normal(0.0, 1.5, 2)
+            a = rng.normal(0.0, 1.0, (2, 2))
+            cov = a @ a.T
+            cov[1, 0] = cov[0, 1]  # exactly symmetric, as beliefs keep it
+            jac = regressor_jacobian(z, n_coeffs)
+            np.testing.assert_array_equal(
+                regressor_spread(z, cov, n_coeffs), jac @ cov @ jac.T)
 
     def test_larx_jacobian_is_identity(self):
         z = np.array([1.0, 2.0])

@@ -2,10 +2,15 @@
 
 `reference_step_update` composes one online step from the tested message
 API: the `nlarx` messages, `combine_gaussian`/`combine_gamma` and
-`compute_free_energy`. The kernel behind `step_update` and
-`identify_stream` must give bit-identical posteriors and predictions and
-the same free energy to 1e-12 relative, so that the two cannot drift apart.
+`compute_free_energy`, and stops sweeping by its own test of the rule in
+`engine.CONVERGENCE_TOL`. The kernel behind `step_update` and
+`identify_stream` must give bit-identical posteriors, predictions and sweep
+counts and the same free energy to 1e-12 relative, so that the two cannot
+drift apart.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from duffingid.beliefs import (
     gaussian_moments,
 )
 from duffingid.engine import (
+    CONVERGENCE_TOL,
     BeliefSet,
     StepReport,
     compute_free_energy,
@@ -28,15 +34,21 @@ from duffingid.engine import (
 from test_acceptance import RUN_CONFIG, make_resonant_series, make_series
 
 FREE_ENERGY_RTOL = 1e-12
+# largest move of the final posterior that the convergence stop may cause
+DRIFT_BOUND = 1e-6
+SURROGATE = Path(__file__).resolve().parent.parent / "bench" / "surrogate.py"
 
 
-def reference_step_update(beliefs, u_t, y_t, cfg, t=0):
+def reference_step_update(beliefs, u_t, y_t, cfg, t=0, tol=CONVERGENCE_TOL):
     """One online step as a schedule of messages: predict, then iterate.
 
     Within every iteration the fresh messages are combined with the beliefs
     the step started from (the previous posteriors act as this step's
     priors), so repeated iterations refine rather than double-count the
-    observation.
+    observation. From the second iteration on, the step stops once an
+    iteration moved every coefficient mean by less than `tol` of its
+    posterior sd and E[gamma] by less than `tol` relative; `tol=0` never
+    stops early, so every step runs `cfg.iterations_per_step` iterations.
     """
     ncfg = cfg.node_config(u_t)
 
@@ -49,7 +61,8 @@ def reference_step_update(beliefs, u_t, y_t, cfg, t=0):
     incoming = beliefs
     current = beliefs
     trace = []
-    for _ in range(cfg.iterations_per_step):
+    for k in range(cfg.iterations_per_step):
+        previous = current
         m9 = nlarx.msg_forward_state(
             incoming.q_state, current.q_coeffs, current.q_gamma, ncfg)
         m5 = nlarx.msg_likelihood_state(y_t, current.q_xi)
@@ -66,6 +79,13 @@ def reference_step_update(beliefs, u_t, y_t, cfg, t=0):
         current = BeliefSet(q_coeffs, q_gamma, q_xi, q_z)
         if cfg.trace_free_energy:
             trace.append(compute_free_energy(current, u_t, y_t, incoming, cfg))
+        if k > 0:
+            moved = np.abs(q_coeffs.mean - previous.q_coeffs.mean)
+            sd = np.sqrt(np.diag(gaussian_moments(q_coeffs)[1]))
+            e_gamma, before = q_gamma.mean, previous.q_gamma.mean
+            if (abs(e_gamma - before) < tol * e_gamma
+                    and np.all(moved < tol * sd)):
+                break
 
     final_free_energy = (
         trace[-1] if trace
@@ -73,6 +93,7 @@ def reference_step_update(beliefs, u_t, y_t, cfg, t=0):
     return current, StepReport(t=t, free_energy=final_free_energy,
                                prediction_mean=pred_mean,
                                prediction_var=pred_var,
+                               iterations=k + 1,
                                free_energy_trace=tuple(trace))
 
 
@@ -90,6 +111,7 @@ def assert_same_report(got: StepReport, want: StepReport):
     assert got.t == want.t
     assert got.prediction_mean == want.prediction_mean
     assert got.prediction_var == want.prediction_var
+    assert got.iterations == want.iterations
     np.testing.assert_allclose(got.free_energy, want.free_energy,
                                rtol=FREE_ENERGY_RTOL, atol=0.0)
     assert len(got.free_energy_trace) == len(want.free_energy_trace)
@@ -138,6 +160,9 @@ def test_run_matches_reference_schedule(mode, trace):
     cfg = PriorConfig(model_mode=mode, trace_free_energy=trace, **RUN_CONFIG)
     beliefs, reports = identify(series, cfg)
     assert len(reports) == 300
+    # the run covers both ends of the stop: settled and capped steps
+    sweeps = [r.iterations for r in reports]
+    assert min(sweeps) < cfg.iterations_per_step == max(sweeps)
 
     ref = stepped = initial_beliefs(cfg)
     pairs = zip(series.u[:-1], series.y[1:])
@@ -148,6 +173,43 @@ def test_run_matches_reference_schedule(mode, trace):
         assert_same_report(got, want)
     assert_same_beliefs(beliefs, ref)
     assert_same_beliefs(stepped, ref)
+
+
+def load_surrogate():
+    spec = importlib.util.spec_from_file_location("bench_surrogate", SURROGATE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DRIFT_SERIES = {
+    "golden": lambda: make_series(sim_seed=7, T=301),
+    "resonant": lambda: make_resonant_series(sim_seed=42),
+    "silverbox": lambda: load_surrogate().silverbox_dataset(1, 2000, 3).training,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIFT_SERIES))
+def test_stop_stays_within_the_drift_bound(name):
+    # the oracle runs the full schedule of 5 iterations at every step; the
+    # convergence stop may move the final posterior by less than
+    # DRIFT_BOUND of the oracle's posterior sd (means) or relative (E[gamma],
+    # E[xi])
+    series = DRIFT_SERIES[name]()
+    cfg = PriorConfig(**RUN_CONFIG)
+    assert cfg.iterations_per_step == 5
+    beliefs, reports = identify(series, cfg)
+    oracle = initial_beliefs(cfg)
+    for t, (u_t, y_t) in enumerate(zip(series.u[:-1], series.y[1:])):
+        oracle, _ = reference_step_update(oracle, float(u_t), float(y_t), cfg,
+                                          t=t, tol=0.0)
+    sd = np.sqrt(np.diag(gaussian_moments(oracle.q_coeffs)[1]))
+    drift = np.abs(beliefs.q_coeffs.mean - oracle.q_coeffs.mean) / sd
+    assert drift.max() < DRIFT_BOUND
+    for part in ("q_gamma", "q_xi"):
+        got, want = getattr(beliefs, part).mean, getattr(oracle, part).mean
+        assert abs(got - want) < DRIFT_BOUND * want, part
+    assert np.mean([r.iterations for r in reports]) < cfg.iterations_per_step
 
 
 @pytest.mark.parametrize("mode", ["nlarx", "larx"])
