@@ -7,7 +7,7 @@ Results go to stdout, structured errors to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import math
 import sys
 
@@ -16,10 +16,9 @@ import yaml
 
 from . import dataio, engine
 from .beliefs import ImproperBeliefError, gaussian_moments
-from .dataio import ConfigError, DatasetError, DatasetSpec, SILVERBOX_DELTA
+from .dataio import ConfigError, DatasetError, SILVERBOX_DELTA
 from .duffing import (
     PhysicalParams,
-    TimeSeries,
     UnstableSimulationError,
     ar_to_phys,
     phys_to_ar,
@@ -102,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.params) as handle:
-        raw = yaml.safe_load(handle) or {}
+    raw = dataio.load_yaml(args.params) or {}
     known = {"m", "c", "a", "b", "tau", "xi", "x0"}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -119,12 +117,11 @@ def cmd_simulate(args) -> int:
         u = args.sine_amplitude * np.sin(
             2.0 * math.pi * args.sine_frequency * t * args.delta)
     else:
-        spec = DatasetSpec(path=args.input, delta=args.delta)
-        u = dataio.load_csv(spec).u
+        (u,) = dataio.load_columns(args.input, ("u",))
 
     ts, latent = simulate(params, u, args.delta, seed=args.seed, x0=x0,
                           noise_free=args.noise_free)
-    dataio.save_csv(ts, args.out)
+    dataio.save_columns(args.out, {"u": ts.u, "y": ts.y})
 
     coeffs = phys_to_ar(params, args.delta)
     sidecar = {
@@ -141,24 +138,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_series(args) -> TimeSeries:
-    spec = DatasetSpec(
-        path=args.data,
-        input_column=args.input_column,
-        output_column=args.output_column,
-        delta=getattr(args, "delta", SILVERBOX_DELTA),
-    )
-    return dataio.load_csv(spec)
-
-
 def cmd_identify(args) -> int:
-    data = _load_series(args)
+    data = dataio.load_csv(args.data, args.delta, args.input_column,
+                           args.output_column)
     if args.split_index > 0:
         _, data = dataio.split(data, args.split_index)
     cfg = dataio.load_config(args.config) if args.config else PriorConfig()
-    if args.mode is not None and args.mode != cfg.model_mode:
-        cfg = dataio.config_from_dict(
-            {**dataio.config_to_dict(cfg), "model_mode": args.mode})
+    if args.mode is not None:
+        cfg = dataclasses.replace(cfg, model_mode=args.mode)
 
     beliefs, reports = engine.identify(data, cfg)
 
@@ -186,7 +173,8 @@ def cmd_identify(args) -> int:
 
 def cmd_predict(args) -> int:
     artifact = dataio.load_artifact(args.artifact)
-    data = _load_series(args)
+    data = dataio.load_csv(args.data, args.delta, args.input_column,
+                           args.output_column)
     if args.split_index > 0:
         data, _ = dataio.split(data, args.split_index)
     if not math.isclose(artifact.delta, data.delta, rel_tol=1e-9):
@@ -200,11 +188,8 @@ def cmd_predict(args) -> int:
     else:
         pred = engine.simulate_rollout(artifact.beliefs, data, cfg)
 
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["y_hat", "sq_error"])
-        for p_val, y_val in zip(pred, data.y):
-            writer.writerow([repr(float(p_val)), repr(float((p_val - y_val) ** 2))])
+    dataio.save_columns(args.out,
+                        {"y_hat": pred, "sq_error": (pred - data.y) ** 2})
     mse = engine.evaluate_mse(pred, data.y)
     print(f"{args.protocol} mse {mse:.3e}")
     return 0

@@ -1,9 +1,10 @@
 """Dataset ingestion, train/validation split, config parsing and artifact
-persistence.
+persistence: the one home of the file formats.
 
-Native data format is header CSV with real-valued "u" and "y" columns
-(configurable names). Configs and run artifacts are YAML with an explicit
-schema version.
+Series are header CSV of named float columns ("u" and "y" by default), read
+by `load_columns` and `load_csv` and written by `save_columns`. Configs,
+simulator parameters and run artifacts are YAML read by `load_yaml`, which
+takes 1e-4 and 1e8 as floats; artifacts carry an explicit schema version.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,16 +36,6 @@ class DatasetError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed config or artifact file."""
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Where and how to read a benchmark-style CSV file."""
-
-    path: str
-    input_column: str = "u"
-    output_column: str = "y"
-    delta: float = SILVERBOX_DELTA
 
 
 def load_columns(path, columns) -> list[np.ndarray]:
@@ -77,23 +69,25 @@ def load_columns(path, columns) -> list[np.ndarray]:
     return list(np.frombuffer(values).reshape(-1, len(index)).T.copy())
 
 
-def load_csv(spec: DatasetSpec) -> TimeSeries:
-    """Parse a two-column CSV into a TimeSeries; rejects NaN/inf values."""
-    u, y = load_columns(spec.path, (spec.input_column, spec.output_column))
+def load_csv(path, delta: float = SILVERBOX_DELTA, input_column: str = "u",
+             output_column: str = "y") -> TimeSeries:
+    """Parse the input and output columns of a CSV into a TimeSeries;
+    rejects NaN/inf values."""
+    u, y = load_columns(path, (input_column, output_column))
     try:
-        return TimeSeries(u, y, spec.delta)
+        return TimeSeries(u, y, delta)
     except ValueError as exc:
-        raise DatasetError(f"{spec.path}: {exc}") from None
+        raise DatasetError(f"{path}: {exc}") from None
 
 
-def save_csv(ts: TimeSeries, path, input_column: str = "u",
-             output_column: str = "y") -> None:
-    """Write a TimeSeries as header CSV with full float precision."""
+def save_columns(path, columns: dict) -> None:
+    """Write named float columns of equal length as header CSV; each value
+    is its shortest round-trip repr, so it reads back exactly."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns.values()))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([input_column, output_column])
-        for u, y in zip(ts.u, ts.y):
-            writer.writerow([repr(float(u)), repr(float(y))])
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def check_split(n: int, split_index: int) -> None:
@@ -112,14 +106,29 @@ def split(ts: TimeSeries, split_index: int) -> tuple[TimeSeries, TimeSeries]:
     return validation, training
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML that reads 1e8 and 1e-4 as floats; YAML 1.1 takes a float
+    only with a dot and a signed exponent, and these as strings."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
+def load_yaml(path):
+    """The YAML document in a file: configs, parameters and artifacts."""
+    with open(path) as handle:
+        return yaml.load(handle, Loader=_Loader)
+
+
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(PriorConfig)}
 
 
 def load_config(path) -> PriorConfig:
     """Read a PriorConfig from YAML; unknown keys are an error (typo guard).
     An empty file yields the full default configuration."""
-    with open(path) as handle:
-        raw = yaml.safe_load(handle)
+    raw = load_yaml(path)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -220,8 +229,7 @@ def save_artifact(artifact: RunArtifact, path) -> None:
 
 
 def load_artifact(path) -> RunArtifact:
-    with open(path) as handle:
-        payload = yaml.safe_load(handle)
+    payload = load_yaml(path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: artifact must be a mapping")
     version = payload.get("schema_version")

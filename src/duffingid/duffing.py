@@ -8,7 +8,8 @@ with a central difference for x'' and a forward difference for x', giving
 with theta1 = (2m + c*d - a*d^2)/(m + c*d), theta2 = -b*d^2/(m + c*d),
 theta3 = -m/(m + c*d), eta = d^2/(m + c*d) and process precision
 gamma = tau*(m + c*d)^2/d^4 (the input coefficient is absorbed into the
-noise). The map is invertible as long as eta != 0.
+noise). The map is invertible as long as eta != 0. `propagate` is the one
+loop of this recursion, for `simulate` and the rollout in `engine`.
 """
 
 from __future__ import annotations
@@ -115,18 +116,23 @@ def ar_to_phys(coeffs: ArCoefficients, delta: float, xi: float) -> PhysicalParam
     coefficients and is passed through."""
     if coeffs.eta == 0:
         raise ValueError("inversion undefined: eta == 0")
-    theta = coeffs.theta
-    if theta.size == 2:  # linear mode stores (theta1, theta3)
-        theta = np.array([theta[0], 0.0, theta[1]])
+    th1, th2, th3 = cubic_theta(coeffs.theta)
     eta = coeffs.eta
     return PhysicalParams(
-        m=-theta[2] * delta**2 / eta,
-        c=(1 + theta[2]) * delta / eta,
-        a=(1 - theta[0] - theta[2]) / eta,
-        b=-theta[1] / eta,
+        m=-th3 * delta**2 / eta,
+        c=(1 + th3) * delta / eta,
+        a=(1 - th1 - th3) / eta,
+        b=-th2 / eta,
         tau=coeffs.gamma * eta**2,
         xi=xi,
     )
+
+
+def cubic_theta(theta) -> tuple[float, float, float]:
+    """(theta1, theta2, theta3) as floats. The linear mode stores
+    (theta1, theta3), which maps to (theta1, 0, theta3)."""
+    th = np.asarray(theta, dtype=float).tolist()
+    return tuple(th) if len(th) == 3 else (th[0], 0.0, th[1])
 
 
 def regressor(z: np.ndarray, n_coeffs: int = 3) -> np.ndarray:
@@ -151,6 +157,28 @@ def step_mean(coeffs: ArCoefficients, z_prev: np.ndarray, u: float) -> np.ndarra
     return S @ z_prev + s * (g_eval(coeffs.theta, z_prev) + coeffs.eta * u)
 
 
+def propagate(coeffs: ArCoefficients, drive, x: np.ndarray) -> np.ndarray:
+    """Run the noise-free recursion in place on x from its given x[0], x[1]:
+    x[t] = theta1*x[t-1] + theta2*x[t-1]^3 + theta3*x[t-2] + eta*drive[t-1]
+    for t >= 2, with `drive` as long as x. A state that overflows, is not
+    finite or exceeds DIVERGENCE_LIMIT raises `UnstableSimulationError(t)`."""
+    th1, th2, th3 = cubic_theta(coeffs.theta)
+    eta = float(coeffs.eta)
+    # memoryviews read and write Python floats without copying the series
+    out = memoryview(x)
+    x_now, x_prev = out[1], out[0]
+    try:
+        for t, d in enumerate(memoryview(drive)[1:-1], start=2):
+            x_now, x_prev = (th1 * x_now + th2 * x_now ** 3 + th3 * x_prev
+                             + eta * d), x_now
+            if not abs(x_now) <= DIVERGENCE_LIMIT:  # NaN fails it too
+                raise UnstableSimulationError(t)
+            out[t] = x_now
+    except OverflowError:  # the float cube of a huge seed state
+        raise UnstableSimulationError(t) from None
+    return x
+
+
 def simulate(
     p: PhysicalParams,
     u: np.ndarray,
@@ -170,23 +198,16 @@ def simulate(
     n = len(u)
     if n < 3:
         raise ValueError("insufficient data: need at least 3 input samples")
-    coeffs = phys_to_ar(p, delta)
-    th = coeffs.theta
 
     if noise_free:
-        w = np.zeros(n)
-        v = np.zeros(n)
+        drive, v = u, np.zeros(n)
     else:
         rng = np.random.default_rng(seed)
         w = rng.normal(0.0, p.tau ** -0.5, n)
         v = rng.normal(0.0, p.xi ** -0.5, n)
+        drive = u + w
 
     x = np.zeros(n)
     x[0], x[1] = x0[1], x0[0]
-    for t in range(1, n - 1):
-        x[t + 1] = th[0] * x[t] + th[1] * x[t] ** 3 + th[2] * x[t - 1] \
-            + coeffs.eta * (u[t] + w[t])
-        if abs(x[t + 1]) > DIVERGENCE_LIMIT:
-            raise UnstableSimulationError(t + 1)
-    y = x + v
-    return TimeSeries(u=u, y=y, delta=delta), x
+    propagate(phys_to_ar(p, delta), drive, x)
+    return TimeSeries(u=u, y=x + v, delta=delta), x

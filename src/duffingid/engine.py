@@ -12,7 +12,8 @@ Time indexing follows the first-order form z[t] = (x[t+1], x[t]): the
 observation paired with a step measures the state *after* the input of that
 step has acted, so a step consumes the input sample one position behind the
 output sample. The simulator in `duffing` and both prediction protocols use
-the same pairing.
+the same pairing; the rollout runs the simulator's own recursion,
+`duffing.propagate`.
 
 One online step is `step_update`. It predicts, then sweeps the message
 schedule; every sweep combines the fresh messages with the beliefs the step
@@ -70,12 +71,7 @@ from .beliefs import (  # noqa: F401
     entropy_gaussian,
 )
 from .duffing import step_mean  # noqa: F401
-from .duffing import (
-    DIVERGENCE_LIMIT,
-    ArCoefficients,
-    TimeSeries,
-    UnstableSimulationError,
-)
+from .duffing import ArCoefficients, TimeSeries, propagate
 from . import nlarx
 from .nlarx import NodeConfig
 
@@ -466,23 +462,10 @@ def simulate_rollout(
     beliefs_frozen: BeliefSet, data: TimeSeries, cfg: PriorConfig
 ) -> np.ndarray:
     """Free simulation with frozen parameters: the state is seeded from the
-    first two true outputs and then propagated noise-free on its own
-    predictions."""
-    coeffs = posterior_coefficients(beliefs_frozen)
-    th = coeffs.theta.tolist()
-    th1, th2, th3 = th if len(th) == 3 else (th[0], 0.0, th[1])
-    eta = coeffs.eta
-    pred = data.y.copy()
-    # memoryviews read and write Python floats without copying the series
-    out = memoryview(pred)
-    x, x_prev = out[1], out[0]
-    for t, u in enumerate(memoryview(data.u)[1:-1], start=2):
-        # the noise-free recursion of `duffing.simulate`
-        x, x_prev = th1 * x + th2 * x ** 3 + th3 * x_prev + eta * u, x
-        if abs(x) > DIVERGENCE_LIMIT:
-            raise UnstableSimulationError(t)
-        out[t] = x
-    return pred
+    first two true outputs and then propagated on its own predictions by the
+    noise-free recursion `duffing.propagate`, driven by the input alone."""
+    return propagate(posterior_coefficients(beliefs_frozen), data.u,
+                     data.y.copy())
 
 
 def evaluate_mse(predictions: np.ndarray, actual: np.ndarray) -> float:

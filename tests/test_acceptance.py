@@ -33,7 +33,7 @@ from duffingid.beliefs import (
     gaussian_moments,
     independent,
 )
-from duffingid.dataio import DatasetSpec, SILVERBOX_DELTA, SILVERBOX_SPLIT, \
+from duffingid.dataio import SILVERBOX_DELTA, SILVERBOX_SPLIT, \
     load_csv, split
 from duffingid.engine import posterior_coefficients
 from duffingid.nlarx import (
@@ -139,7 +139,7 @@ class TestCriterion1SilverboxReproduction:
             record_criterion(1, "SKIPPED", notice)
             pytest.skip(notice)
 
-        data = load_csv(DatasetSpec(path=str(path)))
+        data = load_csv(str(path))
         validation, training = split(data, SILVERBOX_SPLIT)
         failures = []
 

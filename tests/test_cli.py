@@ -7,15 +7,13 @@ import yaml
 from duffingid import PhysicalParams, PriorConfig, phys_to_ar
 from duffingid.cli import main
 from duffingid.dataio import (
-    DatasetSpec,
     config_to_dict,
     load_csv,
     save_artifact,
-    save_csv,
+    save_columns,
 )
 from duffingid.dataio import RunArtifact
 from duffingid.beliefs import GammaBelief, GaussianBelief, independent
-from duffingid.duffing import TimeSeries
 from duffingid.engine import BeliefSet
 
 PARAMS = {"m": 1.0, "c": 0.5, "a": 2.0, "b": 3.0, "tau": 10.0, "xi": 1e6}
@@ -60,7 +58,7 @@ class TestSimulate:
         code = run("simulate", "--params", params_file, "--steps", 500,
                    "--seed", 3, "--out", out, "--delta", 0.1)
         assert code == 0
-        ts = load_csv(DatasetSpec(path=str(out), delta=0.1))
+        ts = load_csv(str(out), delta=0.1)
         assert len(ts) == 500
         sidecar = yaml.safe_load((tmp_path / "sim.csv.truth.yaml").read_text())
         coeffs = phys_to_ar(PhysicalParams(**PARAMS), 0.1)
@@ -83,13 +81,33 @@ class TestSimulate:
             {"m": 1.0, "c": 0.0, "a": 0.0, "b": 0.0, "tau": 1.0, "xi": 1.0,
              "x0": [1.0, 1.0]}))
         drive = tmp_path / "u.csv"
-        save_csv(TimeSeries(np.zeros(50), np.zeros(50), 1.0), drive)
+        save_columns(drive, {"u": np.zeros(50), "y": np.zeros(50)})
         out = tmp_path / "const.csv"
         code = run("simulate", "--params", params, "--input", drive,
                    "--out", out, "--delta", 1.0, "--noise-free")
         assert code == 0
-        ts = load_csv(DatasetSpec(path=str(out), delta=1.0))
+        ts = load_csv(str(out), delta=1.0)
         np.testing.assert_allclose(ts.y, np.ones(50))
+
+    def test_input_file_with_only_u(self, tmp_path, params_file):
+        drive = tmp_path / "u.csv"
+        save_columns(drive, {"u": 0.1 * np.sin(np.arange(60) * 0.3)})
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--params", params_file, "--input", drive,
+                   "--out", out, "--delta", 0.1) == 0
+        ts = load_csv(str(out), delta=0.1)
+        np.testing.assert_array_equal(ts.u, 0.1 * np.sin(np.arange(60) * 0.3))
+
+    def test_exponent_numbers_in_params(self, tmp_path):
+        outs = []
+        for xi in ("1e6", "1.0e+6"):
+            params = tmp_path / f"p{xi}.yaml"
+            params.write_text("m: 1.0\nc: 0.5\na: 2.0\nb: 3.0\ntau: 1e1\n"
+                              f"xi: {xi}\n")
+            outs.append(tmp_path / f"sim{xi}.csv")
+            assert run("simulate", "--params", params, "--steps", 100,
+                       "--seed", 2, "--out", outs[-1]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_unknown_param_key(self, tmp_path):
         params = tmp_path / "p.yaml"
@@ -136,6 +154,18 @@ class TestIdentifyPredictEvaluate:
         assert run("identify", "--data", tmp_path / "nope.csv",
                    "--out", tmp_path / "a.yaml") == 2
 
+    def test_exponent_numbers_in_config(self, tmp_path, dataset):
+        payloads = []
+        for a0_xi, m0_eta in (("1e8", "1e-2"), ("1.0e+8", "1.0e-2")):
+            cfgfile = tmp_path / f"cfg{a0_xi}.yaml"
+            cfgfile.write_text(f"a0_xi: {a0_xi}\nm0_eta: {m0_eta}\n")
+            art = tmp_path / f"run{a0_xi}.yaml"
+            assert run("identify", "--data", dataset, "--config", cfgfile,
+                       "--out", art, "--delta", 0.1) == 0
+            payloads.append(yaml.safe_load(art.read_text()))
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["config"]["m0_eta"] == 0.01
+
     def test_identify_mode_override(self, tmp_path, dataset):
         art = tmp_path / "run.yaml"
         code = run("identify", "--data", dataset, "--mode", "larx",
@@ -160,6 +190,17 @@ class TestIdentifyPredictEvaluate:
         assert rows[0] == "y_hat,sq_error"
         assert len(rows) == 301
 
+    def test_predict_overflow_is_named(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        y = np.zeros(30)
+        y[1] = 1e200  # its float cube overflows in the rollout
+        save_columns(data, {"u": np.zeros(30), "y": y})
+        art = make_truth_artifact(tmp_path / "truth.yaml")
+        assert run("predict", "--artifact", art, "--data", data, "--delta", 0.1,
+                   "--protocol", "rollout", "--out", tmp_path / "p.csv") == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "error: unstable simulation at step 2"
+
     def test_rollout_at_least_onestep(self, tmp_path, dataset, capsys):
         art = make_truth_artifact(tmp_path / "truth.yaml")
         mse = {}
@@ -178,37 +219,34 @@ class TestIdentifyPredictEvaluate:
     def test_evaluate_identical_series(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         y = np.linspace(-0.1, 0.1, 20)
-        save_csv(TimeSeries(np.zeros(20), y, 0.1), data)
+        save_columns(data, {"u": np.zeros(20), "y": y})
         pred = tmp_path / "pred.csv"
-        save_csv(TimeSeries(y, np.zeros(20), 0.1), pred,
-                 input_column="y_hat", output_column="sq_error")
+        save_columns(pred, {"y_hat": y, "sq_error": np.zeros(20)})
         assert run("evaluate", "--pred", pred, "--data", data) == 0
         assert capsys.readouterr().out.strip() == "0.000e+00"
 
     def test_evaluate_constant_offset(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         y = np.zeros(50)
-        save_csv(TimeSeries(np.zeros(50), y, 0.1), data)
+        save_columns(data, {"u": np.zeros(50), "y": y})
         pred = tmp_path / "pred.csv"
-        save_csv(TimeSeries(y + 0.01, np.zeros(50), 0.1), pred,
-                 input_column="y_hat", output_column="sq_error")
+        save_columns(pred, {"y_hat": y + 0.01, "sq_error": np.zeros(50)})
         run("evaluate", "--pred", pred, "--data", data)
         assert capsys.readouterr().out.strip() == "1.000e-04"
 
     def test_evaluate_named_input_column(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         y = np.zeros(50)
-        save_csv(TimeSeries(np.ones(50), y, 0.1), data, input_column="force")
+        save_columns(data, {"force": np.ones(50), "y": y})
         pred = tmp_path / "pred.csv"
-        save_csv(TimeSeries(y + 0.01, np.zeros(50), 0.1), pred,
-                 input_column="y_hat", output_column="sq_error")
+        save_columns(pred, {"y_hat": y + 0.01, "sq_error": np.zeros(50)})
         assert run("evaluate", "--pred", pred, "--data", data) == 0
         assert capsys.readouterr().out.strip() == "1.000e-04"
 
     def test_evaluate_prediction_file_with_only_y_hat(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         y = np.linspace(0.0, 1.0, 30)
-        save_csv(TimeSeries(np.zeros(30), y, 0.1), data)
+        save_columns(data, {"u": np.zeros(30), "y": y})
         pred = tmp_path / "pred.csv"
         # `predict --split-index 20` writes the 20 validation predictions
         rows = "".join(f"{v!r}\n" for v in (y[:20] + 0.02).tolist())

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from duffingid import PriorConfig
 from duffingid.beliefs import GammaBelief, GaussianBelief, independent
 from duffingid.dataio import (
     ConfigError,
     DatasetError,
-    DatasetSpec,
     RunArtifact,
     SILVERBOX_DELTA,
     SILVERBOX_SPLIT,
@@ -16,9 +16,11 @@ from duffingid.dataio import (
     config_to_dict,
     load_artifact,
     load_config,
+    load_columns,
     load_csv,
+    load_yaml,
     save_artifact,
-    save_csv,
+    save_columns,
     split,
 )
 from duffingid.duffing import TimeSeries
@@ -33,7 +35,7 @@ def write(path, text):
 class TestLoadCsv:
     def test_three_row_file(self, tmp_path):
         path = write(tmp_path / "d.csv", "u,y\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
-        ts = load_csv(DatasetSpec(path=path, delta=0.01))
+        ts = load_csv(path, delta=0.01)
         assert len(ts) == 3
         np.testing.assert_allclose(ts.u, [0.1, 0.3, 0.5])
         np.testing.assert_allclose(ts.y, [0.2, 0.4, 0.6])
@@ -43,48 +45,57 @@ class TestLoadCsv:
         rows = "\n".join("0.1,0.2" for _ in range(6))
         path = write(tmp_path / "d.csv", f"u,y\n{rows}\nNaN,0.2\n0.1,0.2\n")
         with pytest.raises(DatasetError, match="row 7"):
-            load_csv(DatasetSpec(path=path))
+            load_csv(path)
 
     def test_unparseable_row_named(self, tmp_path):
         path = write(tmp_path / "d.csv", "u,y\n0.1,0.2\nx,0.4\n0.5,0.6\n")
         with pytest.raises(DatasetError, match="row 2"):
-            load_csv(DatasetSpec(path=path))
+            load_csv(path)
 
     def test_short_row_named_after_a_blank_line(self, tmp_path):
         # blank lines are skipped and do not count as rows
         path = write(tmp_path / "d.csv", "u,y\n0.1,0.2\n\n0.3\n0.5,0.6\n")
         with pytest.raises(DatasetError, match="unparseable value in row 2"):
-            load_csv(DatasetSpec(path=path))
+            load_csv(path)
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path / "d.csv", "a,y\n0.1,0.2\n")
         with pytest.raises(DatasetError, match="missing column 'u'"):
-            load_csv(DatasetSpec(path=path))
+            load_csv(path)
 
     def test_column_mapping(self, tmp_path):
         path = write(tmp_path / "d.csv",
                      "V1,V2\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
-        ts = load_csv(DatasetSpec(path=path, input_column="V1",
-                                  output_column="V2"))
+        ts = load_csv(path, input_column="V1", output_column="V2")
         np.testing.assert_allclose(ts.u, [0.1, 0.3, 0.5])
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "d.csv", "")
         with pytest.raises(DatasetError, match="empty file"):
-            load_csv(DatasetSpec(path=path))
+            load_csv(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="no such data file"):
-            load_csv(DatasetSpec(path=str(tmp_path / "nope.csv")))
+            load_csv(str(tmp_path / "nope.csv"))
 
     def test_roundtrip_identity(self, tmp_path):
         rng = np.random.default_rng(0)
         ts = TimeSeries(rng.normal(0, 1, 100), rng.normal(0, 1, 100), 0.05)
         path = tmp_path / "rt.csv"
-        save_csv(ts, path)
-        back = load_csv(DatasetSpec(path=str(path), delta=0.05))
+        save_columns(path, {"u": ts.u, "y": ts.y})
+        back = load_csv(str(path), delta=0.05)
         np.testing.assert_allclose(back.u, ts.u, atol=1e-12)
         np.testing.assert_allclose(back.y, ts.y, atol=1e-12)
+
+    def test_named_columns_written_exactly(self, tmp_path):
+        rng = np.random.default_rng(1)
+        columns = {"y_hat": rng.normal(0, 1, 50), "sq_error": rng.random(50),
+                   "extra": np.arange(50.0)}
+        path = tmp_path / "cols.csv"
+        save_columns(path, columns)
+        assert path.read_text().splitlines()[0] == "y_hat,sq_error,extra"
+        for want, got in zip(columns.values(), load_columns(path, list(columns))):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSplit:
@@ -147,6 +158,24 @@ class TestConfig:
         path = write(tmp_path / "c.yaml", "- 1\n- 2\n")
         with pytest.raises(ConfigError, match="mapping"):
             load_config(path)
+
+    @pytest.mark.parametrize("a0_xi, m0_eta", [
+        ("1e8", "1e-2"), ("1.0e8", "1E-2"), ("1.0e+8", "1.0e-2"),
+        ("100000000.0", "0.01")])
+    def test_exponent_numbers_are_floats(self, tmp_path, a0_xi, m0_eta):
+        # YAML 1.1 takes a float only with a dot and a signed exponent
+        path = write(tmp_path / "c.yaml", f"a0_xi: {a0_xi}\nm0_eta: {m0_eta}\n")
+        cfg = load_config(path)
+        assert type(cfg.a0_xi) is float and cfg.a0_xi == 1e8
+        assert type(cfg.m0_eta) is float and cfg.m0_eta == 0.01
+
+    def test_yaml_loader_leaves_other_scalars(self, tmp_path):
+        path = write(tmp_path / "d.yaml",
+                     "a: 1e\nb: e8\nc: 1e8x\nd: 12\ne: -2.5e3\nf: [.5e1, 7]\n")
+        assert load_yaml(path) == {"a": "1e", "b": "e8", "c": "1e8x", "d": 12,
+                                   "e": -2500.0, "f": [5.0, 7]}
+        # the library's loader leaves PyYAML's own safe loader as it was
+        assert yaml.safe_load("x: 1e8") == {"x": "1e8"}
 
 
 def make_artifact():

@@ -167,6 +167,22 @@ class TestSimulate:
         with pytest.raises(UnstableSimulationError, match="unstable simulation"):
             simulate(p, np.full(200, 5.0), delta=1.0, seed=0)
 
+    @pytest.mark.parametrize("x0", [(1e200, 0.0), (float("nan"), 0.0),
+                                    (0.0, float("inf"))])
+    def test_bad_initial_state_is_named(self, x0):
+        # the float cube of 1e200 overflows, and NaN fails the guard too;
+        # warnings are errors here, so none may come first
+        p = PhysicalParams(1, 0.5, 2, 3, 10, 1e6)
+        with pytest.raises(UnstableSimulationError, match="at step 2$"):
+            simulate(p, np.zeros(20), 0.1, seed=0, x0=x0)
+
+    def test_non_finite_input_is_named(self):
+        u = np.zeros(20)
+        u[6] = np.nan  # drives x[7]
+        with pytest.raises(UnstableSimulationError, match="at step 7$"):
+            simulate(PhysicalParams(1, 0.5, 2, 3, 10, 1e6), u, 0.1, seed=0,
+                     noise_free=True)
+
     def test_short_input_rejected(self):
         with pytest.raises(ValueError, match="insufficient data"):
             simulate(PhysicalParams(1, 0, 0, 0, 1, 1), np.zeros(2), 1.0, seed=0)

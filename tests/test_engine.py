@@ -409,6 +409,33 @@ class TestPredictionProtocols:
         # the series has b != 0, so this is a real rollout, not a copy of y
         assert np.abs(larx - self.clean.y).max() > 1e-6
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mode", ["nlarx", "larx"])
+    def test_rollout_is_the_noise_free_simulation(self, seed, mode):
+        # one recursion behind both: the rollout of the generating
+        # coefficients reproduces the noise-free simulation bit for bit
+        from duffingid.duffing import ArCoefficients
+        p = PhysicalParams(m=1, c=0.5, a=2, b=3 if mode == "nlarx" else 0,
+                           tau=1e8, xi=1e8)
+        rng = np.random.default_rng(seed)
+        u = 0.1 * np.sin(2 * np.pi * 0.7 * np.arange(600) * DELTA) \
+            + rng.normal(0, 1e-2, 600)
+        clean, latent = simulate(p, u, DELTA, seed=seed, noise_free=True,
+                                 x0=tuple(rng.normal(0, 0.05, 2)))
+        coeffs = phys_to_ar(p, DELTA)
+        if mode == "larx":
+            coeffs = ArCoefficients(coeffs.theta[[0, 2]], coeffs.eta, 1.0)
+        pred = simulate_rollout(frozen_beliefs(coeffs), clean,
+                                PriorConfig(model_mode=mode))
+        np.testing.assert_array_equal(pred, latent)
+
+    def test_rollout_overflow_is_named(self):
+        y = np.zeros(50)
+        y[1] = 1e200  # its float cube overflows
+        data = TimeSeries(np.zeros(50), y, DELTA)
+        with pytest.raises(UnstableSimulationError, match="at step 2$"):
+            simulate_rollout(frozen_beliefs(self.coeffs), data, PriorConfig())
+
     def test_rollout_divergence_guard(self):
         from duffingid.duffing import ArCoefficients
         unstable = ArCoefficients([3.0, 0.0, 1.5], 0.1, 1.0)
