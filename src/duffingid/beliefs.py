@@ -31,7 +31,9 @@ class GaussianBelief:
     singular: their `cov` and `logdet` are None, and built `from_natural`
     their mean is the minimum-norm least-squares one. Both constructors
     compute all five fields, and nothing changes them afterwards, so values
-    are safe to share.
+    are safe to share. The dimension is 1 to 4, which covers every belief
+    the library builds (at most 4 coefficients, 2 states), so every inverse
+    is closed form; both constructors reject any other.
     """
 
     __slots__ = ("precision", "potential", "mean", "cov", "logdet")
@@ -77,6 +79,8 @@ class GaussianBelief:
 
 
 def _symmetric(precision, dim: int) -> np.ndarray:
+    if not 1 <= dim <= 4:
+        raise ValueError(f"belief dimension {dim} outside 1 to 4")
     precision = np.atleast_2d(np.asarray(precision, dtype=float))
     if precision.shape != (dim, dim):
         raise ValueError(f"precision shape {precision.shape} does not match dim {dim}")
@@ -86,25 +90,12 @@ def _symmetric(precision, dim: int) -> np.ndarray:
 
 def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
     """Covariance and log-determinant of a positive-definite precision, or
-    (None, None).
-
-    Dimensions up to four use closed-form inverses (see
-    `closed_form_inverse`), which skip the LAPACK call overhead.
-    """
-    d = p.shape[0]
-    if d <= 4:
-        inverse = closed_form_inverse(p)
-        if inverse is None:
-            return None, None
-        cov, det = inverse
-        return cov, math.log(det)
-    try:
-        low = np.linalg.cholesky(p)
-    except np.linalg.LinAlgError:
+    (None, None), by `closed_form_inverse`."""
+    inverse = closed_form_inverse(p)
+    if inverse is None:
         return None, None
-    inv_low = np.linalg.solve(low, np.eye(d))
-    cov = inv_low.T @ inv_low
-    return 0.5 * (cov + cov.T), 2.0 * float(np.sum(np.log(np.diag(low))))
+    cov, det = inverse
+    return cov, math.log(det)
 
 
 def closed_form_inverse(p: np.ndarray) -> tuple[np.ndarray, float] | None:

@@ -2,9 +2,11 @@
 persistence: the one home of the file formats.
 
 Series are header CSV of named float columns ("u" and "y" by default), read
-by `load_columns` and `load_csv` and written by `save_columns`. Configs,
-simulator parameters and run artifacts are YAML read by `load_yaml`, which
-takes 1e-4 and 1e8 as floats; artifacts carry an explicit schema version.
+by `load_columns` and `load_csv` and written by `save_columns`. The YAML
+files are read by `load_yaml`, which takes 1e-4 and 1e8 as floats: prior
+configs (`load_config`), simulator parameter files (`load_params`) and run
+artifacts (`save_artifact`, `load_artifact`), which carry an explicit
+schema version. `save_truth` writes the simulator's truth sidecar.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 import yaml
 
 from .beliefs import GammaBelief, GaussianBelief, independent
-from .duffing import TimeSeries
+from .duffing import ArCoefficients, PhysicalParams, TimeSeries
 from .engine import BeliefSet, PriorConfig
 
 SCHEMA_VERSION = 1
@@ -122,6 +124,35 @@ def load_yaml(path):
         return yaml.load(handle, Loader=_Loader)
 
 
+def load_params(path) -> tuple[PhysicalParams, tuple[float, float]]:
+    """Read simulator parameters m, c, a, b, tau, xi and the optional
+    initial state x0 = (x1, x0), (0, 0) by default, from a YAML mapping."""
+    raw = load_yaml(path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: parameter file must be a mapping")
+    unknown = sorted(set(raw) - {"m", "c", "a", "b", "tau", "xi", "x0"})
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}")
+    x0 = raw.pop("x0", (0.0, 0.0))
+    if not (isinstance(x0, (list, tuple)) and len(x0) == 2
+            and all(isinstance(v, (int, float)) for v in x0)):
+        raise ConfigError(f"{path}: x0 must be two numbers, got {x0!r}")
+    try:
+        return PhysicalParams(**raw), tuple(x0)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def save_truth(path, coeffs: ArCoefficients, latent: np.ndarray) -> None:
+    """Write the generating coefficients and the latent trajectory of a
+    simulated series as YAML."""
+    truth = {"psi": {"theta": coeffs.theta.tolist(), "eta": coeffs.eta,
+                     "gamma": coeffs.gamma},
+             "latent_x": latent.tolist()}
+    with open(path, "w") as handle:
+        yaml.safe_dump(truth, handle)
+
+
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(PriorConfig)}
 
 
@@ -129,14 +160,12 @@ def load_config(path) -> PriorConfig:
     """Read a PriorConfig from YAML; unknown keys are an error (typo guard).
     An empty file yields the full default configuration."""
     raw = load_yaml(path)
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
-    return config_from_dict(raw, source=str(path))
+    return config_from_dict({} if raw is None else raw, source=str(path))
 
 
 def config_from_dict(raw: dict, source: str = "config") -> PriorConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{source}: config must be a mapping")
     unknown = sorted(set(raw) - _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"{source}: unknown keys {unknown}")
@@ -163,24 +192,13 @@ def config_to_dict(cfg: PriorConfig) -> dict:
 class RunArtifact:
     """Everything a finished identification run produces."""
 
-    config: dict
+    config: PriorConfig
     delta: float
     beliefs: BeliefSet
     free_energies: list
     metrics: dict
     physical: dict
     schema_version: int = SCHEMA_VERSION
-
-
-def _plain(value):
-    """Recursively coerce numpy scalars so YAML can represent the payload."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _gaussian_to_dict(g: GaussianBelief) -> dict:
@@ -217,12 +235,12 @@ def belief_set_from_dict(d: dict) -> BeliefSet:
 def save_artifact(artifact: RunArtifact, path) -> None:
     payload = {
         "schema_version": artifact.schema_version,
-        "config": _plain(artifact.config),
+        "config": config_to_dict(artifact.config),
         "delta": float(artifact.delta),
         "posterior": belief_set_to_dict(artifact.beliefs),
         "free_energies": [float(v) for v in artifact.free_energies],
-        "metrics": _plain(artifact.metrics),
-        "physical": _plain(artifact.physical),
+        "metrics": artifact.metrics,
+        "physical": artifact.physical,
     }
     with open(path, "w") as handle:
         yaml.safe_dump(payload, handle, sort_keys=True)
@@ -238,7 +256,7 @@ def load_artifact(path) -> RunArtifact:
             f"{path}: schema version mismatch (got {version}, "
             f"expected {SCHEMA_VERSION})")
     return RunArtifact(
-        config=payload["config"],
+        config=config_from_dict(payload["config"], source=str(path)),
         delta=float(payload["delta"]),
         beliefs=belief_set_from_dict(payload["posterior"]),
         free_energies=list(payload["free_energies"]),

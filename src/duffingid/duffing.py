@@ -18,10 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# first-order form constants: z[t] = S @ z[t-1] + s*(g + eta*u) + s*noise
-S = np.array([[0.0, 0.0], [1.0, 0.0]])
-s = np.array([1.0, 0.0])
-
 DIVERGENCE_LIMIT = 1e6
 
 
@@ -152,9 +148,10 @@ def g_eval(theta: np.ndarray, z: np.ndarray) -> float:
 
 
 def step_mean(coeffs: ArCoefficients, z_prev: np.ndarray, u: float) -> np.ndarray:
-    """Noise-free transition: S @ z_prev + s*(g(theta, z_prev) + eta*u)."""
+    """Noise-free transition of the state z = (x, x_prev):
+    (g(theta, z_prev) + eta*u, z_prev[0])."""
     z_prev = np.asarray(z_prev, dtype=float)
-    return S @ z_prev + s * (g_eval(coeffs.theta, z_prev) + coeffs.eta * u)
+    return np.array([g_eval(coeffs.theta, z_prev) + coeffs.eta * u, z_prev[0]])
 
 
 def propagate(coeffs: ArCoefficients, drive, x: np.ndarray) -> np.ndarray:

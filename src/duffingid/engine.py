@@ -39,10 +39,16 @@ E[xi], 1/eps), and the closed-form 2x2 inverse then rounds like scalar code.
 The coefficient posterior uses `GaussianBelief`'s closed-form inverse and
 keeps its numpy mean `cov @ potential`, whose multiply-adds the BLAS may
 fuse. The step and `compute_free_energy` share `_free_energy`; the step
-hands it the expected squared residual of its gamma update. A non-finite
-coefficient message precision, state mean, coefficient mean or expected
-squared residual raises `InferenceError` ("diverged") with the step index,
-before numpy can overflow on it.
+hands it the expected squared residual of its gamma update.
+
+Failure contract: `step_update(..., t)` raises `InferenceError` with
+`.step == t` for every failure it detects inside the step: an input or
+output sample that is not a finite float, a non-finite coefficient message
+precision, state mean, coefficient mean or expected squared residual
+("diverged", caught before numpy can overflow on it), an improper posterior,
+a negative gamma message rate and a non-finite free energy. Only an
+improper incoming belief raises `ImproperBeliefError`, which carries no
+step. `identify_stream` passes these errors on unchanged.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from .beliefs import (  # noqa: F401
     entropy_gaussian,
 )
 from .duffing import step_mean  # noqa: F401
-from .duffing import ArCoefficients, TimeSeries, propagate
+from .duffing import ArCoefficients, TimeSeries, UnstableSimulationError, propagate
 from . import nlarx
 from .nlarx import NodeConfig
 
@@ -201,9 +207,14 @@ def step_update(
     """One online step: predict, then sweep the message schedule until it
     settles (see the module docstring). The returned state belief becomes
     the next step's previous state."""
-    u, y = float(u_t), float(y_t)
+    try:
+        u, y = float(u_t), float(y_t)
+    except (TypeError, ValueError) as exc:
+        raise InferenceError(
+            t, f"unconvertible input/output sample: {exc}") from exc
     if not (math.isfinite(u) and math.isfinite(y)):
-        raise ValueError(f"non-finite input/output sample: u={u!r}, y={y!r}")
+        raise InferenceError(
+            t, f"non-finite input/output sample: u={u!r}, y={y!r}")
     _require_proper(beliefs)
     prec0, pot0 = beliefs.q_coeffs.precision, beliefs.q_coeffs.potential
     ag0, bg0 = beliefs.q_gamma.shape, beliefs.q_gamma.rate
@@ -240,7 +251,7 @@ def step_update(
         za = eg + ex
         zdet = za * inv_eps
         if not (za > 0.0 and zdet > 0.0):
-            raise ImproperBeliefError("improper posterior")
+            raise InferenceError(t, "improper posterior")
         zc00, zc11 = inv_eps / zdet, za / zdet
         hz0 = eg * forward + ex * y
         zm0 = zc00 * hz0
@@ -252,7 +263,7 @@ def step_update(
         pot = pot0 + psi * (eg * zm0)
         inverse = closed_form_inverse(prec)
         if inverse is None:
-            raise ImproperBeliefError("improper posterior")
+            raise InferenceError(t, "improper posterior")
         cov_w, det_w = inverse
         w = cov_w @ pot
         w_previous, w_list, cov_list = w_list, w.tolist(), cov_w.tolist()
@@ -264,13 +275,13 @@ def step_update(
             raise InferenceError(t, "diverged: non-finite expected squared residual")
         rate = 0.5 * esr
         if rate < 0:
-            raise RuntimeError(
-                f"negative gamma message rate {rate}: moment bookkeeping bug")
+            raise InferenceError(
+                t, f"negative gamma message rate {rate}: moment bookkeeping bug")
         bg = bg0 + rate
         miss = y - zm0
         bx = bx0 + 0.5 * (miss * miss + zc00)
         if not (bg > 0.0 and bx > 0.0):
-            raise ImproperBeliefError("improper posterior")
+            raise InferenceError(t, "improper posterior")
         eg_previous = eg
         eg, ex = ag / bg, ax / bx
 
@@ -285,8 +296,11 @@ def step_update(
                 np.array([[za, 0.0], [0.0, inv_eps]]), np.array([hz0, hz1]),
                 np.array([zm0, zc11 * hz1]),
                 np.array([[zc00, -0.0], [-0.0, zc11]]), math.log(zdet))
-            trace.append(_free_energy(q_coeffs, q_state, ag, bg, ax, bx,
-                                      beliefs, esr, y, eps))
+            energy = _free_energy(q_coeffs, q_state, ag, bg, ax, bx,
+                                  beliefs, esr, y, eps)
+            if not math.isfinite(energy):
+                raise InferenceError(t, f"non-finite free energy {energy}")
+            trace.append(energy)
         if done:
             break
 
@@ -333,9 +347,12 @@ def compute_free_energy(
         beliefs.q_state, beliefs_prior_for_step.q_state, beliefs.q_coeffs,
         cfg.node_config(u_t))
     q_gamma, q_xi = beliefs.q_gamma, beliefs.q_xi
-    return _free_energy(beliefs.q_coeffs, beliefs.q_state, q_gamma.shape,
-                        q_gamma.rate, q_xi.shape, q_xi.rate,
-                        beliefs_prior_for_step, esr, y_t, cfg.epsilon)
+    energy = _free_energy(beliefs.q_coeffs, beliefs.q_state, q_gamma.shape,
+                          q_gamma.rate, q_xi.shape, q_xi.rate,
+                          beliefs_prior_for_step, esr, y_t, cfg.epsilon)
+    if not math.isfinite(energy):
+        raise RuntimeError(f"non-finite free energy {energy}")
+    return energy
 
 
 def _free_energy(
@@ -388,14 +405,7 @@ def _free_energy(
                 + (ax0 - 1.0) * log_xi - bx0 * e_xi)
     )
 
-    free_energy = neg_entropy - e_log_trans - e_log_lik - e_log_priors
-    if not math.isfinite(free_energy):
-        raise RuntimeError(
-            "non-finite free energy: "
-            f"neg_entropy={neg_entropy}, transition={e_log_trans}, "
-            f"likelihood={e_log_lik}, priors={e_log_priors}"
-        )
-    return float(free_energy)
+    return float(neg_entropy - e_log_trans - e_log_lik - e_log_priors)
 
 
 def identify_stream(
@@ -408,12 +418,7 @@ def identify_stream(
     beliefs = initial_beliefs(cfg)
     reports: list[StepReport] = []
     for t, (u_t, y_t) in enumerate(samples):
-        try:
-            beliefs, report = step_update(beliefs, u_t, y_t, cfg, t)
-        except InferenceError:
-            raise
-        except (ValueError, RuntimeError) as exc:
-            raise InferenceError(t, str(exc)) from exc
+        beliefs, report = step_update(beliefs, u_t, y_t, cfg, t)
         reports.append(report)
     if not reports:
         raise ValueError("insufficient data: empty sample stream")
@@ -445,16 +450,22 @@ def predict_onestep(
 ) -> np.ndarray:
     """1-step-ahead predictions with frozen parameters: each output is
     predicted from the two true lagged outputs and the input that acts on
-    this step. The first two samples are given and copied through."""
+    this step. The first two samples are given and copied through. A
+    prediction that is not finite raises `UnstableSimulationError(t)`, as
+    in the rollout."""
     coeffs = posterior_coefficients(beliefs_frozen)
     th, eta = coeffs.theta, coeffs.eta
     y, u = data.y, data.u
     pred = y.copy()
-    if th.size == 3:
-        drift = th[0] * y[1:-1] + th[1] * y[1:-1] ** 3 + th[2] * y[:-2]
-    else:
-        drift = th[0] * y[1:-1] + th[1] * y[:-2]
-    pred[2:] = drift + eta * u[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if th.size == 3:
+            drift = th[0] * y[1:-1] + th[1] * y[1:-1] ** 3 + th[2] * y[:-2]
+        else:
+            drift = th[0] * y[1:-1] + th[1] * y[:-2]
+        pred[2:] = drift + eta * u[1:-1]
+    bad = ~np.isfinite(pred)
+    if bad.any():
+        raise UnstableSimulationError(int(bad.argmax()))
     return pred
 
 

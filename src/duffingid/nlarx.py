@@ -33,7 +33,7 @@ from .beliefs import (
     expected_quadratic,
     gaussian_moments,
 )
-from .duffing import S, regressor, s
+from .duffing import regressor
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,8 @@ def msg_forward_state(
     zp_mean, _ = gaussian_moments(q_zprev)
     d = cfg.n_coeffs
     psi = regressor_psi(zp_mean, d, cfg.u)
-    mean = S @ zp_mean + s * forward_mean(q_coeffs.mean.tolist(), psi.tolist())
+    mean = np.array([forward_mean(q_coeffs.mean.tolist(), psi.tolist()),
+                     zp_mean[0]])
     precision = np.diag([q_gamma.mean, 1.0 / cfg.epsilon])
     return GaussianBelief(mean, precision)
 

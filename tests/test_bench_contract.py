@@ -1,15 +1,23 @@
-"""The names the benchmark's span tracer wraps exist in the library.
+"""The names and call shapes the benchmark relies on exist in the library.
 
 `bench/tracing.py` replaces library functions by name, in the module where
 their callers look them up, and counts `GaussianBelief` constructions by
-wrapping `__init__` and `from_natural`. A rename in the library would break
-only the traced benchmark run; this test makes it break tier-1 instead.
+wrapping `__init__` and `from_natural`. `bench/workloads.Probe` replaces
+`engine.identify_stream` and `engine.simulate_rollout` with functions of
+exactly their present parameters. A rename or an arity change in the
+library would break only the benchmark run; these tests make it break
+tier-1 instead.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from duffingid import PhysicalParams, PriorConfig, engine, simulate
 from duffingid.beliefs import GaussianBelief
+from duffingid.cli import main
+from duffingid.dataio import save_columns
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -33,3 +41,32 @@ def test_span_targets_resolve():
 def test_construction_counter_targets_exist():
     assert callable(GaussianBelief.__dict__["__init__"])
     assert isinstance(GaussianBelief.__dict__["from_natural"], classmethod)
+
+
+def test_probe_replacements_keep_their_arity(monkeypatch, tmp_path):
+    calls = []
+    stream, rollout = engine.identify_stream, engine.simulate_rollout
+
+    def identify_stream(samples, cfg):
+        calls.append("identify_stream")
+        return stream(samples, cfg)
+
+    def simulate_rollout(beliefs, data, cfg):
+        calls.append("simulate_rollout")
+        return rollout(beliefs, data, cfg)
+
+    monkeypatch.setattr(engine, "identify_stream", identify_stream)
+    monkeypatch.setattr(engine, "simulate_rollout", simulate_rollout)
+    u = 0.1 * np.sin(0.4 * np.arange(60))
+    series, _ = simulate(PhysicalParams(m=1, c=0.5, a=2, b=3, tau=10.0,
+                                        xi=1e6), u, 0.1, seed=0)
+    engine.identify(series, PriorConfig())
+    assert calls == ["identify_stream"]
+
+    data, artifact = tmp_path / "d.csv", tmp_path / "run.yaml"
+    save_columns(data, {"u": series.u, "y": series.y})
+    common = ["--data", str(data), "--delta", "0.1"]
+    assert main(["identify", *common, "--out", str(artifact)]) == 0
+    assert main(["predict", *common, "--artifact", str(artifact),
+                 "--protocol", "rollout", "--out", str(tmp_path / "p.csv")]) == 0
+    assert calls == ["identify_stream"] * 2 + ["simulate_rollout"]

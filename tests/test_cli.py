@@ -6,12 +6,7 @@ import yaml
 
 from duffingid import PhysicalParams, PriorConfig, phys_to_ar
 from duffingid.cli import main
-from duffingid.dataio import (
-    config_to_dict,
-    load_csv,
-    save_artifact,
-    save_columns,
-)
+from duffingid.dataio import load_csv, save_artifact, save_columns
 from duffingid.dataio import RunArtifact
 from duffingid.beliefs import GammaBelief, GaussianBelief, independent
 from duffingid.engine import BeliefSet
@@ -41,7 +36,7 @@ def make_truth_artifact(path, delta=0.1, xi=1e8):
         q_state=GaussianBelief([0.0, 0.0], np.eye(2)),
     )
     artifact = RunArtifact(
-        config=config_to_dict(PriorConfig()),
+        config=PriorConfig(),
         delta=delta,
         beliefs=beliefs,
         free_energies=[0.0],
@@ -114,6 +109,17 @@ class TestSimulate:
         params.write_text(yaml.safe_dump({**PARAMS, "mass": 2.0}))
         assert run("simulate", "--params", params,
                    "--out", tmp_path / "x.csv") == 2
+
+    @pytest.mark.parametrize("text", [
+        "5\n", "- 1.0\n- 2.0\n", yaml.safe_dump({**PARAMS, "x0": [0.1]}),
+        yaml.safe_dump({**PARAMS, "x0": [1, 2, 3]})])
+    def test_malformed_params_exit_2(self, tmp_path, capsys, text):
+        params = tmp_path / "p.yaml"
+        params.write_text(text)
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--params", params, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {params}: ")
+        assert not out.exists()
 
     def test_divergence_exit_code(self, tmp_path):
         params = tmp_path / "p.yaml"
@@ -201,6 +207,19 @@ class TestIdentifyPredictEvaluate:
         err = capsys.readouterr().err
         assert err.strip() == "error: unstable simulation at step 2"
 
+    def test_predict_onestep_overflow_is_named(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        y = np.zeros(30)
+        y[1] = 1e200  # its float cube overflows in the prediction of y[2]
+        save_columns(data, {"u": np.zeros(30), "y": y})
+        art = make_truth_artifact(tmp_path / "truth.yaml")
+        out = tmp_path / "p.csv"
+        assert run("predict", "--artifact", art, "--data", data, "--delta", 0.1,
+                   "--protocol", "onestep", "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: unstable simulation at step 2"
+        assert captured.out == "" and not out.exists()
+
     def test_rollout_at_least_onestep(self, tmp_path, dataset, capsys):
         art = make_truth_artifact(tmp_path / "truth.yaml")
         mse = {}
@@ -254,6 +273,19 @@ class TestIdentifyPredictEvaluate:
         assert run("evaluate", "--pred", pred, "--data", data,
                    "--split-index", 20) == 0
         assert capsys.readouterr().out.strip() == "4.000e-04"
+
+    @pytest.mark.parametrize("command", ["report", "predict"])
+    def test_invalid_stored_config_fails_at_load(self, tmp_path, dataset,
+                                                 capsys, command):
+        art = tmp_path / "truth.yaml"
+        make_truth_artifact(art)
+        art.write_text(art.read_text().replace("epsilon:", "epsilonn:"))
+        argv = ["--artifact", art]
+        if command == "predict":
+            argv += ["--data", dataset, "--delta", 0.1, "--out", tmp_path / "p"]
+        assert run(command, *argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {art}: unknown keys ['epsilonn']")
 
     def test_report(self, tmp_path, capsys):
         art = make_truth_artifact(tmp_path / "truth.yaml")

@@ -18,12 +18,14 @@ from duffingid.dataio import (
     load_config,
     load_columns,
     load_csv,
+    load_params,
     load_yaml,
     save_artifact,
     save_columns,
+    save_truth,
     split,
 )
-from duffingid.duffing import TimeSeries
+from duffingid.duffing import PhysicalParams, TimeSeries, phys_to_ar
 from duffingid.engine import BeliefSet
 
 
@@ -178,6 +180,44 @@ class TestConfig:
         assert yaml.safe_load("x: 1e8") == {"x": "1e8"}
 
 
+class TestParams:
+    def test_params_and_initial_state(self, tmp_path):
+        path = write(tmp_path / "p.yaml", "m: 1.0\nc: 0.5\na: 2\nb: 3.0\n"
+                     "tau: 1e1\nxi: 1e6\nx0: [0.1, -0.2]\n")
+        params, x0 = load_params(path)
+        assert params == PhysicalParams(m=1.0, c=0.5, a=2, b=3.0, tau=10.0,
+                                        xi=1e6)
+        assert x0 == (0.1, -0.2)
+        path = write(tmp_path / "q.yaml", "m: 1\nc: 0\na: 1\nb: 0\n"
+                     "tau: 1\nxi: 1\n")
+        assert load_params(path)[1] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("text, match", [
+        ("5\n", "mapping"),
+        ("- 1.0\n- 2.0\n", "mapping"),
+        ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [0.1]\n", "x0"),
+        ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [1, 2, 3]\n", "x0"),
+        ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [a, b]\n", "x0"),
+        ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nmass: 2\n", "mass"),
+        ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\n", "xi"),
+        ("m: -1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\n", "mass"),
+    ])
+    def test_malformed_rejected(self, tmp_path, text, match):
+        path = write(tmp_path / "p.yaml", text)
+        with pytest.raises(ConfigError, match=match):
+            load_params(path)
+
+    def test_truth_sidecar(self, tmp_path):
+        coeffs = phys_to_ar(PhysicalParams(1.0, 0.5, 2.0, 3.0, 10.0, 1e6), 0.1)
+        latent = np.array([0.0, 0.1, -0.25])
+        path = tmp_path / "sim.csv.truth.yaml"
+        save_truth(path, coeffs, latent)
+        assert load_yaml(path) == {
+            "psi": {"theta": coeffs.theta.tolist(), "eta": coeffs.eta,
+                    "gamma": coeffs.gamma},
+            "latent_x": [0.0, 0.1, -0.25]}
+
+
 def make_artifact():
     beliefs = BeliefSet(
         q_coeffs=independent(
@@ -188,7 +228,7 @@ def make_artifact():
         q_state=GaussianBelief([0.01, 0.02], np.diag([1e5, 1e8])),
     )
     return RunArtifact(
-        config=config_to_dict(PriorConfig()),
+        config=PriorConfig(),
         delta=SILVERBOX_DELTA,
         beliefs=beliefs,
         free_energies=[3.2, 1.1, -0.4],
@@ -215,6 +255,14 @@ class TestArtifact:
                                    rtol=1e-15)
         assert back.beliefs.q_gamma == artifact.beliefs.q_gamma
         assert back.beliefs.q_xi == artifact.beliefs.q_xi
+
+    def test_invalid_stored_config_rejected(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        save_artifact(make_artifact(), path)
+        path.write_text(path.read_text().replace("v0_eta: 10.0",
+                                                 "v0_eta: -1.0"))
+        with pytest.raises(ConfigError, match="must be positive"):
+            load_artifact(path)
 
     def test_version_mismatch(self, tmp_path):
         artifact = make_artifact()

@@ -286,6 +286,29 @@ class TestIdentify:
                 identify_stream(stream, PriorConfig())
         assert info.value.step == 7
 
+    @pytest.mark.parametrize("reason", ["non-finite input/output sample",
+                                        "improper posterior"])
+    def test_step_update_names_its_step(self, reason):
+        cfg = PriorConfig()
+        beliefs = initial_beliefs(cfg)
+        y = math.nan
+        if reason == "improper posterior":
+            # an incoming q(w) that claims a covariance but has a negative
+            # definite precision passes the incoming-belief check; the
+            # step's posterior precision is then not positive definite
+            q = beliefs.q_coeffs
+            indefinite = GaussianBelief._from_parts(
+                -q.precision, -q.potential, q.mean, q.cov, q.logdet)
+            beliefs = BeliefSet(indefinite, beliefs.q_gamma, beliefs.q_xi,
+                                beliefs.q_state)
+            y = 0.05
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InferenceError,
+                               match=f"step 11: {reason}") as info:
+                step_update(beliefs, 0.1, y, cfg, t=11)
+        assert info.value.step == 11
+
     @pytest.mark.parametrize("sim_seed, scale, step",
                              [(42, 1e3, 5), (2, 600.0, 6)])
     def test_divergence_fails_with_step_index(self, sim_seed, scale, step):
@@ -435,6 +458,16 @@ class TestPredictionProtocols:
         data = TimeSeries(np.zeros(50), y, DELTA)
         with pytest.raises(UnstableSimulationError, match="at step 2$"):
             simulate_rollout(frozen_beliefs(self.coeffs), data, PriorConfig())
+
+    def test_onestep_overflow_is_named(self):
+        y = np.zeros(50)
+        y[1] = 1e200  # its float cube overflows
+        data = TimeSeries(np.zeros(50), y, DELTA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableSimulationError, match="at step 2$"):
+                predict_onestep(frozen_beliefs(self.coeffs), data,
+                                PriorConfig())
 
     def test_rollout_divergence_guard(self):
         from duffingid.duffing import ArCoefficients
