@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ConfigError, FileNotFoundError, OSError) as exc:
+    except (DatasetError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ValueError) as exc:
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="artifact output path")
     p.add_argument("--delta", type=float, default=SILVERBOX_DELTA)
     p.add_argument("--split-index", type=int, default=0,
-                   help="if > 0, train on samples [split:], as in the benchmark")
+                   help="if nonzero, train on samples [split:], as in the benchmark")
     p.add_argument("--input-column", default="u")
     p.add_argument("--output-column", default="y")
     p.set_defaults(func=cmd_identify)
@@ -71,9 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--protocol", choices=["onestep", "rollout"], default="onestep")
     p.add_argument("--out", required=True)
-    p.add_argument("--delta", type=float, default=SILVERBOX_DELTA)
     p.add_argument("--split-index", type=int, default=0,
-                   help="if > 0, predict on the validation samples [:split]")
+                   help="if nonzero, predict on the validation samples [:split]")
     p.add_argument("--input-column", default="u")
     p.add_argument("--output-column", default="y")
     p.set_defaults(func=cmd_predict)
@@ -113,7 +112,7 @@ def cmd_simulate(args) -> int:
 def cmd_identify(args) -> int:
     data = dataio.load_csv(args.data, args.delta, args.input_column,
                            args.output_column)
-    if args.split_index > 0:
+    if args.split_index:
         _, data = dataio.split(data, args.split_index)
     cfg = dataio.load_config(args.config) if args.config else PriorConfig()
     if args.mode is not None:
@@ -124,8 +123,6 @@ def cmd_identify(args) -> int:
     stride = max(1, len(reports) // 1000)
     mean_iterations = sum(r.iterations for r in reports) / len(reports)
     free_energies = [r.free_energy for r in reports[::stride]]
-    coeffs = engine.posterior_coefficients(beliefs)
-    phys = ar_to_phys(coeffs, data.delta, xi=beliefs.q_xi.mean)
     artifact = dataio.RunArtifact(
         config=cfg,
         delta=data.delta,
@@ -134,8 +131,6 @@ def cmd_identify(args) -> int:
         metrics={"final_free_energy": reports[-1].free_energy,
                  "steps": len(reports),
                  "mean_iterations": mean_iterations},
-        physical={"m": phys.m, "c": phys.c, "a": phys.a, "b": phys.b,
-                  "tau": phys.tau},
     )
     dataio.save_artifact(artifact, args.out)
     print(f"identified {len(reports)} steps, "
@@ -145,14 +140,10 @@ def cmd_identify(args) -> int:
 
 def cmd_predict(args) -> int:
     artifact = dataio.load_artifact(args.artifact)
-    data = dataio.load_csv(args.data, args.delta, args.input_column,
+    data = dataio.load_csv(args.data, artifact.delta, args.input_column,
                            args.output_column)
-    if args.split_index > 0:
+    if args.split_index:
         data, _ = dataio.split(data, args.split_index)
-    if not math.isclose(artifact.delta, data.delta, rel_tol=1e-9):
-        raise ConfigError(
-            f"sample period mismatch: artifact {artifact.delta}, "
-            f"data {data.delta}")
 
     if args.protocol == "onestep":
         pred = engine.predict_onestep(artifact.beliefs, data, artifact.config)
@@ -170,7 +161,7 @@ def cmd_evaluate(args) -> int:
     (pred,) = dataio.load_columns(args.pred, ("y_hat",))
     # the input column plays no part in the error, so only y is read
     (y,) = dataio.load_columns(args.data, (args.output_column,))
-    if args.split_index > 0:
+    if args.split_index:
         dataio.check_split(len(y), args.split_index)
         y = y[:args.split_index]
     mse = engine.evaluate_mse(pred, y)
@@ -193,8 +184,14 @@ def cmd_report(args) -> int:
         std = math.sqrt(belief.shape) / belief.rate
         print(f"  {name:7s} {belief.mean: .6e} +/- {std:.3e}")
     print("recovered physical parameters:")
+    try:
+        phys = ar_to_phys(engine.posterior_coefficients(beliefs),
+                          artifact.delta, xi=beliefs.q_xi.mean)
+    except ValueError as exc:  # the posterior maps to no oscillator
+        print(f"  none: {exc}")
+        return 0
     for name in ("m", "c", "a", "b", "tau"):
-        print(f"  {name:7s} {artifact.physical[name]: .6e}")
+        print(f"  {name:7s} {getattr(phys, name): .6e}")
     return 0
 
 

@@ -2,11 +2,13 @@
 persistence: the one home of the file formats.
 
 Series are header CSV of named float columns ("u" and "y" by default), read
-by `load_columns` and `load_csv` and written by `save_columns`. The YAML
-files are read by `load_yaml`, which takes 1e-4 and 1e8 as floats: prior
-configs (`load_config`), simulator parameter files (`load_params`) and run
-artifacts (`save_artifact`, `load_artifact`), which carry an explicit
-schema version. `save_truth` writes the simulator's truth sidecar.
+by `load_columns` and `load_csv` and written by `save_columns`. `load_yaml`
+reads the YAML files, takes 1e-4 and 1e8 as floats and raises `ConfigError`
+on a syntax error: prior configs (`load_config`), simulator parameter files
+(`load_params`) and run artifacts (`save_artifact`, `load_artifact`). An
+artifact holds the schema version, prior config, sample period, posterior,
+thinned free-energy trace and run metrics; readers derive the physical
+parameters. `save_truth` writes the simulator's truth sidecar.
 """
 
 from __future__ import annotations
@@ -121,7 +123,10 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
 def load_yaml(path):
     """The YAML document in a file: configs, parameters and artifacts."""
     with open(path) as handle:
-        return yaml.load(handle, Loader=_Loader)
+        try:
+            return yaml.load(handle, Loader=_Loader)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:  # multi-line
+            raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
 
 
 def load_params(path) -> tuple[PhysicalParams, tuple[float, float]]:
@@ -169,11 +174,8 @@ def config_from_dict(raw: dict, source: str = "config") -> PriorConfig:
     unknown = sorted(set(raw) - _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"{source}: unknown keys {unknown}")
-    kwargs = {}
-    for key, value in raw.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+    kwargs = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in raw.items()}
     try:
         return PriorConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -181,11 +183,8 @@ def config_from_dict(raw: dict, source: str = "config") -> PriorConfig:
 
 
 def config_to_dict(cfg: PriorConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    for key, value in out.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
-    return out
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in dataclasses.asdict(cfg).items()}
 
 
 @dataclass(frozen=True)
@@ -197,8 +196,6 @@ class RunArtifact:
     beliefs: BeliefSet
     free_energies: list
     metrics: dict
-    physical: dict
-    schema_version: int = SCHEMA_VERSION
 
 
 def _gaussian_to_dict(g: GaussianBelief) -> dict:
@@ -234,19 +231,19 @@ def belief_set_from_dict(d: dict) -> BeliefSet:
 
 def save_artifact(artifact: RunArtifact, path) -> None:
     payload = {
-        "schema_version": artifact.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "config": config_to_dict(artifact.config),
         "delta": float(artifact.delta),
         "posterior": belief_set_to_dict(artifact.beliefs),
         "free_energies": [float(v) for v in artifact.free_energies],
         "metrics": artifact.metrics,
-        "physical": artifact.physical,
     }
     with open(path, "w") as handle:
         yaml.safe_dump(payload, handle, sort_keys=True)
 
 
 def load_artifact(path) -> RunArtifact:
+    """Read an artifact; a malformed one is a `ConfigError` naming it."""
     payload = load_yaml(path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: artifact must be a mapping")
@@ -255,12 +252,16 @@ def load_artifact(path) -> RunArtifact:
         raise ConfigError(
             f"{path}: schema version mismatch (got {version}, "
             f"expected {SCHEMA_VERSION})")
-    return RunArtifact(
-        config=config_from_dict(payload["config"], source=str(path)),
-        delta=float(payload["delta"]),
-        beliefs=belief_set_from_dict(payload["posterior"]),
-        free_energies=list(payload["free_energies"]),
-        metrics=dict(payload["metrics"]),
-        physical=dict(payload["physical"]),
-        schema_version=version,
-    )
+    config = config_from_dict(payload.get("config"), source=str(path))
+    try:
+        return RunArtifact(
+            config=config,
+            delta=float(payload["delta"]),
+            beliefs=belief_set_from_dict(payload["posterior"]),
+            free_energies=list(payload["free_energies"]),
+            metrics=dict(payload["metrics"]),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None

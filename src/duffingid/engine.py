@@ -413,7 +413,7 @@ def identify_stream(
 ) -> tuple[BeliefSet, list[StepReport]]:
     """Fold the online update over a stream of (input, output) pairs.
 
-    Single pass, O(1) memory in the stream length beyond the reports.
+    Single pass that keeps one `StepReport` per step.
     """
     beliefs = initial_beliefs(cfg)
     reports: list[StepReport] = []

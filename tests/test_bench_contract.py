@@ -65,8 +65,8 @@ def test_probe_replacements_keep_their_arity(monkeypatch, tmp_path):
 
     data, artifact = tmp_path / "d.csv", tmp_path / "run.yaml"
     save_columns(data, {"u": series.u, "y": series.y})
-    common = ["--data", str(data), "--delta", "0.1"]
-    assert main(["identify", *common, "--out", str(artifact)]) == 0
-    assert main(["predict", *common, "--artifact", str(artifact),
+    assert main(["identify", "--data", str(data), "--delta", "0.1",
+                 "--out", str(artifact)]) == 0
+    assert main(["predict", "--data", str(data), "--artifact", str(artifact),
                  "--protocol", "rollout", "--out", str(tmp_path / "p.csv")]) == 0
     assert calls == ["identify_stream"] * 2 + ["simulate_rollout"]

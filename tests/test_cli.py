@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, file formats and exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -41,7 +43,6 @@ def make_truth_artifact(path, delta=0.1, xi=1e8):
         beliefs=beliefs,
         free_energies=[0.0],
         metrics={"final_free_energy": 0.0, "steps": 1},
-        physical={k: PARAMS[k] for k in ("m", "c", "a", "b", "tau")},
     )
     save_artifact(artifact, path)
     return str(path)
@@ -150,7 +151,7 @@ class TestIdentifyPredictEvaluate:
         payload = yaml.safe_load(art.read_text())
         assert payload["schema_version"] == 1
         assert payload["metrics"]["steps"] == 399
-        assert set(payload["physical"]) == {"m", "c", "a", "b", "tau"}
+        assert "physical" not in payload
         assert np.isfinite(payload["metrics"]["final_free_energy"])
         # sweeps per step: never fewer than 2 under the default cap of 5,
         # and the convergence stop ends most steps early
@@ -188,7 +189,7 @@ class TestIdentifyPredictEvaluate:
         art = make_truth_artifact(tmp_path / "truth.yaml")
         pred = tmp_path / "pred.csv"
         code = run("predict", "--artifact", art, "--data", data,
-                   "--delta", 0.1, "--protocol", "onestep", "--out", pred)
+                   "--protocol", "onestep", "--out", pred)
         assert code == 0
         mse = float(capsys.readouterr().out.split()[-1])
         assert mse < 1e-20
@@ -202,7 +203,7 @@ class TestIdentifyPredictEvaluate:
         y[1] = 1e200  # its float cube overflows in the rollout
         save_columns(data, {"u": np.zeros(30), "y": y})
         art = make_truth_artifact(tmp_path / "truth.yaml")
-        assert run("predict", "--artifact", art, "--data", data, "--delta", 0.1,
+        assert run("predict", "--artifact", art, "--data", data,
                    "--protocol", "rollout", "--out", tmp_path / "p.csv") == 1
         err = capsys.readouterr().err
         assert err.strip() == "error: unstable simulation at step 2"
@@ -214,7 +215,7 @@ class TestIdentifyPredictEvaluate:
         save_columns(data, {"u": np.zeros(30), "y": y})
         art = make_truth_artifact(tmp_path / "truth.yaml")
         out = tmp_path / "p.csv"
-        assert run("predict", "--artifact", art, "--data", data, "--delta", 0.1,
+        assert run("predict", "--artifact", art, "--data", data,
                    "--protocol", "onestep", "--out", out) == 1
         captured = capsys.readouterr()
         assert captured.err.strip() == "error: unstable simulation at step 2"
@@ -225,15 +226,15 @@ class TestIdentifyPredictEvaluate:
         mse = {}
         for protocol in ("onestep", "rollout"):
             run("predict", "--artifact", art, "--data", dataset,
-                "--delta", 0.1, "--protocol", protocol,
+                "--protocol", protocol,
                 "--out", tmp_path / f"{protocol}.csv")
             mse[protocol] = float(capsys.readouterr().out.split()[-1])
         assert mse["rollout"] >= mse["onestep"]
 
-    def test_predict_delta_mismatch(self, tmp_path, dataset):
+    def test_predict_takes_the_artifact_period(self, tmp_path, dataset):
         art = make_truth_artifact(tmp_path / "truth.yaml", delta=0.2)
         assert run("predict", "--artifact", art, "--data", dataset,
-                   "--delta", 0.1, "--out", tmp_path / "p.csv") == 2
+                   "--out", tmp_path / "p.csv") == 0
 
     def test_evaluate_identical_series(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -282,7 +283,7 @@ class TestIdentifyPredictEvaluate:
         art.write_text(art.read_text().replace("epsilon:", "epsilonn:"))
         argv = ["--artifact", art]
         if command == "predict":
-            argv += ["--data", dataset, "--delta", 0.1, "--out", tmp_path / "p"]
+            argv += ["--data", dataset, "--out", tmp_path / "p"]
         assert run(command, *argv) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {art}: unknown keys ['epsilonn']")
@@ -294,3 +295,103 @@ class TestIdentifyPredictEvaluate:
         for name in ("theta1", "theta2", "theta3", "eta", "gamma", "xi",
                      "m", "c", "a", "b", "tau"):
             assert name in out
+
+    def test_report_derives_the_physical_parameters(self, tmp_path, capsys):
+        # an older artifact's stored `physical` block is ignored
+        art = tmp_path / "truth.yaml"
+        make_truth_artifact(art)
+        payload = yaml.safe_load(art.read_text())
+        payload["physical"] = {k: 0.0 for k in ("m", "c", "a", "b", "tau")}
+        art.write_text(yaml.safe_dump(payload))
+        assert run("report", "--artifact", art) == 0
+        out = capsys.readouterr().out
+        _, physical = out.split("recovered physical parameters:\n")
+        printed = dict(line.split() for line in physical.splitlines())
+        assert printed.keys() == {"m", "c", "a", "b", "tau"}
+        for name, value in printed.items():
+            assert float(value) == pytest.approx(PARAMS[name], rel=1e-6)
+
+    def test_unphysical_posterior_is_kept(self, tmp_path, params_file, capsys):
+        # the README walkthrough's data under the default priors ends with
+        # theta3 > 0, which maps to no positive mass
+        data, art = tmp_path / "data.csv", tmp_path / "run.yaml"
+        assert run("simulate", "--params", params_file, "--steps", 2000,
+                   "--seed", 42, "--delta", 0.1, "--out", data) == 0
+        assert run("identify", "--data", data, "--delta", 0.1,
+                   "--out", art) == 0
+        assert art.exists()
+        capsys.readouterr()
+        assert run("report", "--artifact", art) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("recovered physical parameters:\n"
+                            "  none: mass must be positive\n")
+
+    @pytest.mark.parametrize("command", ["identify", "predict", "evaluate"])
+    def test_negative_split_index(self, tmp_path, dataset, capsys, command):
+        argv = [command, "--data", dataset, "--split-index", -5]
+        if command == "identify":
+            argv += ["--out", tmp_path / "run.yaml"]
+        elif command == "predict":
+            argv += ["--artifact", make_truth_artifact(tmp_path / "t.yaml"),
+                     "--out", tmp_path / "p.csv"]
+        else:
+            pred = tmp_path / "p.csv"
+            save_columns(pred, {"y_hat": np.zeros(400)})
+            argv += ["--pred", pred]
+        assert run(*argv) == 2
+        assert "split index -5 out of range" in capsys.readouterr().err
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("keys, value", [
+        *(((key,), "DROP") for key in ("config", "delta", "posterior",
+                                       "free_energies", "metrics")),
+        (("posterior", "state"), "DROP"), (("posterior", "gamma", "rate"), "DROP"),
+        (("posterior", "theta", "mean"), "DROP"), (("delta",), "fast"),
+        (("delta",), [0.1]), (("free_energies",), 5), (("metrics",), [1, 2]),
+        (("posterior",), [1.0]), (("posterior", "xi"), "wide"),
+        (("posterior", "eta", "mean"), ["a", "b"]), (("config",), None)])
+    @pytest.mark.parametrize("command", ["report", "predict"])
+    def test_malformed_artifact_exit_2(self, tmp_path, capsys, command, keys,
+                                       value):
+        art = tmp_path / "run.yaml"
+        make_truth_artifact(art)
+        payload = yaml.safe_load(art.read_text())
+        *parents, last = keys
+        node = payload
+        for key in parents:
+            node = node[key]
+        if value == "DROP":
+            del node[last]
+        else:
+            node[last] = value
+        art.write_text(yaml.safe_dump(payload))
+        argv = [command, "--artifact", art]
+        if command == "predict":
+            data = tmp_path / "d.csv"
+            save_columns(data, {"u": np.zeros(10), "y": np.zeros(10)})
+            argv += ["--data", data, "--out", tmp_path / "p.csv"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {art}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", b"m: 1.0\nc: [0.5\n"), ("identify", b"a0_gamma: [1, 2\n"),
+        ("identify", b"\xff\xfe a0_gamma: 1\n"), ("report", None)])
+    def test_yaml_syntax_error_exit_2(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.yaml"
+        if command == "report":
+            # an artifact cut off in the middle of a write
+            full = Path(make_truth_artifact(tmp_path / "t.yaml")).read_text()
+            text = (full[:full.index("precision:")]
+                    + "precision: [[1000000.0, 0.0").encode()
+        bad.write_bytes(text)
+        data = tmp_path / "d.csv"
+        save_columns(data, {"u": np.zeros(10), "y": np.zeros(10)})
+        argv = {"simulate": ["--params", bad, "--out", tmp_path / "x.csv"],
+                "identify": ["--data", data, "--config", bad,
+                             "--out", tmp_path / "run.yaml"],
+                "report": ["--artifact", bad]}[command]
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1

@@ -233,7 +233,6 @@ def make_artifact():
         beliefs=beliefs,
         free_energies=[3.2, 1.1, -0.4],
         metrics={"final_free_energy": -0.4, "steps": 3},
-        physical={"m": 1.0, "c": 0.5, "a": 2.0, "b": 3.0, "tau": 10.0},
     )
 
 
@@ -247,7 +246,6 @@ class TestArtifact:
         assert back.delta == artifact.delta
         assert back.free_energies == artifact.free_energies
         assert back.metrics == artifact.metrics
-        assert back.physical == artifact.physical
         np.testing.assert_allclose(back.beliefs.q_theta.mean,
                                    artifact.beliefs.q_theta.mean, rtol=1e-15)
         np.testing.assert_allclose(back.beliefs.q_theta.precision,
