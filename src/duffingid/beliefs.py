@@ -91,38 +91,38 @@ def _symmetric(precision, dim: int) -> np.ndarray:
 def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
     """Covariance and log-determinant of a positive-definite precision, or
     (None, None), by `closed_form_inverse`."""
-    inverse = closed_form_inverse(p)
+    inverse = closed_form_inverse(p.tolist())
     if inverse is None:
         return None, None
     cov, det = inverse
-    return cov, math.log(det)
+    return np.array(cov), math.log(det)
 
 
-def closed_form_inverse(p: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Inverse and determinant of a symmetric matrix of dimension 1 to 4, or
-    None when it is not positive definite (Sylvester's criterion).
+def closed_form_inverse(p: list) -> tuple[list, float] | None:
+    """Inverse and determinant of a symmetric matrix of dimension 1 to 4,
+    as nested lists of floats, or None when it is not positive definite
+    (Sylvester's criterion).
 
     Up to three dimensions the inverse is the adjugate over the determinant;
     the fourth dimension goes through the Schur complement of the leading
     3x3 block. Scalar arithmetic: numpy's per-call overhead dominates at
     these sizes.
     """
-    d = p.shape[0]
+    d = len(p)
     if d == 1:
-        a = p[0, 0]
+        a = p[0][0]
         if not a > 0.0:
             return None
-        return np.array([[1.0 / a]]), a
+        return [[1.0 / a]], a
     if d == 2:
-        a, b, c = p[0, 0], p[0, 1], p[1, 1]
+        (a, b), (_, c) = p
         det = a * c - b * b
         if not (a > 0.0 and det > 0.0):
             return None
-        return np.array([[c, -b], [-b, a]]) / det, det
-    rows = p.tolist()
-    a, b, c = rows[0][:3]
-    e, f = rows[1][1:3]
-    i = rows[2][2]
+        return [[c / det, -b / det], [-b / det, a / det]], det
+    a, b, c = p[0][:3]
+    e, f = p[1][1:3]
+    i = p[2][2]
     c00 = e * i - f * f
     c01 = f * c - b * i
     c02 = b * f - e * c
@@ -132,12 +132,11 @@ def closed_form_inverse(p: np.ndarray) -> tuple[np.ndarray, float] | None:
         return None
     c11 = a * i - c * c
     c12 = b * c - a * f
-    if d == 3:
-        return np.array(
-            [c00, c01, c02, c01, c11, c12, c02, c12, c22]).reshape(3, 3) / det, det
     l00, l01, l02 = c00 / det, c01 / det, c02 / det
     l11, l12, l22 = c11 / det, c12 / det, c22 / det
-    g0, g1, g2, h = rows[0][3], rows[1][3], rows[2][3], rows[3][3]
+    if d == 3:
+        return [[l00, l01, l02], [l01, l11, l12], [l02, l12, l22]], det
+    g0, g1, g2, h = p[0][3], p[1][3], p[2][3], p[3][3]
     k0 = l00 * g0 + l01 * g1 + l02 * g2
     k1 = l01 * g0 + l11 * g1 + l12 * g2
     k2 = l02 * g0 + l12 * g1 + l22 * g2
@@ -147,10 +146,10 @@ def closed_form_inverse(p: np.ndarray) -> tuple[np.ndarray, float] | None:
     v = 1.0 / schur
     m0, m1, m2 = k0 * v, k1 * v, k2 * v
     u01, u02, u12 = l01 + k0 * m1, l02 + k0 * m2, l12 + k1 * m2
-    return np.array([l00 + k0 * m0, u01, u02, -m0,
-                     u01, l11 + k1 * m1, u12, -m1,
-                     u02, u12, l22 + k2 * m2, -m2,
-                     -m0, -m1, -m2, v]).reshape(4, 4), det * schur
+    return [[l00 + k0 * m0, u01, u02, -m0],
+            [u01, l11 + k1 * m1, u12, -m1],
+            [u02, u12, l22 + k2 * m2, -m2],
+            [-m0, -m1, -m2, v]], det * schur
 
 
 @dataclass(frozen=True)

@@ -202,10 +202,6 @@ def _gaussian_to_dict(g: GaussianBelief) -> dict:
     return {"mean": g.mean.tolist(), "precision": g.precision.tolist()}
 
 
-def _gaussian_from_dict(d: dict) -> GaussianBelief:
-    return GaussianBelief(np.array(d["mean"]), np.array(d["precision"]))
-
-
 def belief_set_to_dict(beliefs: BeliefSet) -> dict:
     return {
         "theta": _gaussian_to_dict(beliefs.q_theta),
@@ -216,17 +212,6 @@ def belief_set_to_dict(beliefs: BeliefSet) -> dict:
                "rate": float(beliefs.q_xi.rate)},
         "state": _gaussian_to_dict(beliefs.q_state),
     }
-
-
-def belief_set_from_dict(d: dict) -> BeliefSet:
-    """The stored marginals of theta and eta load as independent."""
-    return BeliefSet(
-        q_coeffs=independent(_gaussian_from_dict(d["theta"]),
-                             _gaussian_from_dict(d["eta"])),
-        q_gamma=GammaBelief(d["gamma"]["shape"], d["gamma"]["rate"]),
-        q_xi=GammaBelief(d["xi"]["shape"], d["xi"]["rate"]),
-        q_state=_gaussian_from_dict(d["state"]),
-    )
 
 
 def save_artifact(artifact: RunArtifact, path) -> None:
@@ -243,7 +228,8 @@ def save_artifact(artifact: RunArtifact, path) -> None:
 
 
 def load_artifact(path) -> RunArtifact:
-    """Read an artifact; a malformed one is a `ConfigError` naming it."""
+    """Read an artifact; a malformed one is a `ConfigError` naming it and
+    the dotted key at fault, such as `posterior.gamma.rate`."""
     payload = load_yaml(path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: artifact must be a mapping")
@@ -256,12 +242,60 @@ def load_artifact(path) -> RunArtifact:
     try:
         return RunArtifact(
             config=config,
-            delta=float(payload["delta"]),
-            beliefs=belief_set_from_dict(payload["posterior"]),
-            free_energies=list(payload["free_energies"]),
-            metrics=dict(payload["metrics"]),
+            delta=_positive_at(payload, "delta"),
+            beliefs=BeliefSet(  # the stored marginals load as independent
+                q_coeffs=independent(_gaussian_at(payload, "posterior.theta"),
+                                     _gaussian_at(payload, "posterior.eta")),
+                q_gamma=GammaBelief(_positive_at(payload, "posterior.gamma.shape"),
+                                    _positive_at(payload, "posterior.gamma.rate")),
+                q_xi=GammaBelief(_positive_at(payload, "posterior.xi.shape"),
+                                 _positive_at(payload, "posterior.xi.rate")),
+                q_state=_gaussian_at(payload, "posterior.state")),
+            free_energies=_at(payload, "free_energies", "list"),
+            metrics=_at(payload, "metrics"),
         )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+_KINDS = {"mapping": dict, "list": list, "number": (int, float)}
+
+
+def _at(payload: dict, key: str, kind: str = "mapping"):
+    """The value at a dotted key of an artifact, checked to be of a kind in
+    `_KINDS`; a missing key or a value of another kind is a ValueError
+    naming the key."""
+    node, seen = payload, []
+    for part in key.split("."):
+        if seen and not isinstance(node, dict):
+            raise ValueError(
+                f"{'.'.join(seen)} must be a mapping, got {type(node).__name__}")
+        seen.append(part)
+        if part not in node:
+            raise ValueError(f"missing key {'.'.join(seen)!r}")
+        node = node[part]
+    if isinstance(node, bool) or not isinstance(node, _KINDS[kind]):
+        raise ValueError(f"{key} must be a {kind}, got {type(node).__name__}")
+    return node
+
+
+def _positive_at(payload: dict, key: str) -> float:
+    value = _at(payload, key, "number")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{key} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def _gaussian_at(payload: dict, key: str) -> GaussianBelief:
+    """The Gaussian belief stored under a dotted key as mean and precision."""
+    arrays = []
+    for part in ("mean", "precision"):
+        value = _at(payload, f"{key}.{part}", "list")
+        try:
+            arrays.append(np.array(value, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}.{part}: {exc}") from None
+    try:
+        return GaussianBelief(*arrays)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None

@@ -28,18 +28,24 @@ messages, `combine_*` and `compute_free_energy` compose the same step from
 belief objects and stay the tested reference.
 
 Rounding rule: the step reproduces that composition bit for bit, so every
-float operation keeps its order there. What the previous state fixes is
-computed once per step: psi, J Sigma_zprev J' (`nlarx.regressor_spread`)
-and the coefficient message's precision per unit E[gamma]
-(`nlarx.coefficient_information`). The forward mean and the expected
-squared residual are scalar code shared with the messages
-(`nlarx.forward_mean`, `nlarx.residual_moment`). q(z) and the Gamma
-updates are scalar algebra too: q(z)'s precision is always diag(E[gamma] +
-E[xi], 1/eps), and the closed-form 2x2 inverse then rounds like scalar code.
-The coefficient posterior uses `GaussianBelief`'s closed-form inverse and
-keeps its numpy mean `cov @ potential`, whose multiply-adds the BLAS may
-fuse. The step and `compute_free_energy` share `_free_energy`; the step
-hands it the expected squared residual of its gamma update.
+float operation keeps its order there. What the previous state and the
+step's prior fix is computed once per step, as floats and lists: psi
+(`nlarx.regressor_psi`), J Sigma_zprev J' (`nlarx.regressor_spread`), the
+coefficient message's precision per unit E[gamma]
+(`nlarx.coefficient_information`, one flat list) and what the prior gives
+the free energy (`_prior_terms`). The forward mean and the expected squared
+residual are scalar code shared with the messages (`nlarx.forward_mean`,
+`nlarx.residual_moment`); a sweep computes the forward mean once, for its
+residual and for the next sweep's q(z). q(z) and the Gamma updates are
+scalar algebra too: q(z)'s precision is always diag(E[gamma] + E[xi],
+1/eps), and the closed-form 2x2 inverse then rounds like scalar code. The
+coefficient posterior's precision `prec0 + E[gamma] info` is a numpy sum,
+`beliefs.closed_form_inverse` inverts it on nested lists, and its mean stays
+the numpy product `cov @ potential`, whose multiply-adds the BLAS may fuse;
+a sum in floats rounds differently. The step and `compute_free_energy`
+share `_free_energy`, which runs on floats; the step hands it the expected
+squared residual of its gamma update. Its squares stay `** 2`, libm's pow,
+which rounds differently from `x * x` about once in a thousand.
 
 Failure contract: `step_update(..., t)` raises `InferenceError` with
 `.step == t` for every failure it detects inside the step: an input or
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -102,9 +109,9 @@ class BeliefSet:
     """State at one time step under q(z) q(theta, eta) q(gamma) q(xi).
 
     `q_coeffs` is the one belief over the coefficients w = (theta, eta);
-    `q_theta` and `q_eta` are read-only views of its marginals, computed on
-    each access. Build `q_coeffs` from separate beliefs over theta and eta
-    with `beliefs.independent`.
+    `q_theta` and `q_eta` are read-only views of its marginals, split from
+    it once, on first access. Build `q_coeffs` from separate beliefs over
+    theta and eta with `beliefs.independent`.
     """
 
     q_coeffs: GaussianBelief
@@ -112,13 +119,17 @@ class BeliefSet:
     q_xi: GammaBelief
     q_state: GaussianBelief
 
+    @cached_property
+    def _marginals(self) -> tuple[GaussianBelief, GaussianBelief]:
+        return split_last(self.q_coeffs)
+
     @property
     def q_theta(self) -> GaussianBelief:
-        return split_last(self.q_coeffs)[0]
+        return self._marginals[0]
 
     @property
     def q_eta(self) -> GaussianBelief:
-        return split_last(self.q_coeffs)[1]
+        return self._marginals[1]
 
 
 @dataclass(frozen=True)
@@ -221,31 +232,31 @@ def step_update(
     ax0, bx0 = beliefs.q_xi.shape, beliefs.q_xi.rate
     zp_mean, zp_cov = beliefs.q_state.mean, beliefs.q_state.cov
     d = cfg.n_coeffs
-    eps = cfg.epsilon
-    inv_eps = 1.0 / eps
+    inv_eps = 1.0 / cfg.epsilon
     last = cfg.iterations_per_step - 1
-    # fixed within the step: psi, J Sigma_zprev J' and the precision of the
-    # coefficient message per unit E[gamma]
+    # fixed within the step: what the prior gives the free energy, psi,
+    # J Sigma_zprev J' and the precision of the coefficient message per
+    # unit E[gamma]
+    prior = _prior_terms(beliefs, cfg.epsilon)
     psi = nlarx.regressor_psi(zp_mean, d, u)
-    psi_list = psi.tolist()
     spread = nlarx.regressor_spread(zp_mean, zp_cov, d)
     info = nlarx.coefficient_information(psi, spread)
-    if not all(map(math.isfinite, info.ravel().tolist())):
+    if not all(map(math.isfinite, info)):
         raise InferenceError(t, "diverged: non-finite coefficient message precision")
-    hz1 = inv_eps * zp_mean[0]
+    info = np.array(info).reshape(d + 1, d + 1)
+    psi_array = np.array(psi)
+    hz1 = inv_eps * float(zp_mean[0])
     ag = ag0 + 1.5 - 1.0
     ax = ax0 + 1.5 - 1.0
     eg, ex = ag0 / bg0, ax0 / bx0
     pred_var = 1.0 / eg + 1.0 / ex
     w_list = beliefs.q_coeffs.mean.tolist()
+    # the prediction, taken before y enters
+    pred_mean = forward = nlarx.forward_mean(w_list, psi)
     trace = []
     for k in range(cfg.iterations_per_step):
         # the scalar algebra below runs on Python floats, which round like
         # numpy scalars at a fraction of their cost per operation
-        forward = nlarx.forward_mean(w_list, psi_list)
-        if k == 0:  # the prediction, taken before y enters
-            pred_mean = forward
-
         # q(z): forward message N((forward, zp0), diag(E[gamma], 1/eps)) times
         # the likelihood message; its precision is diag(E[gamma] + E[xi], 1/eps)
         za = eg + ex
@@ -260,17 +271,20 @@ def step_update(
 
         # q(w): prior for the step plus the coefficient message
         prec = prec0 + eg * info
-        pot = pot0 + psi * (eg * zm0)
-        inverse = closed_form_inverse(prec)
+        pot = pot0 + psi_array * (eg * zm0)
+        inverse = closed_form_inverse(prec.tolist())
         if inverse is None:
             raise InferenceError(t, "improper posterior")
-        cov_w, det_w = inverse
+        cov_list, det_w = inverse
+        cov_w = np.array(cov_list)
         w = cov_w @ pot
-        w_previous, w_list, cov_list = w_list, w.tolist(), cov_w.tolist()
+        w_previous, w_list = w_list, w.tolist()
         if not all(map(math.isfinite, w_list)):
             raise InferenceError(t, "diverged: non-finite coefficient mean")
 
-        esr = nlarx.residual_moment(zm0, zc00, w_list, cov_list, psi_list, spread)
+        forward = nlarx.forward_mean(w_list, psi)
+        esr = nlarx.residual_moment(zm0 - forward, zc00, w_list, cov_list,
+                                    psi, spread)
         if not math.isfinite(esr):
             raise InferenceError(t, "diverged: non-finite expected squared residual")
         rate = 0.5 * esr
@@ -288,16 +302,11 @@ def step_update(
         done = k == last or (k > 0 and _settled(
             w_list, w_previous, cov_list, eg, eg_previous))
         if cfg.trace_free_energy or done:
-            q_coeffs = GaussianBelief._from_parts(
-                prec, pot, w, cov_w, math.log(det_w))
-            # q(z) as `combine_gaussian` builds it: its closed-form inverse
-            # puts -0.0 off the diagonal of the covariance
-            q_state = GaussianBelief._from_parts(
-                np.array([[za, 0.0], [0.0, inv_eps]]), np.array([hz0, hz1]),
-                np.array([zm0, zc11 * hz1]),
-                np.array([[zc00, -0.0], [-0.0, zc11]]), math.log(zdet))
-            energy = _free_energy(q_coeffs, q_state, ag, bg, ax, bx,
-                                  beliefs, esr, y, eps)
+            logdet_w, logdet_z = math.log(det_w), math.log(zdet)
+            zm1 = zc11 * hz1
+            energy = _free_energy(prior, w_list, cov_list, logdet_w,
+                                  (zm0, zm1, zc00, zc11, logdet_z),
+                                  ag, bg, ax, bx, esr, y)
             if not math.isfinite(energy):
                 raise InferenceError(t, f"non-finite free energy {energy}")
             trace.append(energy)
@@ -312,6 +321,15 @@ def step_update(
         iterations=k + 1,
         free_energy_trace=tuple(trace) if cfg.trace_free_energy else (),
     )
+    # the posterior of the last sweep, which always evaluated the free
+    # energy. q(z) as `combine_gaussian` builds it, from one buffer:
+    # precision, potential, mean, covariance; its closed-form inverse puts
+    # -0.0 off the diagonal of the covariance
+    z = np.array([za, 0.0, 0.0, inv_eps, hz0, hz1, zm0, zm1,
+                  zc00, -0.0, -0.0, zc11])
+    q_state = GaussianBelief._from_parts(
+        z[:4].reshape(2, 2), z[4:6], z[6:8], z[8:].reshape(2, 2), logdet_z)
+    q_coeffs = GaussianBelief._from_parts(prec, pot, w, cov_w, logdet_w)
     posterior = BeliefSet(q_coeffs, GammaBelief(ag, bg), GammaBelief(ax, bx),
                           q_state)
     return posterior, report
@@ -343,43 +361,66 @@ def compute_free_energy(
     fixed and enters only through the transition expectation."""
     _require_proper(beliefs)
     _require_proper(beliefs_prior_for_step)
+    q_coeffs, q_state = beliefs.q_coeffs, beliefs.q_state
     esr = nlarx.expected_square_residual(
-        beliefs.q_state, beliefs_prior_for_step.q_state, beliefs.q_coeffs,
+        q_state, beliefs_prior_for_step.q_state, q_coeffs,
         cfg.node_config(u_t))
-    q_gamma, q_xi = beliefs.q_gamma, beliefs.q_xi
-    energy = _free_energy(beliefs.q_coeffs, beliefs.q_state, q_gamma.shape,
-                          q_gamma.rate, q_xi.shape, q_xi.rate,
-                          beliefs_prior_for_step, esr, y_t, cfg.epsilon)
+    zm0, zm1 = q_state.mean.tolist()
+    (zc00, _), (_, zc11) = q_state.cov.tolist()
+    energy = _free_energy(
+        _prior_terms(beliefs_prior_for_step, cfg.epsilon),
+        q_coeffs.mean.tolist(), q_coeffs.cov.tolist(), q_coeffs.logdet,
+        (zm0, zm1, zc00, zc11, q_state.logdet),
+        beliefs.q_gamma.shape, beliefs.q_gamma.rate,
+        beliefs.q_xi.shape, beliefs.q_xi.rate, esr, float(y_t))
     if not math.isfinite(energy):
         raise RuntimeError(f"non-finite free energy {energy}")
     return energy
 
 
+def _prior_terms(prior: BeliefSet, eps: float) -> tuple:
+    """What a step's prior fixes in its free energy, as floats and lists:
+    q(w)'s precision (nested lists), mean (list) and log-determinant, the
+    shape and rate of q(gamma) and of q(xi), the previous position's mean
+    and variance, and eps."""
+    q_coeffs, q_gamma, q_xi = prior.q_coeffs, prior.q_gamma, prior.q_xi
+    return (q_coeffs.precision.tolist(), q_coeffs.mean.tolist(),
+            q_coeffs.logdet, q_gamma.shape, q_gamma.rate, q_xi.shape,
+            q_xi.rate, float(prior.q_state.mean[0]),
+            float(prior.q_state.cov[0, 0]), eps)
+
+
 def _free_energy(
-    q_coeffs: GaussianBelief, q_state: GaussianBelief, ag: float, bg: float,
-    ax: float, bx: float, prior: BeliefSet, esr: float, y: float, eps: float,
+    prior: tuple, w_mean: list[float], w_cov: list[list[float]],
+    w_logdet: float, z: tuple, ag: float, bg: float, ax: float, bx: float,
+    esr: float, y: float,
 ) -> float:
-    """`compute_free_energy` from q(w), q(z), the Gamma shapes and rates of
-    q(gamma) and q(xi), the step's prior and the expected squared residual
-    of q(z), q(w) and the previous state."""
-    ag0, bg0 = prior.q_gamma.shape, prior.q_gamma.rate
-    ax0, bx0 = prior.q_xi.shape, prior.q_xi.rate
-    dg_g, dg_x = digamma(ag), digamma(ax)
-    n = q_coeffs.mean.size
-    e_gamma, log_gamma = ag / bg, float(dg_g - math.log(bg))
-    e_xi, log_xi = ax / bx, float(dg_x - math.log(bx))
-    z_mean, z_cov = q_state.mean, q_state.cov
+    """`compute_free_energy` on floats: the step's `_prior_terms`; the mean,
+    covariance and precision log-determinant of q(w); q(z) as (mean of
+    x_next, mean of x, variance of x_next, variance of x, precision
+    log-determinant); the Gamma shapes and rates of q(gamma) and q(xi); the
+    expected squared residual of q(z), q(w) and the previous state; and y."""
+    prec0, mean0, logdet0, ag0, bg0, ax0, bx0, zp0, zp_var, eps = prior
+    zm0, zm1, zv0, zv1, z_logdet = z
+    dg_g, dg_x = float(digamma(ag)), float(digamma(ax))
+    n = len(w_mean)
+    e_gamma, log_gamma = ag / bg, dg_g - math.log(bg)
+    e_xi, log_xi = ax / bx, dg_x - math.log(bx)
 
     neg_entropy = -(
-        0.5 * (2 * (1.0 + _LOG_2PI) - q_state.logdet)
-        + 0.5 * (n * (1.0 + _LOG_2PI) - q_coeffs.logdet)
-        + float(ag - math.log(bg) + gammaln(ag) + (1.0 - ag) * dg_g)
-        + float(ax - math.log(bx) + gammaln(ax) + (1.0 - ax) * dg_x)
+        0.5 * (2 * (1.0 + _LOG_2PI) - z_logdet)
+        + 0.5 * (n * (1.0 + _LOG_2PI) - w_logdet)
+        + (ag - math.log(bg) + float(gammaln(ag)) + (1.0 - ag) * dg_g)
+        + (ax - math.log(bx) + float(gammaln(ax)) + (1.0 - ax) * dg_x)
     )
 
+    try:  # a float power raises where numpy's gave inf
+        q2 = (zm1 - zp0) ** 2 + zv1 + zp_var
+        miss2 = (y - zm0) ** 2
+    except OverflowError:
+        return math.inf
+
     # transition factor
-    zp_mean, zp_cov = prior.q_state.mean, prior.q_state.cov
-    q2 = (z_mean[1] - zp_mean[0]) ** 2 + z_cov[1, 1] + zp_cov[0, 0]
     e_log_trans = (
         -_LOG_2PI
         + 0.5 * (log_gamma - math.log(eps))
@@ -387,25 +428,20 @@ def _free_energy(
     )
 
     # likelihood factor
-    e_log_lik = (
-        -0.5 * _LOG_2PI
-        + 0.5 * log_xi
-        - 0.5 * e_xi * ((y - z_mean[0]) ** 2 + z_cov[0, 0])
-    )
+    e_log_lik = -0.5 * _LOG_2PI + 0.5 * log_xi - 0.5 * e_xi * (miss2 + zv0)
 
     # E_q[log prior] of the coefficient, gamma and xi priors
-    quad = expected_quadratic(prior.q_coeffs.precision.tolist(),
-                              (q_coeffs.mean - prior.q_coeffs.mean).tolist(),
-                              q_coeffs.cov.tolist())
+    quad = expected_quadratic(
+        prec0, [w_i - m_i for w_i, m_i in zip(w_mean, mean0)], w_cov)
     e_log_priors = (
-        (-0.5 * n * _LOG_2PI + 0.5 * prior.q_coeffs.logdet - 0.5 * quad)
-        + float(ag0 * math.log(bg0) - gammaln(ag0)
-                + (ag0 - 1.0) * log_gamma - bg0 * e_gamma)
-        + float(ax0 * math.log(bx0) - gammaln(ax0)
-                + (ax0 - 1.0) * log_xi - bx0 * e_xi)
+        (-0.5 * n * _LOG_2PI + 0.5 * logdet0 - 0.5 * quad)
+        + (ag0 * math.log(bg0) - float(gammaln(ag0))
+           + (ag0 - 1.0) * log_gamma - bg0 * e_gamma)
+        + (ax0 * math.log(bx0) - float(gammaln(ax0))
+           + (ax0 - 1.0) * log_xi - bx0 * e_xi)
     )
 
-    return float(neg_entropy - e_log_trans - e_log_lik - e_log_priors)
+    return neg_entropy - e_log_trans - e_log_lik - e_log_priors
 
 
 def identify_stream(

@@ -33,7 +33,6 @@ from .beliefs import (
     expected_quadratic,
     gaussian_moments,
 )
-from .duffing import regressor
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,14 @@ def regressor_jacobian(z_mean: np.ndarray, n_coeffs: int = 3) -> np.ndarray:
     return np.eye(2)
 
 
-def regressor_psi(zp_mean: np.ndarray, n_coeffs: int, u: float) -> np.ndarray:
-    """The regressor psi = (phi(z_bar), u) of w at the previous-state mean."""
-    psi = np.empty(n_coeffs + 1)
-    psi[:n_coeffs] = regressor(zp_mean, n_coeffs)
-    psi[n_coeffs] = u
-    return psi
+def regressor_psi(zp_mean: np.ndarray, n_coeffs: int, u: float) -> list[float]:
+    """The regressor psi = (phi(z_bar), u) of w at the previous-state mean,
+    as a list of floats. phi is `duffing.regressor`'s, in float arithmetic:
+    a cube that overflows gives inf."""
+    x, x_prev = zp_mean.tolist()
+    if n_coeffs == 3:
+        return [x, x * x * x, x_prev, float(u)]
+    return [x, x_prev, float(u)]
 
 
 def regressor_spread(zp_mean: np.ndarray, zp_cov: np.ndarray,
@@ -84,16 +85,18 @@ def regressor_spread(zp_mean: np.ndarray, zp_cov: np.ndarray,
     return [[s00, gs00, s01], [gs00, gs00 * g, gs01], [s01, gs01, s11]]
 
 
-def coefficient_information(psi: np.ndarray, spread: list[list[float]]) -> np.ndarray:
+def coefficient_information(psi: list[float],
+                            spread: list[list[float]]) -> list[float]:
     """psi psi' + J~ Sigma_zprev J~', the precision of the coefficient
-    message per unit E[gamma] (J~ = [J; 0]); exactly symmetric. Scalar
-    code, like `regressor_spread`."""
-    p = psi.tolist()
-    info = [[a * b for b in p] for a in p]
-    for row, spread_row in zip(info, spread):
-        for j, value in enumerate(spread_row):
-            row[j] += value
-    return np.array(info)
+    message per unit E[gamma] (J~ = [J; 0]), row after row in one flat
+    list; exactly symmetric. Scalar code, like `regressor_spread`."""
+    u = psi[-1]
+    info = []
+    for a, spread_row in zip(psi, spread):
+        info += [a * b + value for b, value in zip(psi, spread_row)]
+        info.append(a * u)
+    info += [u * b for b in psi]
+    return info
 
 
 def forward_mean(w_mean: list[float], psi: list[float]) -> float:
@@ -106,17 +109,18 @@ def forward_mean(w_mean: list[float], psi: list[float]) -> float:
 
 
 def residual_moment(
-    x_mean: float,
+    resid: float,
     x_var: float,
     w_mean: list[float],
     w_cov: list[list[float]],
     psi: list[float],
     spread: list[list[float]],
 ) -> float:
-    """`expected_square_residual` from moments, in scalar code: x_mean and
-    x_var of the new position, the mean and covariance of w as (nested)
-    lists of floats, and psi and J Sigma_zprev J' (`regressor_spread`) at
-    the previous-state mean, which stay fixed within a step.
+    """`expected_square_residual` from moments, in scalar code: the mean
+    residual x_mean - `forward_mean`(w_mean, psi) and the variance x_var of
+    the new position, the mean and covariance of w as (nested) lists of
+    floats, and psi and J Sigma_zprev J' (`regressor_spread`) at the
+    previous-state mean, which stay fixed within a step.
 
     With the surrogate the residual is x_next - psi' w - (J'theta)'(z_prev
     - z_bar), so its second moment is (x_mean - psi' E[w])^2 + x_var +
@@ -124,7 +128,6 @@ def residual_moment(
     holds both E[theta]' J Sigma_zprev J' E[theta] and trace(Sigma_theta J
     Sigma_zprev J').
     """
-    resid = x_mean - forward_mean(w_mean, psi)
     total = resid * resid + x_var
     for psi_i, cov_row in zip(psi, w_cov):
         for psi_j, cov_ij in zip(psi, cov_row):
@@ -147,10 +150,10 @@ def msg_coefficients(
     d = cfg.n_coeffs
     psi = regressor_psi(zp_mean, d, cfg.u)
     e_gamma = q_gamma.mean
-    precision = coefficient_information(
-        psi, regressor_spread(zp_mean, zp_cov, d))
+    precision = np.array(coefficient_information(
+        psi, regressor_spread(zp_mean, zp_cov, d))).reshape(d + 1, d + 1)
     return GaussianBelief.from_natural(
-        e_gamma * precision, psi * (e_gamma * q_z.mean[0]))
+        e_gamma * precision, np.array(psi) * (e_gamma * q_z.mean[0]))
 
 
 def msg_theta(
@@ -214,10 +217,11 @@ def expected_square_residual(
     zp_mean, zp_cov = gaussian_moments(q_zprev)
     w_mean, w_cov = gaussian_moments(q_coeffs)
     d = cfg.n_coeffs
+    w = w_mean.tolist()
+    psi = regressor_psi(zp_mean, d, cfg.u)
     return residual_moment(
-        float(z_mean[0]), float(z_cov[0, 0]), w_mean.tolist(), w_cov.tolist(),
-        regressor_psi(zp_mean, d, cfg.u).tolist(),
-        regressor_spread(zp_mean, zp_cov, d))
+        float(z_mean[0]) - forward_mean(w, psi), float(z_cov[0, 0]), w,
+        w_cov.tolist(), psi, regressor_spread(zp_mean, zp_cov, d))
 
 
 def msg_forward_state(
@@ -230,8 +234,7 @@ def msg_forward_state(
     zp_mean, _ = gaussian_moments(q_zprev)
     d = cfg.n_coeffs
     psi = regressor_psi(zp_mean, d, cfg.u)
-    mean = np.array([forward_mean(q_coeffs.mean.tolist(), psi.tolist()),
-                     zp_mean[0]])
+    mean = np.array([forward_mean(q_coeffs.mean.tolist(), psi), zp_mean[0]])
     precision = np.diag([q_gamma.mean, 1.0 / cfg.epsilon])
     return GaussianBelief(mean, precision)
 

@@ -5,12 +5,17 @@ taken by tensor-product Gauss-Hermite quadrature, density products are
 normalized on grids, natural parameters are recovered by least-squares fits
 of the expected log-factor, and derivatives come from central differences.
 The affine regressor surrogate (expansion at the previous-state mean) is
-re-derived locally so the convention matches without sharing code.
+re-derived locally so the convention matches without sharing code. The
+free energy is assembled in matrix form from LAPACK log-determinants,
+traces, scipy's Gamma entropy and the quadrature residual below.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy import special, stats
 from scipy.linalg import block_diag
 
 
@@ -241,3 +246,64 @@ def oracle_msg_xi_rate(y, z_mean, z_cov, order=7):
     """Rate of the Gamma message toward xi: E[(y - z0)^2]/2 by quadrature."""
     val = gh_expect(lambda x: (y - x[:, 0]) ** 2, z_mean, z_cov, order=order)
     return 0.5 * val
+
+
+# ---------------------------------------------------------------------------
+# matrix-form oracle for the single-step free energy
+
+def _gaussian_entropy(precision):
+    cov = np.linalg.inv(precision)
+    sign, logdet = np.linalg.slogdet(2.0 * np.pi * np.e * cov)
+    assert sign > 0
+    return 0.5 * logdet
+
+
+def _gamma_cross_entropy_terms(shape, rate, shape0, rate0):
+    """H[q] and E_q[log p] for q = Gamma(shape, rate), p = Gamma(shape0,
+    rate0), with E_q[log x] = digamma(shape) - log(rate)."""
+    entropy = float(stats.gamma(shape, scale=1.0 / rate).entropy())
+    e_x, e_log_x = shape / rate, special.digamma(shape) - math.log(rate)
+    e_log_p = (shape0 * math.log(rate0) - special.gammaln(shape0)
+               + (shape0 - 1.0) * e_log_x - rate0 * e_x)
+    return entropy, float(e_log_p), e_x, float(e_log_x)
+
+
+def oracle_free_energy(w_mean, w_precision, gamma, xi, z_mean, z_precision,
+                       prior_w_mean, prior_w_precision, prior_gamma, prior_xi,
+                       zp_mean, zp_precision, u, y, epsilon, cubic=True):
+    """E_q[log q] - E_q[log p] of one step, in matrix form.
+
+    q(w) = N(w_mean, inv(w_precision)) over w = (theta, eta), q(z) likewise,
+    gamma and xi are (shape, rate) pairs, and the prior_* arguments are the
+    step's prior, the previous state among them. The transition is
+    N(x_next | psi'w, 1/gamma) N(x | x_prev, eps) with the surrogate
+    regressor; its expected squared residual comes from quadrature.
+    """
+    w_cov = np.linalg.inv(w_precision)
+    z_cov = np.linalg.inv(z_precision)
+    zp_cov = np.linalg.inv(zp_precision)
+    n = len(w_mean)
+    d = n - 1
+    h_gamma, lp_gamma, e_gamma, e_log_gamma = _gamma_cross_entropy_terms(
+        *gamma, *prior_gamma)
+    h_xi, lp_xi, e_xi, e_log_xi = _gamma_cross_entropy_terms(*xi, *prior_xi)
+    entropy = (_gaussian_entropy(z_precision) + _gaussian_entropy(w_precision)
+               + h_gamma + h_xi)
+
+    esr = oracle_expected_square_residual(
+        z_mean, z_cov, zp_mean, zp_cov, w_mean[:d], w_cov[:d, :d],
+        w_mean[d], w_cov[d, d], u, cubic=cubic, th_eta_cov=w_cov[:d, d])
+    lag = (z_mean[1] - zp_mean[0]) ** 2 + z_cov[1, 1] + zp_cov[0, 0]
+    e_log_trans = (-math.log(2.0 * np.pi) + 0.5 * (e_log_gamma - math.log(epsilon))
+                   - 0.5 * (e_gamma * esr + lag / epsilon))
+    e_log_lik = (-0.5 * math.log(2.0 * np.pi) + 0.5 * e_log_xi
+                 - 0.5 * e_xi * ((y - z_mean[0]) ** 2 + z_cov[0, 0]))
+
+    sign, prior_logdet = np.linalg.slogdet(prior_w_precision)
+    assert sign > 0
+    diff = np.asarray(w_mean) - np.asarray(prior_w_mean)
+    e_log_prior_w = (-0.5 * n * math.log(2.0 * np.pi) + 0.5 * prior_logdet
+                     - 0.5 * (diff @ prior_w_precision @ diff
+                              + np.trace(prior_w_precision @ w_cov)))
+    return float(-entropy - e_log_trans - e_log_lik
+                 - (e_log_prior_w + lp_gamma + lp_xi))

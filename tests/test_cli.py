@@ -350,7 +350,9 @@ class TestMalformedFiles:
         (("posterior", "theta", "mean"), "DROP"), (("delta",), "fast"),
         (("delta",), [0.1]), (("free_energies",), 5), (("metrics",), [1, 2]),
         (("posterior",), [1.0]), (("posterior", "xi"), "wide"),
-        (("posterior", "eta", "mean"), ["a", "b"]), (("config",), None)])
+        (("posterior", "eta", "mean"), ["a", "b"]), (("config",), None),
+        (("delta",), -0.1), (("delta",), 0), (("delta",), float("nan")),
+        (("posterior", "gamma", "shape"), -1.0)])
     @pytest.mark.parametrize("command", ["report", "predict"])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, command, keys,
                                        value):
@@ -374,6 +376,8 @@ class TestMalformedFiles:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {art}: ") and err.count("\n") == 1
+        # the message names the dotted key at fault
+        assert ".".join(keys) in err
 
     @pytest.mark.parametrize("command, text", [
         ("simulate", b"m: 1.0\nc: [0.5\n"), ("identify", b"a0_gamma: [1, 2\n"),

@@ -35,7 +35,9 @@ from duffingid.engine import (
     step_update,
 )
 
+from oracles import oracle_free_energy
 from test_acceptance import RUN_CONFIG, make_resonant_series
+from test_step_kernel import random_beliefs
 
 DELTA = 0.1
 
@@ -205,6 +207,31 @@ class TestFreeEnergy:
         assert fe_shifted - fe == pytest.approx(0.5 * (gam + xi) * 0.01,
                                                 abs=1e-6)
 
+    @pytest.mark.parametrize("mode", ["nlarx", "larx"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_matrix_form_oracle(self, seed, mode):
+        # random proper beliefs: a correlated q(w) away from its prior, a
+        # non-diagonal previous state and moved Gamma rates, so the prior's
+        # quadratic term and the coefficient entropy are pinned too
+        rng = np.random.default_rng(seed)
+        cfg = PriorConfig(model_mode=mode, epsilon=1e-3)
+        prior, posterior = random_beliefs(rng, cfg), random_beliefs(rng, cfg)
+        assert posterior.q_gamma.rate != prior.q_gamma.rate
+        assert prior.q_state.precision[0, 1] != 0.0
+        u, y = rng.normal(0.0, 0.5, 2)
+        want = oracle_free_energy(
+            posterior.q_coeffs.mean, posterior.q_coeffs.precision,
+            (posterior.q_gamma.shape, posterior.q_gamma.rate),
+            (posterior.q_xi.shape, posterior.q_xi.rate),
+            posterior.q_state.mean, posterior.q_state.precision,
+            prior.q_coeffs.mean, prior.q_coeffs.precision,
+            (prior.q_gamma.shape, prior.q_gamma.rate),
+            (prior.q_xi.shape, prior.q_xi.rate),
+            prior.q_state.mean, prior.q_state.precision,
+            u, y, cfg.epsilon, cubic=mode == "nlarx")
+        got = compute_free_energy(posterior, u, y, prior, cfg)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_larx_within_step_monotone(self):
         # moderate noise priors: with shape ~1e8 the prior cross-entropy
         # terms are ~1e9 and their float cancellation noise (~1e-7) would
@@ -287,7 +314,8 @@ class TestIdentify:
         assert info.value.step == 7
 
     @pytest.mark.parametrize("reason", ["non-finite input/output sample",
-                                        "improper posterior"])
+                                        "improper posterior",
+                                        "non-finite free energy"])
     def test_step_update_names_its_step(self, reason):
         cfg = PriorConfig()
         beliefs = initial_beliefs(cfg)
@@ -302,6 +330,12 @@ class TestIdentify:
             beliefs = BeliefSet(indefinite, beliefs.q_gamma, beliefs.q_xi,
                                 beliefs.q_state)
             y = 0.05
+        if reason == "non-finite free energy":
+            # E[xi] of 1e-250 keeps the state mean near the prediction, so
+            # only the squared miss of a finite but huge y overflows
+            beliefs = BeliefSet(beliefs.q_coeffs, beliefs.q_gamma,
+                                GammaBelief(1.0, 1e250), beliefs.q_state)
+            y = 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InferenceError,
