@@ -17,7 +17,6 @@ from .duffing import (
     TimeSeries,
     UnstableSimulationError,
     ar_to_phys,
-    g_eval,
     phys_to_ar,
     simulate,
     step_mean,

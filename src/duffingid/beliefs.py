@@ -57,11 +57,6 @@ class GaussianBelief:
         return cls._from_parts(precision, potential, mean, cov, logdet)
 
     @classmethod
-    def from_moments(cls, mean, cov) -> "GaussianBelief":
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        return cls(mean, np.linalg.inv(cov))
-
-    @classmethod
     def _from_parts(cls, precision, potential, mean, cov, logdet) -> "GaussianBelief":
         """A belief from all five fields, computed by the caller and not
         checked here."""
@@ -90,12 +85,17 @@ def _symmetric(precision, dim: int) -> np.ndarray:
 
 def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
     """Covariance and log-determinant of a positive-definite precision, or
-    (None, None), by `closed_form_inverse`."""
+    (None, None), by `closed_form_inverse`. A precision so near singular
+    that its inverse is not finite or its determinant underflows to 0 counts
+    as singular."""
     inverse = closed_form_inverse(p.tolist())
     if inverse is None:
         return None, None
     cov, det = inverse
-    return np.array(cov), math.log(det)
+    cov = np.array(cov)
+    if not (det > 0.0 and np.isfinite(cov).all()):
+        return None, None
+    return cov, math.log(det)
 
 
 def closed_form_inverse(p: list) -> tuple[list, float] | None:

@@ -9,7 +9,8 @@ with theta1 = (2m + c*d - a*d^2)/(m + c*d), theta2 = -b*d^2/(m + c*d),
 theta3 = -m/(m + c*d), eta = d^2/(m + c*d) and process precision
 gamma = tau*(m + c*d)^2/d^4 (the input coefficient is absorbed into the
 noise). The map is invertible as long as eta != 0. `propagate` is the one
-loop of this recursion, for `simulate` and the rollout in `engine`.
+loop of this recursion, for `simulate` and the rollout in `engine`;
+`step_mean` is one step of it.
 """
 
 from __future__ import annotations
@@ -131,29 +132,6 @@ def cubic_theta(theta) -> tuple[float, float, float]:
     return tuple(th) if len(th) == 3 else (th[0], 0.0, th[1])
 
 
-def regressor(z: np.ndarray, n_coeffs: int = 3) -> np.ndarray:
-    """Regression vector phi(z): (x, x^3, x_prev), or (x, x_prev) without
-    the cubic term. Scalar code: a cube that overflows gives inf, which the
-    engine reports as divergence, instead of a numpy warning."""
-    x, x_prev = float(z[0]), float(z[1])
-    if n_coeffs == 3:
-        return np.array([x, x * x * x, x_prev])
-    return np.array([x, x_prev])
-
-
-def g_eval(theta: np.ndarray, z: np.ndarray) -> float:
-    """Autoregressive drift g(theta, z) = theta . phi(z)."""
-    theta = np.asarray(theta, dtype=float)
-    return float(theta @ regressor(z, theta.size))
-
-
-def step_mean(coeffs: ArCoefficients, z_prev: np.ndarray, u: float) -> np.ndarray:
-    """Noise-free transition of the state z = (x, x_prev):
-    (g(theta, z_prev) + eta*u, z_prev[0])."""
-    z_prev = np.asarray(z_prev, dtype=float)
-    return np.array([g_eval(coeffs.theta, z_prev) + coeffs.eta * u, z_prev[0]])
-
-
 def propagate(coeffs: ArCoefficients, drive, x: np.ndarray) -> np.ndarray:
     """Run the noise-free recursion in place on x from its given x[0], x[1]:
     x[t] = theta1*x[t-1] + theta2*x[t-1]^3 + theta3*x[t-2] + eta*drive[t-1]
@@ -174,6 +152,16 @@ def propagate(coeffs: ArCoefficients, drive, x: np.ndarray) -> np.ndarray:
     except OverflowError:  # the float cube of a huge seed state
         raise UnstableSimulationError(t) from None
     return x
+
+
+def step_mean(coeffs: ArCoefficients, z_prev: np.ndarray, u: float) -> np.ndarray:
+    """One step of `propagate`: the noise-free transition of the state
+    z = (x, x_prev) to (theta . phi(z) + eta*u, x), with its arithmetic and
+    its divergence guard."""
+    x_now, x_prev = np.asarray(z_prev, dtype=float)
+    x = propagate(coeffs, np.array([0.0, u, 0.0]),
+                  np.array([x_prev, x_now, 0.0]))
+    return x[[2, 1]]
 
 
 def simulate(

@@ -12,13 +12,12 @@ previous state:
 
     phi(z) ~= phi(z_bar) + J (z - z_bar),   J = d(phi)/dz at z_bar.
 
-`regressor_psi` and `regressor_jacobian` build psi and J, and
-`regressor_spread` builds J Sigma_zprev J'; all message math below is exact
-given that surrogate. `coefficient_information`, `forward_mean` and
-`residual_moment` are the scalar forms of three messages, shared with the
-engine's step so that both evaluate them in the same floating-point order;
-psi and J Sigma_zprev J' are fixed within a step, so the step computes them
-once.
+`regressor_psi` builds psi and `regressor_spread` builds J Sigma_zprev J';
+all message math below is exact given that surrogate.
+`coefficient_information`, `forward_mean` and `residual_moment` are the
+scalar forms of three messages, shared with the engine's step so that both
+evaluate them in the same floating-point order; psi and J Sigma_zprev J'
+are fixed within a step, so the step computes them once.
 """
 
 from __future__ import annotations
@@ -53,17 +52,9 @@ class NodeConfig:
         return 3 if self.cubic else 2
 
 
-def regressor_jacobian(z_mean: np.ndarray, n_coeffs: int = 3) -> np.ndarray:
-    """d(phi)/dz at z_mean; shape (n_coeffs, 2)."""
-    if n_coeffs == 3:
-        return np.array([[1.0, 0.0], [3.0 * z_mean[0] ** 2, 0.0], [0.0, 1.0]])
-    return np.eye(2)
-
-
 def regressor_psi(zp_mean: np.ndarray, n_coeffs: int, u: float) -> list[float]:
     """The regressor psi = (phi(z_bar), u) of w at the previous-state mean,
-    as a list of floats. phi is `duffing.regressor`'s, in float arithmetic:
-    a cube that overflows gives inf."""
+    as a list of floats: a cube that overflows gives inf."""
     x, x_prev = zp_mean.tolist()
     if n_coeffs == 3:
         return [x, x * x * x, x_prev, float(u)]
@@ -74,8 +65,8 @@ def regressor_spread(zp_mean: np.ndarray, zp_cov: np.ndarray,
                      n_coeffs: int = 3) -> list[list[float]]:
     """J Sigma_zprev J' at the previous-state mean, as nested lists of
     floats: the covariance of phi(z_prev) under the affine surrogate. Built
-    entry by entry from `regressor_jacobian`'s structure, so it is exactly
-    symmetric and an overflow gives inf instead of a numpy warning."""
+    entry by entry, so it is exactly symmetric and an overflow gives inf
+    instead of a numpy warning."""
     (s00, s01), (_, s11) = zp_cov.tolist()
     if n_coeffs == 2:
         return [[s00, s01], [s01, s11]]

@@ -145,6 +145,14 @@ def _surrogate(zp_mean, cubic: bool):
     return phi0, jac
 
 
+def oracle_step_mean(theta, eta, z_prev, u):
+    """The noise-free transition of z = (x, x_prev): (theta . phi(z) + eta*u,
+    x), with phi(z) = (x, x^3, x_prev), or (x, x_prev) without the cubic,
+    as a numpy dot product."""
+    phi, _ = _surrogate(z_prev, len(theta) == 3)
+    return np.array([np.dot(theta, phi) + eta * u, z_prev[0]])
+
+
 def _joint_points(blocks, order):
     """GH points/weights for a block-diagonal joint Gaussian."""
     mean = np.concatenate([np.atleast_1d(m) for m, _ in blocks])

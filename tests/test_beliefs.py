@@ -92,8 +92,8 @@ class TestCombineGaussian:
             [[xi_bar, 0.0], [0.0, 0.0]], [xi_bar * 0.4, 0.0])
         prior_mean = np.array([0.1, -0.2])
         prior_cov = np.array([[0.5, 0.1], [0.1, 0.8]])
-        out = combine_gaussian(message, GaussianBelief.from_moments(
-            prior_mean, prior_cov))
+        out = combine_gaussian(message, GaussianBelief(
+            prior_mean, np.linalg.inv(prior_cov)))
         np.testing.assert_allclose(
             out.precision, np.linalg.inv(prior_cov) + [[xi_bar, 0], [0, 0]])
 
@@ -125,8 +125,9 @@ class TestCombineGaussian:
             mean_b = rng.normal(0, 0.5, 2)
             cov_a = _random_spd(rng, 2)
             cov_b = _random_spd(rng, 2)
-            out = combine_gaussian(GaussianBelief.from_moments(mean_a, cov_a),
-                                   GaussianBelief.from_moments(mean_b, cov_b))
+            out = combine_gaussian(
+                GaussianBelief(mean_a, np.linalg.inv(cov_a)),
+                GaussianBelief(mean_b, np.linalg.inv(cov_b)))
             mean_or, cov_or = grid_product_moments_2d(
                 _gauss_logpdf(mean_a, cov_a), _gauss_logpdf(mean_b, cov_b),
                 -12.0, 12.0, n=1201)
@@ -137,8 +138,8 @@ class TestCombineGaussian:
     def test_commutative_associative(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a, b, c = (GaussianBelief.from_moments(rng.normal(0, 1, 2),
-                                                   _random_spd(rng, 2))
+            a, b, c = (GaussianBelief(rng.normal(0, 1, 2),
+                                      np.linalg.inv(_random_spd(rng, 2)))
                        for _ in range(3))
             ab = combine_gaussian(a, b)
             ba = combine_gaussian(b, a)
@@ -153,10 +154,10 @@ class TestCombineGaussian:
     def test_information_never_decreases(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            a = GaussianBelief.from_moments(rng.normal(0, 1, 2),
-                                            _random_spd(rng, 2))
-            b = GaussianBelief.from_moments(rng.normal(0, 1, 2),
-                                            _random_spd(rng, 2))
+            a = GaussianBelief(rng.normal(0, 1, 2),
+                               np.linalg.inv(_random_spd(rng, 2)))
+            b = GaussianBelief(rng.normal(0, 1, 2),
+                               np.linalg.inv(_random_spd(rng, 2)))
             gain = combine_gaussian(a, b).precision - a.precision
             assert np.linalg.eigvalsh(gain).min() >= -1e-10
 
@@ -324,8 +325,8 @@ class TestSplitLast:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_independent_joint_splits_back(self, dim):
         rng = np.random.default_rng(40 + dim)
-        a = GaussianBelief.from_moments(rng.normal(0, 1, dim),
-                                        _random_spd(rng, dim))
+        a = GaussianBelief(rng.normal(0, 1, dim),
+                           np.linalg.inv(_random_spd(rng, dim)))
         b = GaussianBelief([rng.normal(0, 1)], [[rng.uniform(0.5, 2.0)]])
         joint = independent(a, b)
         # built from the means, so they come back exactly

@@ -9,11 +9,12 @@ from duffingid.duffing import (
     TimeSeries,
     UnstableSimulationError,
     ar_to_phys,
-    g_eval,
     phys_to_ar,
+    propagate,
     simulate,
     step_mean,
 )
+from oracles import oracle_step_mean
 
 
 class TestPhysToAr:
@@ -93,19 +94,48 @@ class TestArToPhys:
         assert p.b == 0.0
 
 
-class TestGEval:
-    def test_zero_theta(self):
-        assert g_eval(np.zeros(3), np.array([1.7, -0.3])) == 0.0
+class TestStepMean:
+    @staticmethod
+    def drift(theta, z):
+        # eta = 0: the input does not act, so the output is the drift alone
+        return step_mean(ArCoefficients(theta, 0.0, 1.0), np.array(z), 5.0)[0]
 
-    def test_hand_cases(self):
-        assert g_eval(np.array([1.0, 1.0, 1.0]), np.array([2.0, 3.0])) == 13.0
-        assert g_eval(np.array([2.0, 0.0, -1.0]), np.array([1.0, 0.5])) == 1.5
+    def test_zero_theta(self):
+        assert self.drift(np.zeros(3), [1.7, -0.3]) == 0.0
+
+    def test_drift_hand_cases(self):
+        assert self.drift([1.0, 1.0, 1.0], [2.0, 3.0]) == 13.0
+        assert self.drift([2.0, 0.0, -1.0], [1.0, 0.5]) == 1.5
 
     def test_two_coefficient_form(self):
-        assert g_eval(np.array([2.0, -1.0]), np.array([1.0, 0.5])) == 1.5
+        assert self.drift([2.0, -1.0], [1.0, 0.5]) == 1.5
 
+    @pytest.mark.parametrize("n_coeffs", [2, 3])
+    def test_is_one_step_of_propagate(self, n_coeffs):
+        # one recursion: each step of a propagated series, taken alone,
+        # reproduces it bit for bit
+        rng = np.random.default_rng(20 + n_coeffs)
+        for _ in range(100):
+            p = PhysicalParams(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0),
+                               rng.uniform(0.5, 3.0), rng.uniform(0.0, 5.0),
+                               1.0, 1.0)
+            coeffs = phys_to_ar(p, 0.1)
+            if n_coeffs == 2:
+                coeffs = ArCoefficients(coeffs.theta[[0, 2]], coeffs.eta, 1.0)
+            drive = rng.normal(0.0, 1.0, 101)
+            x = np.zeros(101)
+            x[:2] = rng.normal(0.0, 0.5, 2)
+            propagate(coeffs, drive, x)
+            for t in range(2, 101):
+                out = step_mean(coeffs, np.array([x[t - 1], x[t - 2]]),
+                                drive[t - 1])
+                assert out[0] == x[t] and out[1] == x[t - 1]
 
-class TestStepMean:
+    def test_divergence_guard(self):
+        coeffs = ArCoefficients([3.0, 0.0, 1.5], 0.1, 1.0)
+        with pytest.raises(UnstableSimulationError):
+            step_mean(coeffs, np.array([1e6, 1e6]), 0.0)
+
     def test_hand_case(self):
         coeffs = ArCoefficients([2.0, 0.0, -1.0], 1.0, 1.0)
         out = step_mean(coeffs, np.array([1.0, 0.5]), 0.25)
@@ -142,7 +172,7 @@ class TestSimulate:
         reference = np.zeros(1000)
         reference[0], reference[1] = -0.2, 0.1
         for t in range(1, 999):
-            z = step_mean(coeffs, z, u[t])
+            z = oracle_step_mean(coeffs.theta, coeffs.eta, z, u[t])
             reference[t + 1] = z[0]
         np.testing.assert_allclose(latent, reference, atol=1e-12)
 

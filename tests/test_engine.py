@@ -27,7 +27,7 @@ from duffingid.beliefs import (
     gaussian_moments,
     independent,
 )
-from duffingid.duffing import TimeSeries, g_eval
+from duffingid.duffing import TimeSeries
 from duffingid.engine import (
     compute_free_energy,
     initial_beliefs,
@@ -35,7 +35,7 @@ from duffingid.engine import (
     step_update,
 )
 
-from oracles import oracle_free_energy
+from oracles import oracle_free_energy, oracle_step_mean
 from test_acceptance import RUN_CONFIG, make_resonant_series
 from test_step_kernel import random_beliefs
 
@@ -187,7 +187,7 @@ class TestFreeEnergy:
             q_gamma=GammaBelief(big, big / gam),
             q_xi=GammaBelief(big, big / xi),
             q_state=GaussianBelief(zp, np.eye(2) / pin))
-        f0 = g_eval(theta, zp) + eta * u
+        f0 = oracle_step_mean(theta, eta, zp, u)[0]
         prec = np.diag([gam + xi, 1 / eps])
         pot = np.array([gam * f0 + xi * y, zp[0] / eps])
         posterior = BeliefSet(prior.q_coeffs, prior.q_gamma, prior.q_xi,
@@ -442,14 +442,14 @@ class TestPredictionProtocols:
 
     @pytest.mark.parametrize("keep", [[0, 1, 2], [0, 2]])
     def test_rollout_matches_step_mean_recursion(self, keep):
-        from duffingid.duffing import ArCoefficients, step_mean
+        from duffingid.duffing import ArCoefficients
         coeffs = ArCoefficients(self.coeffs.theta[keep], self.coeffs.eta, 1.0)
         data = self.clean
         pred = simulate_rollout(frozen_beliefs(coeffs), data, PriorConfig())
         want = data.y.copy()
         z = np.array([data.y[1], data.y[0]])
         for t in range(2, len(data)):
-            z = step_mean(coeffs, z, data.u[t - 1])
+            z = oracle_step_mean(coeffs.theta, coeffs.eta, z, data.u[t - 1])
             want[t] = z[0]
         # same recursion; only the summation order of the drift differs
         np.testing.assert_allclose(pred, want, rtol=1e-12, atol=1e-15)
@@ -465,6 +465,11 @@ class TestPredictionProtocols:
         np.testing.assert_array_equal(larx, cubic)
         # the series has b != 0, so this is a real rollout, not a copy of y
         assert np.abs(larx - self.clean.y).max() > 1e-6
+        # and the 1-step protocol
+        np.testing.assert_array_equal(
+            predict_onestep(frozen_beliefs(linear), self.clean, PriorConfig()),
+            predict_onestep(frozen_beliefs(cubic_off), self.clean,
+                            PriorConfig()))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("mode", ["nlarx", "larx"])

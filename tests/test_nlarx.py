@@ -1,5 +1,7 @@
 """Transition-node and likelihood-node messages against quadrature oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from duffingid.beliefs import (
     gaussian_moments,
     independent,
 )
-from duffingid.duffing import regressor
 from duffingid.nlarx import (
     NodeConfig,
     expected_square_residual,
@@ -21,10 +22,11 @@ from duffingid.nlarx import (
     msg_likelihood_state,
     msg_theta,
     msg_xi,
-    regressor_jacobian,
+    regressor_psi,
     regressor_spread,
 )
 from oracles import (
+    _surrogate,
     finite_difference_gradient,
     oracle_expected_square_residual,
     oracle_msg_coefficients,
@@ -60,10 +62,11 @@ def random_case(rng, cubic=True):
         return root @ root.T + scale**2 * np.eye(dim)
 
     d = 3 if cubic else 2
-    q_z = GaussianBelief.from_moments(rng.normal(0, 1, 2), spd(2, 0.3))
-    q_zprev = GaussianBelief.from_moments(rng.normal(0, 1, 2), spd(2, 0.3))
-    q_theta = GaussianBelief.from_moments(rng.normal(0, 0.7, d), spd(d, 0.25))
-    q_eta = GaussianBelief.from_moments([rng.normal(0, 1)], spd(1, 0.4))
+    q_z = GaussianBelief(rng.normal(0, 1, 2), np.linalg.inv(spd(2, 0.3)))
+    q_zprev = GaussianBelief(rng.normal(0, 1, 2), np.linalg.inv(spd(2, 0.3)))
+    q_theta = GaussianBelief(rng.normal(0, 0.7, d),
+                             np.linalg.inv(spd(d, 0.25)))
+    q_eta = GaussianBelief([rng.normal(0, 1)], np.linalg.inv(spd(1, 0.4)))
     q_gamma = GammaBelief(rng.uniform(1.5, 8.0), rng.uniform(0.5, 4.0))
     cfg = NodeConfig(u=rng.normal(0, 1), epsilon=rng.uniform(0.1, 2.0),
                      cubic=cubic)
@@ -75,20 +78,34 @@ def random_coefficients(rng, cubic=True):
     d = 3 if cubic else 2
     root = rng.normal(0, 0.3, (d + 1, d + 1))
     cov = root @ root.T + 0.05 * np.eye(d + 1)
-    return GaussianBelief.from_moments(rng.normal(0, 0.7, d + 1), cov)
+    return GaussianBelief(rng.normal(0, 0.7, d + 1), np.linalg.inv(cov))
+
+
+def oracle_phi(z, n_coeffs=3):
+    return _surrogate(z, n_coeffs == 3)[0]
+
+
+def oracle_jacobian(z, n_coeffs=3):
+    return _surrogate(z, n_coeffs == 3)[1]
 
 
 class TestRegressorJacobian:
+    # phi and J are the oracle's; the library builds psi = (phi, u) and
+    # J Sigma_zprev J' from them
     @staticmethod
     def finite_difference_jacobian(z, n_coeffs=3):
         return np.array([
-            finite_difference_gradient(lambda zv: regressor(zv, n_coeffs)[i], z)
+            finite_difference_gradient(
+                lambda zv: oracle_phi(zv, n_coeffs)[i], z)
             for i in range(n_coeffs)])
 
     def test_hand_case_and_finite_differences(self):
         z = np.array([2.0, 3.0])
-        np.testing.assert_array_equal(regressor(z), [2.0, 8.0, 3.0])
-        jac = regressor_jacobian(z)
+        np.testing.assert_array_equal(oracle_phi(z), [2.0, 8.0, 3.0])
+        for n_coeffs in (2, 3):
+            assert regressor_psi(z, n_coeffs, 0.5) \
+                == [*oracle_phi(z, n_coeffs), 0.5]
+        jac = oracle_jacobian(z)
         np.testing.assert_array_equal(jac, [[1.0, 0.0], [12.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(jac, self.finite_difference_jacobian(z),
                                    atol=1e-6)
@@ -96,20 +113,20 @@ class TestRegressorJacobian:
         for _ in range(10):
             z = rng.normal(0.0, 1.5, 2)
             np.testing.assert_allclose(
-                regressor_jacobian(z), self.finite_difference_jacobian(z),
+                oracle_jacobian(z), self.finite_difference_jacobian(z),
                 atol=1e-6)
 
     def test_linear_model_is_exact(self):
         # with no cubic coefficient the state gradient J' theta of the drift
         # is the coefficient vector itself, wherever it is expanded
         theta = np.array([1.7, 0.0, -0.4])
-        grad_z = regressor_jacobian(np.array([0.9, 0.1])).T @ theta
+        grad_z = oracle_jacobian(np.array([0.9, 0.1])).T @ theta
         np.testing.assert_array_equal(grad_z, [1.7, -0.4])
 
     def test_cubic_vanishes_at_origin(self):
         z = np.array([0.0, 4.0])
-        np.testing.assert_array_equal(regressor(z), [0.0, 0.0, 4.0])
-        jac = regressor_jacobian(z)
+        np.testing.assert_array_equal(oracle_phi(z), [0.0, 0.0, 4.0])
+        jac = oracle_jacobian(z)
         np.testing.assert_array_equal(jac[1], [0.0, 0.0])
         np.testing.assert_allclose(jac, self.finite_difference_jacobian(z),
                                    atol=1e-6)
@@ -123,13 +140,13 @@ class TestRegressorJacobian:
             a = rng.normal(0.0, 1.0, (2, 2))
             cov = a @ a.T
             cov[1, 0] = cov[0, 1]  # exactly symmetric, as beliefs keep it
-            jac = regressor_jacobian(z, n_coeffs)
+            jac = oracle_jacobian(z, n_coeffs)
             np.testing.assert_array_equal(
                 regressor_spread(z, cov, n_coeffs), jac @ cov @ jac.T)
 
     def test_larx_jacobian_is_identity(self):
         z = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(regressor_jacobian(z, 2), np.eye(2))
+        np.testing.assert_array_equal(oracle_jacobian(z, 2), np.eye(2))
         np.testing.assert_allclose(self.finite_difference_jacobian(z, 2),
                                    np.eye(2), atol=1e-6)
 
@@ -229,6 +246,28 @@ class TestMsgCoefficients:
             zm, zc, zpm, zpc, q_gamma.mean, cfg.u, cubic=cubic)
         assert_natural_close(out.precision, out.potential, prec_or, pot_or,
                              rtol=1e-6)
+
+    @pytest.mark.parametrize("cubic", [True, False])
+    def test_near_singular_precision_is_singular(self, cubic):
+        # with u = 1e-150 the NLARX precision's determinant is rounding
+        # noise of order 1e-319 (in exact arithmetic it is u^2 det(J
+        # Sigma_zprev J') = 0): an inverse that is not finite or a
+        # determinant that underflows must give a singular message, with
+        # no numpy warning. The LARX precision stays invertible.
+        rng = np.random.default_rng(170)
+        singular = 0
+        for _ in range(40):
+            q_z, q_zprev, _, _, q_gamma, _ = random_case(rng, cubic=cubic)
+            out = msg_coefficients(q_z, q_zprev, q_gamma,
+                                   NodeConfig(u=1e-150, cubic=cubic))
+            if out.cov is None:
+                assert out.logdet is None
+                singular += 1
+            else:
+                assert np.isfinite(out.cov).all()
+                assert math.isfinite(out.logdet)
+            assert np.isfinite(out.mean).all()
+        assert singular if cubic else not singular
 
     @pytest.mark.parametrize("cubic", [True, False])
     def test_theta_and_eta_messages_are_its_conditionals(self, cubic):
@@ -431,8 +470,8 @@ class TestStructuralProperties:
             cov2 = cov2 @ cov2.T + 0.1 * np.eye(2)
             th_cov3[np.ix_(keep, keep)] = cov2
             th_cov3[1, 1] = PIN
-            q_theta3 = GaussianBelief.from_moments(th_mean3, th_cov3)
-            q_theta2 = GaussianBelief.from_moments(th_mean3[keep], cov2)
+            q_theta3 = GaussianBelief(th_mean3, np.linalg.inv(th_cov3))
+            q_theta2 = GaussianBelief(th_mean3[keep], np.linalg.inv(cov2))
             cfg3 = NodeConfig(u=u, cubic=True)
             cfg2 = NodeConfig(u=u, cubic=False)
 
