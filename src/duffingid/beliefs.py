@@ -3,7 +3,9 @@
 Gaussians are kept in information (precision) form so that rank-deficient
 likelihood messages are representable. Gammas use the shape-rate convention
 (density ~ x^(shape-1) exp(-rate x), mean = shape/rate); the rate convention
-makes the conjugate precision update additive.
+makes the conjugate precision update additive. The Gamma entropy and the
+free energy take log Gamma from `math.lgamma` and psi from `digamma` here,
+so the runtime needs no special-function library.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -250,4 +251,20 @@ def entropy_gamma(g: GammaBelief) -> float:
     if not g.is_proper:
         raise ImproperBeliefError("entropy undefined for improper belief")
     a = g.shape
-    return float(a - math.log(g.rate) + special.gammaln(a) + (1.0 - a) * special.digamma(a))
+    return float(a - math.log(g.rate) + math.lgamma(a) + (1.0 - a) * digamma(a))
+
+
+def digamma(x: float) -> float:
+    """psi(x) = d log Gamma(x) / dx for x > 0: the recurrence
+    psi(x) = psi(x + 1) - 1/x up to x >= 10, then the asymptotic series
+    through the x^-14 term (Abramowitz & Stegun 6.3.5 and 6.3.18)."""
+    if not x > 0.0:
+        raise ValueError(f"digamma needs x > 0, got {x}")
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    z = 1.0 / (x * x)
+    series = z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (
+        1 / 240 - z * (1 / 132 - z * (691 / 32760 - z / 12))))))
+    return math.log(x) - 0.5 / x - series - shift

@@ -287,7 +287,8 @@ def _positive_at(payload: dict, key: str) -> float:
 
 
 def _gaussian_at(payload: dict, key: str) -> GaussianBelief:
-    """The Gaussian belief stored under a dotted key as mean and precision."""
+    """The proper Gaussian belief stored under a dotted key as mean and
+    precision."""
     arrays = []
     for part in ("mean", "precision"):
         value = _at(payload, f"{key}.{part}", "list")
@@ -296,6 +297,9 @@ def _gaussian_at(payload: dict, key: str) -> GaussianBelief:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{key}.{part}: {exc}") from None
     try:
-        return GaussianBelief(*arrays)
+        belief = GaussianBelief(*arrays)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
+    if belief.cov is None:
+        raise ValueError(f"{key}.precision is not positive definite")
+    return belief

@@ -65,13 +65,13 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .beliefs import (
     GammaBelief,
     GaussianBelief,
     ImproperBeliefError,
     closed_form_inverse,
+    digamma,
     expected_quadratic,
     independent,
     split_last,
@@ -180,6 +180,18 @@ class PriorConfig:
                      "b0_xi", "state0_cov", "epsilon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # the closed-form inverse calls a precision singular when its
+        # determinant underflows or its inverse overflows; such a prior
+        # would fail at step 0
+        d = self.n_coeffs
+        for names, variances in (
+                ("v0_theta and v0_eta", [self.v0_theta] * d + [self.v0_eta]),
+                ("state0_cov", [self.state0_cov] * 2)):
+            prior = GaussianBelief(np.zeros(len(variances)),
+                                   np.diag([1.0 / v for v in variances]))
+            if prior.cov is None:
+                raise ValueError(f"the prior precision from {names} is "
+                                 "singular in floating point")
 
     @property
     def n_coeffs(self) -> int:
@@ -403,7 +415,7 @@ def _free_energy(
     expected squared residual of q(z), q(w) and the previous state; and y."""
     prec0, mean0, logdet0, ag0, bg0, ax0, bx0, zp0, zp_var, eps = prior
     zm0, zm1, zv0, zv1, z_logdet = z
-    dg_g, dg_x = float(digamma(ag)), float(digamma(ax))
+    dg_g, dg_x = digamma(ag), digamma(ax)
     n = len(w_mean)
     e_gamma, log_gamma = ag / bg, dg_g - math.log(bg)
     e_xi, log_xi = ax / bx, dg_x - math.log(bx)
@@ -411,8 +423,8 @@ def _free_energy(
     neg_entropy = -(
         0.5 * (2 * (1.0 + _LOG_2PI) - z_logdet)
         + 0.5 * (n * (1.0 + _LOG_2PI) - w_logdet)
-        + (ag - math.log(bg) + float(gammaln(ag)) + (1.0 - ag) * dg_g)
-        + (ax - math.log(bx) + float(gammaln(ax)) + (1.0 - ax) * dg_x)
+        + (ag - math.log(bg) + math.lgamma(ag) + (1.0 - ag) * dg_g)
+        + (ax - math.log(bx) + math.lgamma(ax) + (1.0 - ax) * dg_x)
     )
 
     try:  # a float power raises where numpy's gave inf
@@ -436,9 +448,9 @@ def _free_energy(
         prec0, [w_i - m_i for w_i, m_i in zip(w_mean, mean0)], w_cov)
     e_log_priors = (
         (-0.5 * n * _LOG_2PI + 0.5 * logdet0 - 0.5 * quad)
-        + (ag0 * math.log(bg0) - float(gammaln(ag0))
+        + (ag0 * math.log(bg0) - math.lgamma(ag0)
            + (ag0 - 1.0) * log_gamma - bg0 * e_gamma)
-        + (ax0 * math.log(bx0) - float(gammaln(ax0))
+        + (ax0 * math.log(bx0) - math.lgamma(ax0)
            + (ax0 - 1.0) * log_xi - bx0 * e_xi)
     )
 

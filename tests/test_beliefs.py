@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from duffingid import PriorConfig, identify
 from duffingid.beliefs import (
@@ -12,6 +13,7 @@ from duffingid.beliefs import (
     ImproperBeliefError,
     combine_gamma,
     combine_gaussian,
+    digamma,
     entropy_gamma,
     entropy_gaussian,
     gaussian_moments,
@@ -366,6 +368,19 @@ class TestEntropies:
         numeric = -np.trapezoid(np.exp(logq) * logq, x)
         np.testing.assert_allclose(entropy_gamma(GammaBelief(shape, rate)),
                                    numeric, rtol=1e-7)
+
+    def test_digamma_matches_scipy(self):
+        # a log grid, the half-integer shapes of q(gamma) and q(xi) in a
+        # run, and shapes near the default a0_xi = 1e8
+        x = np.concatenate([np.logspace(-3, 10, 2001),
+                            np.arange(1, 200001) / 2, 1e8 + np.arange(1001) / 2])
+        ours = np.array([digamma(float(v)) for v in x])
+        reference = special.digamma(x)
+        error = np.abs(ours - reference) / np.maximum(1.0, np.abs(reference))
+        assert error.max() <= 1e-14
+        for bad in (0.0, -1.5, math.nan):
+            with pytest.raises(ValueError, match="digamma needs x > 0"):
+                digamma(bad)
 
     def test_improper_rejected(self):
         with pytest.raises(ImproperBeliefError):

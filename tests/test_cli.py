@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, file formats and exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from duffingid.dataio import RunArtifact
 from duffingid.beliefs import GammaBelief, GaussianBelief, independent
 from duffingid.engine import BeliefSet
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 PARAMS = {"m": 1.0, "c": 0.5, "a": 2.0, "b": 3.0, "tau": 10.0, "xi": 1e6}
 
 
@@ -156,6 +160,36 @@ class TestIdentifyPredictEvaluate:
         # sweeps per step: never fewer than 2 under the default cap of 5,
         # and the convergence stop ends most steps early
         assert 2.0 <= payload["metrics"]["mean_iterations"] < 5.0
+
+    def test_identify_singular_prior_exit_2(self, tmp_path, dataset, capsys):
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text("v0_theta: 1e81\nv0_eta: 1e81\n")
+        assert run("identify", "--data", dataset, "--config", cfgfile,
+                   "--out", tmp_path / "run.yaml", "--delta", 0.1) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfgfile}: the prior precision from v0_theta and v0_eta"
+            " is singular in floating point\n")
+
+    def test_runs_without_scipy(self, tmp_path, dataset):
+        # the runtime needs numpy and PyYAML only
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from duffingid.cli import main\n"
+            "for argv in (['identify', '--data', 'data.csv', '--delta', '0.1',"
+            " '--out', 'run.yaml'],\n"
+            "             ['predict', '--artifact', 'run.yaml', '--data',"
+            " 'data.csv', '--out', 'pred.csv'],\n"
+            "             ['report', '--artifact', 'run.yaml']):\n"
+            "    assert main(argv) == 0, argv\n")
+        path = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=dataset.parent,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "recovered physical parameters:" in done.stdout
 
     def test_identify_missing_file(self, tmp_path):
         assert run("identify", "--data", tmp_path / "nope.csv",
@@ -352,7 +386,12 @@ class TestMalformedFiles:
         (("posterior",), [1.0]), (("posterior", "xi"), "wide"),
         (("posterior", "eta", "mean"), ["a", "b"]), (("config",), None),
         (("delta",), -0.1), (("delta",), 0), (("delta",), float("nan")),
-        (("posterior", "gamma", "shape"), -1.0)])
+        (("posterior", "gamma", "shape"), -1.0),
+        # precisions that are not positive definite
+        (("posterior", "eta", "precision"), [[0.0]]),
+        (("posterior", "eta", "precision"), [[-1.0]]),
+        (("posterior", "theta", "precision"), np.diag([1.0, -1.0, 1.0]).tolist()),
+        (("posterior", "state", "precision"), [[1.0, 0.0], [0.0, 0.0]])])
     @pytest.mark.parametrize("command", ["report", "predict"])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, command, keys,
                                        value):

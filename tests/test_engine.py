@@ -91,6 +91,13 @@ class TestInitialBeliefs:
             PriorConfig(iterations_per_step=0)
         with pytest.raises(ValueError, match="must be positive"):
             PriorConfig(epsilon=0.0)
+        # proper priors whose precision's determinant underflows to 0
+        for wide in ({"v0_theta": 1e81, "v0_eta": 1e81}, {"state0_cov": 1e200},
+                     {"model_mode": "larx", "v0_theta": 1e110, "v0_eta": 1e110}):
+            names = " and ".join(name for name in wide if name != "model_mode")
+            with pytest.raises(ValueError, match=f"from {names} is singular"):
+                PriorConfig(**wide)
+        PriorConfig(v0_theta=1e80, v0_eta=1e80, state0_cov=1e160)
 
 
 class TestStepUpdate:
