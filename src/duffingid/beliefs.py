@@ -5,7 +5,8 @@ likelihood messages are representable. Gammas use the shape-rate convention
 (density ~ x^(shape-1) exp(-rate x), mean = shape/rate); the rate convention
 makes the conjugate precision update additive. The Gamma entropy and the
 free energy take log Gamma from `math.lgamma` and psi from `digamma` here,
-so the runtime needs no special-function library.
+so the runtime needs no special-function library. Every product that
+makes an estimate is `dot`, in one order on every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class GaussianBelief:
         if cov is None:
             mean, *_ = np.linalg.lstsq(precision, potential, rcond=None)
         else:
-            mean = cov @ potential
+            mean = np.array([dot(row, potential) for row in cov])
         return cls._from_parts(precision, potential, mean, cov, logdet)
 
     @classmethod
@@ -86,15 +87,15 @@ def _symmetric(precision, dim: int) -> np.ndarray:
 
 def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
     """Covariance and log-determinant of a positive-definite precision, or
-    (None, None), by `closed_form_inverse`. A precision so near singular
-    that its inverse is not finite or its determinant underflows to 0 counts
+    (None, None), by `closed_form_inverse`. A precision whose inverse is not
+    finite, or whose determinant underflows to 0 or overflows to inf, counts
     as singular."""
     inverse = closed_form_inverse(p.tolist())
     if inverse is None:
         return None, None
     cov, det = inverse
     cov = np.array(cov)
-    if not (det > 0.0 and np.isfinite(cov).all()):
+    if not (0.0 < det < math.inf and np.isfinite(cov).all()):
         return None, None
     return cov, math.log(det)
 
@@ -208,6 +209,16 @@ def gaussian_moments(g: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
     return g.mean, g.cov
 
 
+def dot(a, b) -> float:
+    """The inner product of two sequences of floats, summed left to right:
+    not by the built-in `sum`, which compensates float sums from Python
+    3.12 on, nor by BLAS, whose kernels may fuse multiply-adds."""
+    total = 0.0
+    for a_i, b_i in zip(a, b):
+        total += a_i * b_i
+    return total
+
+
 def expected_quadratic(a: list, mean: list, cov: list) -> float:
     """E[x' A x] = mean' A mean + trace(A cov) for x with the given mean and
     covariance, in scalar code on (nested) lists of floats. Only the leading
@@ -235,8 +246,12 @@ def split_last(g: GaussianBelief) -> tuple[GaussianBelief, GaussianBelief]:
     lam = g.precision
     # the leading marginal's precision is the Schur complement of the corner
     edge = lam[:-1, -1]
-    schur = lam[:-1, :-1] - edge[:, None] * (edge / lam[-1, -1])
-    return GaussianBelief(mean[:-1], schur), GaussianBelief(mean[-1:], 1.0 / cov[-1:, -1:])
+    schur = _symmetric(lam[:-1, :-1] - edge[:, None] * (edge / lam[-1, -1]),
+                       g.dim - 1)
+    lead = GaussianBelief._from_parts(
+        schur, np.array([dot(row, mean[:-1]) for row in schur]), mean[:-1],
+        *_inverse(schur))
+    return lead, GaussianBelief(mean[-1:], 1.0 / cov[-1:, -1:])
 
 
 def entropy_gaussian(g: GaussianBelief) -> float:

@@ -28,24 +28,21 @@ messages, `combine_*` and `compute_free_energy` compose the same step from
 belief objects and stay the tested reference.
 
 Rounding rule: the step reproduces that composition bit for bit, so every
-float operation keeps its order there. What the previous state and the
-step's prior fix is computed once per step, as floats and lists: psi
-(`nlarx.regressor_psi`), J Sigma_zprev J' (`nlarx.regressor_spread`), the
-coefficient message's precision per unit E[gamma]
-(`nlarx.coefficient_information`, one flat list) and what the prior gives
-the free energy (`_prior_terms`). The forward mean and the expected squared
-residual are scalar code shared with the messages (`nlarx.forward_mean`,
-`nlarx.residual_moment`); a sweep computes the forward mean once, for its
-residual and for the next sweep's q(z). q(z) and the Gamma updates are
-scalar algebra too: q(z)'s precision is always diag(E[gamma] + E[xi],
-1/eps), and the closed-form 2x2 inverse then rounds like scalar code. The
-coefficient posterior's precision `prec0 + E[gamma] info` is a numpy sum,
-`beliefs.closed_form_inverse` inverts it on nested lists, and its mean stays
-the numpy product `cov @ potential`, whose multiply-adds the BLAS may fuse;
-a sum in floats rounds differently. The step and `compute_free_energy`
-share `_free_energy`, which runs on floats; the step hands it the expected
-squared residual of its gamma update. Its squares stay `** 2`, libm's pow,
-which rounds differently from `x * x` about once in a thousand.
+float operation keeps its order there. numpy only adds and scales
+elementwise, which rounds as floats do; every vector product is
+`beliefs.dot`, summed left to right, so no BLAS kernel enters an estimate.
+What the previous state and the step's prior fix is computed once per step
+as floats and lists (`nlarx.regressor_psi`, `regressor_spread`,
+`coefficient_information`, `_prior_terms`). A sweep computes the forward
+mean `dot(E[w], psi)` once, for its expected squared residual
+(`nlarx.residual_moment`, shared with the messages) and for the next
+sweep's q(z). q(z) and the Gamma updates are scalar algebra: q(z)'s
+precision is always diag(E[gamma] + E[xi], 1/eps). q(w)'s precision
+`prec0 + E[gamma] info` is a numpy sum, `beliefs.closed_form_inverse`
+inverts it on nested lists, and its mean is a `dot` per covariance row.
+`_free_energy`, shared with `compute_free_energy`, runs on floats; its
+squares stay `** 2`, libm's pow, which rounds differently from `x * x`
+about once in a thousand.
 
 Failure contract: `step_update(..., t)` raises `InferenceError` with
 `.step == t` for every failure it detects inside the step: an input or
@@ -72,6 +69,7 @@ from .beliefs import (
     ImproperBeliefError,
     closed_form_inverse,
     digamma,
+    dot,
     expected_quadratic,
     independent,
     split_last,
@@ -174,15 +172,16 @@ class PriorConfig:
     def __post_init__(self):
         if self.model_mode not in ("nlarx", "larx"):
             raise ValueError(f"unknown model mode {self.model_mode!r}")
-        if self.iterations_per_step < 1:
-            raise ValueError("iterations_per_step must be at least 1")
+        n = self.iterations_per_step
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError("iterations_per_step must be an integer of at least 1")
         for name in ("v0_theta", "v0_eta", "a0_gamma", "b0_gamma", "a0_xi",
                      "b0_xi", "state0_cov", "epsilon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         # the closed-form inverse calls a precision singular when its
-        # determinant underflows or its inverse overflows; such a prior
-        # would fail at step 0
+        # determinant under- or overflows or its inverse overflows; such a
+        # prior would fail at step 0
         d = self.n_coeffs
         for names, variances in (
                 ("v0_theta and v0_eta", [self.v0_theta] * d + [self.v0_eta]),
@@ -241,31 +240,27 @@ def step_update(
             t, f"non-finite input/output sample: u={u!r}, y={y!r}")
     _require_proper(beliefs)
     prec0, pot0 = beliefs.q_coeffs.precision, beliefs.q_coeffs.potential
-    ag0, bg0 = beliefs.q_gamma.shape, beliefs.q_gamma.rate
-    ax0, bx0 = beliefs.q_xi.shape, beliefs.q_xi.rate
     zp_mean, zp_cov = beliefs.q_state.mean, beliefs.q_state.cov
     d = cfg.n_coeffs
     inv_eps = 1.0 / cfg.epsilon
     last = cfg.iterations_per_step - 1
-    # fixed within the step: what the prior gives the free energy, psi,
-    # J Sigma_zprev J' and the precision of the coefficient message per
-    # unit E[gamma]
+    # fixed within the step: the prior's terms of the free energy, psi,
+    # J Sigma_zprev J' and the coefficient message's precision per E[gamma]
     prior = _prior_terms(beliefs, cfg.epsilon)
+    _, w_list, _, ag0, bg0, ax0, bx0, zp0, _, _ = prior
     psi = nlarx.regressor_psi(zp_mean, d, u)
     spread = nlarx.regressor_spread(zp_mean, zp_cov, d)
     info = nlarx.coefficient_information(psi, spread)
-    if not all(map(math.isfinite, info)):
+    if not all(math.isfinite(value) for row in info for value in row):
         raise InferenceError(t, "diverged: non-finite coefficient message precision")
-    info = np.array(info).reshape(d + 1, d + 1)
+    info = np.array(info)
     psi_array = np.array(psi)
-    hz1 = inv_eps * float(zp_mean[0])
-    ag = ag0 + 1.5 - 1.0
-    ax = ax0 + 1.5 - 1.0
+    hz1 = inv_eps * zp0
+    ag, ax = ag0 + 1.5 - 1.0, ax0 + 1.5 - 1.0
     eg, ex = ag0 / bg0, ax0 / bx0
     pred_var = 1.0 / eg + 1.0 / ex
-    w_list = beliefs.q_coeffs.mean.tolist()
     # the prediction, taken before y enters
-    pred_mean = forward = nlarx.forward_mean(w_list, psi)
+    pred_mean = forward = dot(w_list, psi)
     trace = []
     for k in range(cfg.iterations_per_step):
         # the scalar algebra below runs on Python floats, which round like
@@ -289,13 +284,12 @@ def step_update(
         if inverse is None:
             raise InferenceError(t, "improper posterior")
         cov_list, det_w = inverse
-        cov_w = np.array(cov_list)
-        w = cov_w @ pot
-        w_previous, w_list = w_list, w.tolist()
+        pot_list = pot.tolist()
+        w_previous, w_list = w_list, [dot(row, pot_list) for row in cov_list]
         if not all(map(math.isfinite, w_list)):
             raise InferenceError(t, "diverged: non-finite coefficient mean")
 
-        forward = nlarx.forward_mean(w_list, psi)
+        forward = dot(w_list, psi)
         esr = nlarx.residual_moment(zm0 - forward, zc00, w_list, cov_list,
                                     psi, spread)
         if not math.isfinite(esr):
@@ -342,7 +336,8 @@ def step_update(
                   zc00, -0.0, -0.0, zc11])
     q_state = GaussianBelief._from_parts(
         z[:4].reshape(2, 2), z[4:6], z[6:8], z[8:].reshape(2, 2), logdet_z)
-    q_coeffs = GaussianBelief._from_parts(prec, pot, w, cov_w, logdet_w)
+    q_coeffs = GaussianBelief._from_parts(prec, pot, np.array(w_list),
+                                          np.array(cov_list), logdet_w)
     posterior = BeliefSet(q_coeffs, GammaBelief(ag, bg), GammaBelief(ax, bx),
                           q_state)
     return posterior, report

@@ -14,10 +14,10 @@ previous state:
 
 `regressor_psi` builds psi and `regressor_spread` builds J Sigma_zprev J';
 all message math below is exact given that surrogate.
-`coefficient_information`, `forward_mean` and `residual_moment` are the
-scalar forms of three messages, shared with the engine's step so that both
-evaluate them in the same floating-point order; psi and J Sigma_zprev J'
-are fixed within a step, so the step computes them once.
+`coefficient_information` and `residual_moment` are the scalar forms of two
+messages, shared with the engine's step so that both evaluate them in the
+same floating-point order; psi and J Sigma_zprev J' are fixed within a
+step, so the step computes them once.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .beliefs import (
     GammaBelief,
     GaussianBelief,
+    dot,
     expected_quadratic,
     gaussian_moments,
 )
@@ -77,26 +78,14 @@ def regressor_spread(zp_mean: np.ndarray, zp_cov: np.ndarray,
 
 
 def coefficient_information(psi: list[float],
-                            spread: list[list[float]]) -> list[float]:
+                            spread: list[list[float]]) -> list[list[float]]:
     """psi psi' + J~ Sigma_zprev J~', the precision of the coefficient
-    message per unit E[gamma] (J~ = [J; 0]), row after row in one flat
-    list; exactly symmetric. Scalar code, like `regressor_spread`."""
+    message per unit E[gamma] (J~ = [J; 0]), as nested lists of floats;
+    exactly symmetric. Scalar code, like `regressor_spread`."""
     u = psi[-1]
-    info = []
-    for a, spread_row in zip(psi, spread):
-        info += [a * b + value for b, value in zip(psi, spread_row)]
-        info.append(a * u)
-    info += [u * b for b in psi]
-    return info
-
-
-def forward_mean(w_mean: list[float], psi: list[float]) -> float:
-    """E[x_next] = E[theta]' phi(z_bar) + E[eta] u, from w_mean and psi as
-    lists of floats."""
-    total = 0.0
-    for w_i, psi_i in zip(w_mean, psi):
-        total += w_i * psi_i
-    return total
+    info = [[a * b + value for b, value in zip(psi, spread_row)] + [a * u]
+            for a, spread_row in zip(psi, spread)]
+    return info + [[u * b for b in psi]]
 
 
 def residual_moment(
@@ -108,7 +97,7 @@ def residual_moment(
     spread: list[list[float]],
 ) -> float:
     """`expected_square_residual` from moments, in scalar code: the mean
-    residual x_mean - `forward_mean`(w_mean, psi) and the variance x_var of
+    residual x_mean - `dot`(w_mean, psi) and the variance x_var of
     the new position, the mean and covariance of w as (nested) lists of
     floats, and psi and J Sigma_zprev J' (`regressor_spread`) at the
     previous-state mean, which stay fixed within a step.
@@ -142,7 +131,7 @@ def msg_coefficients(
     psi = regressor_psi(zp_mean, d, cfg.u)
     e_gamma = q_gamma.mean
     precision = np.array(coefficient_information(
-        psi, regressor_spread(zp_mean, zp_cov, d))).reshape(d + 1, d + 1)
+        psi, regressor_spread(zp_mean, zp_cov, d)))
     return GaussianBelief.from_natural(
         e_gamma * precision, np.array(psi) * (e_gamma * q_z.mean[0]))
 
@@ -178,7 +167,7 @@ def msg_eta(
     d = cfg.n_coeffs
     lam, h = joint.precision, joint.potential
     return GaussianBelief.from_natural(
-        lam[d:, d:], h[d:] - lam[d, :d] @ q_theta.mean)
+        lam[d:, d:], h[d:] - dot(lam[d, :d], q_theta.mean))
 
 
 def msg_gamma(
@@ -211,7 +200,7 @@ def expected_square_residual(
     w = w_mean.tolist()
     psi = regressor_psi(zp_mean, d, cfg.u)
     return residual_moment(
-        float(z_mean[0]) - forward_mean(w, psi), float(z_cov[0, 0]), w,
+        float(z_mean[0]) - dot(w, psi), float(z_cov[0, 0]), w,
         w_cov.tolist(), psi, regressor_spread(zp_mean, zp_cov, d))
 
 
@@ -225,7 +214,7 @@ def msg_forward_state(
     zp_mean, _ = gaussian_moments(q_zprev)
     d = cfg.n_coeffs
     psi = regressor_psi(zp_mean, d, cfg.u)
-    mean = np.array([forward_mean(q_coeffs.mean.tolist(), psi), zp_mean[0]])
+    mean = np.array([dot(q_coeffs.mean.tolist(), psi), zp_mean[0]])
     precision = np.diag([q_gamma.mean, 1.0 / cfg.epsilon])
     return GaussianBelief(mean, precision)
 

@@ -31,23 +31,22 @@ from test_acceptance import RUN_CONFIG, make_series
 # recorded before GaussianBelief computed its fields at construction
 GOLDEN_MARGINALS = {
     "nlarx": dict(
-        theta_mean=[1.906720492936999, 0.07213920037905552,
-                    -0.9258515115617715],
-        theta_precision=[[48830.522773606725, 882.0168013826516,
-                          48413.17521062166],
-                         [882.0168013826516, 24.8260308385027,
-                          874.6683168966651],
-                         [48413.17521062166, 874.6683168966651,
-                          48934.98053206725]],
-        eta_mean=[0.012743201769269977],
-        eta_precision=[[38336.31022151793]],
+        theta_mean=[1.9067204929368147, 0.07213920038028529,
+                    -0.9258515115615793],
+        theta_precision=[
+            [48830.52277358123, 882.0168013822102, 48413.175210596186],
+            [882.0168013822102, 24.826030838490716, 874.6683168962246],
+            [48413.175210596186, 874.6683168962246, 48934.980532041416]],
+        eta_mean=[0.012743201769270282],
+        eta_precision=[[38336.31022149768]],
     ),
     "larx": dict(
-        theta_mean=[1.9080637185313987, -0.9259122208526257],
-        theta_precision=[[49786.46685109984, 49364.06667319542],
-                         [49364.06667319542, 49900.27728786988]],
-        eta_mean=[0.012777548614462012],
-        eta_precision=[[39133.67425354495]],
+        theta_mean=[1.908063718531299, -0.925912220852552],
+        theta_precision=[
+            [49786.46685109498, 49364.06667319059],
+            [49364.06667319059, 49900.277287864985]],
+        eta_mean=[0.012777548614461856],
+        eta_precision=[[39133.674253541336]],
     ),
 }
 

@@ -420,7 +420,11 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("command, text", [
         ("simulate", b"m: 1.0\nc: [0.5\n"), ("identify", b"a0_gamma: [1, 2\n"),
-        ("identify", b"\xff\xfe a0_gamma: 1\n"), ("report", None)])
+        ("identify", b"\xff\xfe a0_gamma: 1\n"), ("report", None),
+        # valid YAML that PriorConfig rejects: a narrow prior whose
+        # determinant overflows, and a sweep cap `range` cannot take
+        ("identify", b"v0_theta: 1e-100\nv0_eta: 1e-100\n"),
+        ("identify", b"iterations_per_step: 2.5\n")])
     def test_yaml_syntax_error_exit_2(self, tmp_path, capsys, command, text):
         bad = tmp_path / "bad.yaml"
         if command == "report":

@@ -87,8 +87,9 @@ class TestInitialBeliefs:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown model mode"):
             PriorConfig(model_mode="narx")
-        with pytest.raises(ValueError, match="iterations_per_step"):
-            PriorConfig(iterations_per_step=0)
+        for cap in (0, 2.5, True, "5"):
+            with pytest.raises(ValueError, match="iterations_per_step"):
+                PriorConfig(iterations_per_step=cap)
         with pytest.raises(ValueError, match="must be positive"):
             PriorConfig(epsilon=0.0)
         # proper priors whose precision's determinant underflows to 0
@@ -97,7 +98,14 @@ class TestInitialBeliefs:
             names = " and ".join(name for name in wide if name != "model_mode")
             with pytest.raises(ValueError, match=f"from {names} is singular"):
                 PriorConfig(**wide)
+        # ... and narrow ones whose determinant overflows to inf
+        for narrow in ({"v0_theta": 1e-100, "v0_eta": 1e-100},
+                       {"state0_cov": 1e-200}):
+            names = " and ".join(narrow)
+            with pytest.raises(ValueError, match=f"from {names} is singular"):
+                PriorConfig(**narrow)
         PriorConfig(v0_theta=1e80, v0_eta=1e80, state0_cov=1e160)
+        PriorConfig(v0_theta=1e-70, v0_eta=1e-70, state0_cov=1e-150)
 
 
 class TestStepUpdate:

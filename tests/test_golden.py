@@ -1,12 +1,22 @@
 """Fixed-seed golden values of a short identification run.
 
 The numbers were first recorded from the engine that first kept one joint
-belief over the coefficients (theta, eta), and recorded again when each
-step began to stop sweeping at convergence (`engine.CONVERGENCE_TOL`). A
-refactor meant to leave the estimates unchanged must reproduce them to
-1e-12 relative. Regenerate them only for a deliberate change of the
-estimator, and record why.
+belief over the coefficients (theta, eta), recorded again when each step
+began to stop sweeping at convergence (`engine.CONVERGENCE_TOL`), and
+recorded once more when every product on the estimation path became
+`beliefs.dot`, summed left to right: the coefficient mean had been a BLAS
+product whose summation order, and so its rounding, depended on the
+OpenBLAS kernel. A refactor meant to leave the estimates unchanged must
+reproduce them to 1e-12 relative. Regenerate them only for a deliberate
+change of the estimator, and record why.
 """
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,40 +29,41 @@ STEPS = (0, 1, 150, 299)
 
 GOLDEN = {
     "nlarx": dict(
-        coeffs_mean=[1.906720492936999, 0.07213920037905552,
-                     -0.9258515115617715, 0.012743201769269977],
+        coeffs_mean=[1.9067204929368147, 0.07213920038028529,
+                     -0.9258515115615793, 0.012743201769270282],
         coeffs_precision=[
-            [49114.961768127796, 886.1845902232803, 48699.42503268776,
-             -3312.5004786023405],
-            [886.1845902232803, 24.887100045449227, 878.8626391837618,
-             -48.536954479613556],
-            [48699.42503268776, 878.8626391837618, 49223.052709972544,
-             -3333.5888920236266],
-            [-3312.5004786023405, -48.536954479613556, -3333.5888920236266,
-             38576.49489731973]],
-        gamma=(151.0, 0.004147715734131497),
-        xi=(160.0, 0.00015467130875775287),
-        state_mean=[0.04538498151856071, 0.04765734666203257],
-        free_energy=[5000.466196796062, 47.084951769490374,
-                     43.632274497101264, 42.61967392733217],
+            [49114.96176810216, 886.1845902228372, 48699.42503266216,
+             -3312.5004786006866],
+            [886.1845902228372, 24.887100045437222, 878.8626391833195,
+             -48.536954479591884],
+            [48699.42503266216, 878.8626391833195, 49223.05270994658,
+             -3333.588892022037],
+            [-3312.5004786006866, -48.536954479591884, -3333.588892022037,
+             38576.49489729937]],
+        gamma=(151.0, 0.004147715734133019),
+        xi=(160.0, 0.00015467130875775599),
+        state_mean=[0.04538498151856078, 0.0476573466620326],
+        free_energy=[5000.466196796062, 47.084951769490374, 43.63227449710282,
+                     42.6196739273344],
         prediction_mean=[0.01985671989323392, 0.0010625194792377383,
-                         0.039035173516227976, 0.042385435892794886],
+                         0.03903517351622562, 0.04238543589279559],
     ),
     "larx": dict(
-        coeffs_mean=[1.9080637185313987, -0.9259122208526257,
-                     0.012777548614462012],
+        coeffs_mean=[1.908063718531299, -0.925912220852552,
+                     0.012777548614461856],
         coeffs_precision=[
-            [50077.155523361565, 49656.65750262049, -3382.7381307005353],
-            [49656.65750262049, 50194.782721458185, -3404.873494686174],
-            [-3382.7381307005353, -3404.873494686174, 39364.85440544619]],
-        gamma=(151.0, 0.0040627230376463815),
+            [50077.15552335667, 49656.65750261562, -3382.738130700157],
+            [49656.65750261562, 50194.78272145326, -3404.873494685812],
+            [-3382.738130700157, -3404.873494685812, 39364.85440544219]],
+        gamma=(151.0, 0.004062723037646609),
         xi=(160.0, 0.00015464097527781356),
-        state_mean=[0.04538469975771897, 0.04765964812750897],
-        free_energy=[5000.466196796063, 47.0849517694831,
-                     43.594967843506, 42.56525496030951],
+        state_mean=[0.04538469975771893, 0.04765964812750895],
+        free_energy=[5000.466196796063, 47.0849517694831, 43.594967843506396,
+                     42.565254960309375],
         prediction_mean=[0.01985671989323392, 0.0010625194793972568,
-                         0.03909456551497336, 0.042444684246386775],
-        trace_at_150=[43.594967971587174, 43.59496784351205, 43.594967843506],
+                         0.03909456551497395, 0.04244468424638771],
+        trace_at_150=[43.59496797158734, 43.594967843512336,
+                      43.594967843506396],
     ),
 }
 
@@ -83,3 +94,45 @@ def test_fixed_seed_estimates(series, mode, trace):
         close(reports[150].free_energy_trace, want["trace_at_150"])
     else:
         assert all(r.free_energy_trace == () for r in reports)
+
+
+# identify on the series and config in the JSON file named by argv[1],
+# printed as JSON, whose floats round-trip exactly
+_RUN = """
+import json, sys
+from duffingid import PriorConfig, TimeSeries, identify
+with open(sys.argv[1]) as handle:
+    u, y, delta, config = json.load(handle)
+beliefs, reports = identify(TimeSeries(u, y, delta), PriorConfig(**config))
+print(json.dumps([
+    [(g.precision.tolist(), g.potential.tolist(), g.mean.tolist(),
+      g.cov.tolist(), g.logdet)
+     for g in (beliefs.q_coeffs, beliefs.q_theta, beliefs.q_eta,
+               beliefs.q_state)],
+    [(g.shape, g.rate) for g in (beliefs.q_gamma, beliefs.q_xi)],
+    [(r.free_energy, r.prediction_mean, r.iterations) for r in reports]]))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_estimates_do_not_depend_on_the_blas_kernel(series, tmp_path):
+    # the golden NLARX run under the default OpenBLAS kernel and under two
+    # without fused multiply-add, which a current x86-64 machine's has
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_CORETYPE"}
+    data = tmp_path / "run.json"
+    data.write_text(json.dumps([series.u.tolist(), series.y.tolist(),
+                                series.delta, RUN_CONFIG]))
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", _RUN, str(data)], stdout=subprocess.PIPE,
+        env={**env, "PYTHONPATH": path, **kernel}, text=True)
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+                       {"OPENBLAS_CORETYPE": "Sandybridge"})]
+    outputs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0, 0]
+    default, *others = [json.loads(out) for out in outputs]
+    for other in others:
+        assert other == default
