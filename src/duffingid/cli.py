@@ -164,6 +164,9 @@ def cmd_evaluate(args) -> int:
     if args.split_index:
         dataio.check_split(len(y), args.split_index)
         y = y[:args.split_index]
+    if len(pred) != len(y):
+        raise DatasetError(f"{args.pred}: {len(pred)} predictions for "
+                           f"{len(y)} samples of {args.data}")
     mse = engine.evaluate_mse(pred, y)
     print(f"{mse:.3e}")
     return 0

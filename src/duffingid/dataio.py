@@ -2,13 +2,18 @@
 persistence: the one home of the file formats.
 
 Series are header CSV of named float columns ("u" and "y" by default), read
-by `load_columns` and `load_csv` and written by `save_columns`. `load_yaml`
-reads the YAML files, takes 1e-4 and 1e8 as floats and raises `ConfigError`
-on a syntax error: prior configs (`load_config`), simulator parameter files
-(`load_params`) and run artifacts (`save_artifact`, `load_artifact`). An
-artifact holds the schema version, prior config, sample period, posterior,
-thinned free-energy trace and run metrics; readers derive the physical
-parameters. `save_truth` writes the simulator's truth sidecar.
+by `load_columns` and `load_csv` and written by `save_columns`. numpy's C
+parser reads the rows; a row loop with Python's `float` is the error path,
+which names the first bad row, and the reference the tests hold it to.
+`save_columns` streams the rows as the shortest round-trip repr of each
+value. `load_yaml` reads the YAML files, takes 1e-4 and 1e8 as floats and
+raises `ConfigError` on a syntax error: prior configs (`load_config`),
+simulator parameter files (`load_params`) and run artifacts
+(`save_artifact`, `load_artifact`). YAML goes through libyaml where PyYAML
+was built with it. An artifact holds the schema version, prior config,
+sample period, posterior, thinned free-energy trace and run metrics;
+readers derive the physical parameters. `save_truth` writes the simulator's
+truth sidecar.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import csv
 import dataclasses
 import math
 import re
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,20 +50,48 @@ class ConfigError(ValueError):
 
 def load_columns(path, columns) -> list[np.ndarray]:
     """The named columns of a header CSV as float arrays; rejects NaN/inf
-    values and names the row of the first bad one."""
+    values and names the row of the first bad one.
+
+    numpy's C parser reads the rows; wherever it raises, warns (a file with
+    no data rows) or reads a non-finite value, `_load_columns_by_row`
+    reads the file again and raises its error or, for the few values only
+    Python's `float` accepts, such as `1_0`, returns its own columns."""
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such data file: {path}")
     with open(path, newline="") as handle:
+        index = _column_index(path, csv.reader(handle), columns)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                values = np.loadtxt(handle, delimiter=",", usecols=index,
+                                    ndmin=2, comments=None, quotechar='"')
+        except (ValueError, UserWarning):
+            values = None
+    if values is None or not np.isfinite(values).all():
+        return _load_columns_by_row(path, columns)
+    return list(values.T.copy())
+
+
+def _column_index(path, reader, columns) -> list[int]:
+    """Position of each named column in the header row of a csv reader."""
+    header = next(reader, None)
+    if header is None:
+        raise DatasetError(f"{path}: empty file")
+    for column in columns:
+        if column not in header:
+            raise DatasetError(
+                f"{path}: missing column {column!r} (found {header})")
+    return [header.index(column) for column in columns]
+
+
+def _load_columns_by_row(path, columns) -> list[np.ndarray]:
+    """`load_columns` one row at a time with `float`: its error path and
+    the reference it is tested against. Blank lines are skipped and do not
+    count as rows."""
+    with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{path}: empty file")
-        for column in columns:
-            if column not in header:
-                raise DatasetError(
-                    f"{path}: missing column {column!r} (found {header})")
-        index = [header.index(column) for column in columns]
+        index = _column_index(path, reader, columns)
         values = array("d")  # row after row, 8 bytes a value
         for row_number, row in enumerate(filter(None, reader), start=1):
             try:
@@ -86,12 +120,13 @@ def load_csv(path, delta: float = SILVERBOX_DELTA, input_column: str = "u",
 
 def save_columns(path, columns: dict) -> None:
     """Write named float columns of equal length as header CSV; each value
-    is its shortest round-trip repr, so it reads back exactly."""
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns.values()))
+    is its shortest round-trip repr, so it reads back exactly. The rows are
+    the bytes `csv.writer` writes for floats, streamed line by line."""
+    line = ",".join(["{!r}"] * len(columns)) + "\r\n"
+    values = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        csv.writer(handle).writerow(columns)
+        handle.writelines(map(line.format, *values))
 
 
 def check_split(n: int, split_index: int) -> None:
@@ -110,7 +145,15 @@ def split(ts: TimeSeries, split_index: int) -> tuple[TimeSeries, TimeSeries]:
     return validation, training
 
 
-class _Loader(yaml.SafeLoader):
+# libyaml's parser and emitter where PyYAML was built with it, else PyYAML's
+# own; the files the CLI writes are the same bytes with either
+if yaml.__with_libyaml__:
+    _SafeLoader, _SafeDumper = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _SafeLoader, _SafeDumper = yaml.SafeLoader, yaml.SafeDumper
+
+
+class _Loader(_SafeLoader):
     """Safe YAML that reads 1e8 and 1e-4 as floats; YAML 1.1 takes a float
     only with a dot and a signed exponent, and these as strings."""
 
@@ -155,7 +198,7 @@ def save_truth(path, coeffs: ArCoefficients, latent: np.ndarray) -> None:
                      "gamma": coeffs.gamma},
              "latent_x": latent.tolist()}
     with open(path, "w") as handle:
-        yaml.safe_dump(truth, handle)
+        yaml.dump(truth, handle, Dumper=_SafeDumper)
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(PriorConfig)}
@@ -224,7 +267,7 @@ def save_artifact(artifact: RunArtifact, path) -> None:
         "metrics": artifact.metrics,
     }
     with open(path, "w") as handle:
-        yaml.safe_dump(payload, handle, sort_keys=True)
+        yaml.dump(payload, handle, Dumper=_SafeDumper, sort_keys=True)
 
 
 def load_artifact(path) -> RunArtifact:

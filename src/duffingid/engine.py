@@ -188,9 +188,14 @@ class PriorConfig:
                 ("state0_cov", [self.state0_cov] * 2)):
             prior = GaussianBelief(np.zeros(len(variances)),
                                    np.diag([1.0 / v for v in variances]))
-            if prior.cov is None:
-                raise ValueError(f"the prior precision from {names} is "
-                                 "singular in floating point")
+            if prior.cov is not None:
+                continue
+            if sum(map(math.log, variances)) < 0.0:  # a determinant above 1
+                raise ValueError(f"the prior from {names} is too narrow: its "
+                                 "precision's determinant overflows in "
+                                 "floating point")
+            raise ValueError(f"the prior precision from {names} is "
+                             "singular in floating point")
 
     @property
     def n_coeffs(self) -> int:

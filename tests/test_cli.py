@@ -163,12 +163,16 @@ class TestIdentifyPredictEvaluate:
 
     def test_identify_singular_prior_exit_2(self, tmp_path, dataset, capsys):
         cfgfile = tmp_path / "cfg.yaml"
-        cfgfile.write_text("v0_theta: 1e81\nv0_eta: 1e81\n")
-        assert run("identify", "--data", dataset, "--config", cfgfile,
-                   "--out", tmp_path / "run.yaml", "--delta", 0.1) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfgfile}: the prior precision from v0_theta and v0_eta"
-            " is singular in floating point\n")
+        # a wide prior's determinant underflows, a narrow one's overflows
+        for v0, problem in (
+                ("1e81", "precision from v0_theta and v0_eta is singular"),
+                ("1e-100", "from v0_theta and v0_eta is too narrow: its "
+                           "precision's determinant overflows")):
+            cfgfile.write_text(f"v0_theta: {v0}\nv0_eta: {v0}\n")
+            assert run("identify", "--data", dataset, "--config", cfgfile,
+                       "--out", tmp_path / "run.yaml", "--delta", 0.1) == 2
+            assert capsys.readouterr().err == (
+                f"error: {cfgfile}: the prior {problem} in floating point\n")
 
     def test_runs_without_scipy(self, tmp_path, dataset):
         # the runtime needs numpy and PyYAML only
@@ -190,6 +194,52 @@ class TestIdentifyPredictEvaluate:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "recovered physical parameters:" in done.stdout
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__,
+                        reason="PyYAML built without libyaml")
+    def test_runs_without_libyaml(self, tmp_path, params_file):
+        # PyYAML's own parser and emitter stand in for libyaml's and read
+        # and write the same files byte for byte
+        script = (
+            "import sys\n"
+            "if sys.argv[1] == 'pure':\n"
+            "    sys.modules['yaml._yaml'] = None\n"
+            "import yaml\n"
+            "assert yaml.__with_libyaml__ == (sys.argv[1] == 'libyaml')\n"
+            "from duffingid.cli import main\n"
+            "for argv in (['simulate', '--params', 'params.yaml', '--steps',"
+            " '400', '--seed', '5', '--delta', '0.1', '--out', 'data.csv'],\n"
+            "             ['identify', '--data', 'data.csv', '--delta', '0.1',"
+            " '--config', 'cfg.yaml', '--out', 'run.yaml'],\n"
+            "             ['predict', '--artifact', 'run.yaml', '--data',"
+            " 'data.csv', '--out', 'onestep.csv'],\n"
+            "             ['predict', '--artifact', 'run.yaml', '--data',"
+            " 'data.csv', '--protocol', 'rollout', '--out', 'rollout.csv'],\n"
+            "             ['report', '--artifact', 'run.yaml']):\n"
+            "    assert main(argv) == 0, argv\n")
+        path = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        runs = {}
+        for kind in ("libyaml", "pure"):
+            work = tmp_path / kind
+            work.mkdir()
+            (work / "params.yaml").write_text(Path(params_file).read_text())
+            (work / "cfg.yaml").write_text("state0_cov: 1e-4\nb0_gamma: 1e-4\n"
+                                           "a0_gamma: 1.0\n")
+            done = subprocess.run(
+                [sys.executable, "-c", script, kind], cwd=work,
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs[kind] = done.stdout, {f.name: f.read_bytes()
+                                       for f in sorted(work.iterdir())}
+        (printed, files), (pure_printed, pure_files) = runs.values()
+        assert pure_printed == printed
+        assert sorted(files) == sorted(pure_files) == [
+            "cfg.yaml", "data.csv", "data.csv.truth.yaml", "onestep.csv",
+            "params.yaml", "rollout.csv", "run.yaml"]
+        for name, content in files.items():
+            assert pure_files[name] == content, name
 
     def test_identify_missing_file(self, tmp_path):
         assert run("identify", "--data", tmp_path / "nope.csv",
@@ -308,6 +358,20 @@ class TestIdentifyPredictEvaluate:
         assert run("evaluate", "--pred", pred, "--data", data,
                    "--split-index", 20) == 0
         assert capsys.readouterr().out.strip() == "4.000e-04"
+
+    def test_evaluate_length_mismatch_exit_2(self, tmp_path, capsys):
+        # a prediction of the validation head scored without --split-index
+        data = tmp_path / "d.csv"
+        save_columns(data, {"u": np.zeros(30), "y": np.zeros(30)})
+        pred = tmp_path / "pred.csv"
+        save_columns(pred, {"y_hat": np.zeros(20)})
+        assert run("evaluate", "--pred", pred, "--data", data) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pred}: 20 predictions for 30 samples of {data}\n")
+        assert run("evaluate", "--pred", pred, "--data", data,
+                   "--split-index", 21) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pred}: 20 predictions for 21 samples of {data}\n")
 
     @pytest.mark.parametrize("command", ["report", "predict"])
     def test_invalid_stored_config_fails_at_load(self, tmp_path, dataset,

@@ -1,8 +1,12 @@
 """CSV ingestion, splitting, config parsing and artifact persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from duffingid import PriorConfig
 from duffingid.beliefs import GammaBelief, GaussianBelief, independent
@@ -12,6 +16,7 @@ from duffingid.dataio import (
     RunArtifact,
     SILVERBOX_DELTA,
     SILVERBOX_SPLIT,
+    _load_columns_by_row,
     config_from_dict,
     config_to_dict,
     load_artifact,
@@ -98,6 +103,85 @@ class TestLoadCsv:
         assert path.read_text().splitlines()[0] == "y_hat,sq_error,extra"
         for want, got in zip(columns.values(), load_columns(path, list(columns))):
             np.testing.assert_array_equal(got, want)
+
+
+# CSV text for the loader's two parsers: values made of digits, ".", "e",
+# "-" and "_", or nan, inf and x, padded with spaces or quoted, in rows of one
+# to three fields with "\n" or "\r\n" line ends and blank lines; rows of
+# parseable values only, so that both parsers also succeed; and loose strings
+# of the same pieces, for stray quotes and separators
+VALUE_CHARS = ["0", "1", "7", ".", "e", "-", "_"]
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.sampled_from(["1_0", ".5", "7.", "-0", "1e7", "-7e-1"]))
+VALUES = st.one_of(
+    FINITE, st.sampled_from(["nan", "-inf", "x", ""]),
+    st.lists(st.sampled_from(VALUE_CHARS), min_size=1, max_size=6).map("".join))
+
+
+def csv_rows(values, min_fields):
+    fields = st.builds(
+        lambda value, pad, quoted: (f'"{pad}{value}{pad}"' if quoted
+                                    else f"{pad}{value}{pad}"),
+        values, st.sampled_from(["", "", " "]), st.booleans())
+    rows = st.builds(lambda row, end: ",".join(row) + end,
+                     st.lists(fields, min_size=min_fields, max_size=3),
+                     st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n"]))
+    return st.lists(rows, max_size=6).map("".join)
+
+
+CSV_PIECES = VALUE_CHARS + [",", '"', " ", "\n", "\r\n", "nan", "inf", "x"]
+CSV_BODIES = st.one_of(
+    csv_rows(FINITE, 2), csv_rows(VALUES, 1),
+    st.lists(st.sampled_from(CSV_PIECES), max_size=40).map("".join))
+
+
+class TestLoaderAgainstRowLoop:
+    """`load_columns` parses with numpy and falls back on the row loop; it
+    must return what the row loop returns or raise what it raises."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=CSV_BODIES,
+           columns=st.sampled_from([("u", "y"), ("y",), ("y", "u"), ("u", "u")]))
+    def test_same_columns_or_same_error(self, tmp_path, body, columns):
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"u,y\n{body}".encode())
+        try:
+            want = _load_columns_by_row(path, columns)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError) as raised:
+                load_columns(path, columns)
+            assert str(raised.value) == str(exc)
+            return
+        got = load_columns(path, columns)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert g.flags.c_contiguous
+
+    @pytest.mark.parametrize("first", ["1", "1_0"])
+    def test_value_forms(self, tmp_path, first):
+        # numpy reads every row but one with `1_0`, which only `float` takes
+        path = write(tmp_path / "d.csv", f'u,y\n{first},"2.5"\n'
+                     ' .5 ,-7e-3\n\n"1e2", 5.\r\n1,2,x\n')
+        want = [[float(first), 0.5, 100.0, 1.0], [2.5, -0.007, 5.0, 2.0]]
+        for parse in (load_columns, _load_columns_by_row):
+            got = parse(path, ("u", "y"))
+            assert len(got) == 2
+            for column, values in zip(got, want):
+                np.testing.assert_array_equal(column, values)
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_header_only_file(self, tmp_path, action):
+        # numpy warns on a file with no data rows; the warning must not
+        # escape, whether warnings are errors or only recorded
+        for text in ("u,y\n", "u,y\n\n\n", "u,y"):
+            path = write(tmp_path / "d.csv", text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises(DatasetError, match="no data rows"):
+                    load_columns(path, ("u", "y"))
+            assert caught == []
 
 
 class TestSplit:

@@ -102,7 +102,7 @@ class TestInitialBeliefs:
         for narrow in ({"v0_theta": 1e-100, "v0_eta": 1e-100},
                        {"state0_cov": 1e-200}):
             names = " and ".join(narrow)
-            with pytest.raises(ValueError, match=f"from {names} is singular"):
+            with pytest.raises(ValueError, match=f"from {names} is too narrow"):
                 PriorConfig(**narrow)
         PriorConfig(v0_theta=1e80, v0_eta=1e80, state0_cov=1e160)
         PriorConfig(v0_theta=1e-70, v0_eta=1e-70, state0_cov=1e-150)
