@@ -5,8 +5,8 @@ likelihood messages are representable. Gammas use the shape-rate convention
 (density ~ x^(shape-1) exp(-rate x), mean = shape/rate); the rate convention
 makes the conjugate precision update additive. The Gamma entropy and the
 free energy take log Gamma from `math.lgamma` and psi from `digamma` here,
-so the runtime needs no special-function library. Every product that
-makes an estimate is `dot`, in one order on every BLAS kernel.
+so the runtime needs no special-function library. Every vector product
+is `dot`, in one order on every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ class GaussianBelief:
     """Multivariate Gaussian in information form, as a value.
 
     `precision` is symmetric PSD and `potential` is the precision-weighted
-    mean h = Lambda @ mu. A proper belief (usable as a marginal posterior)
-    has positive-definite precision and carries its covariance `cov` and
-    `logdet`, the log-determinant of its precision. Messages may be
+    mean h = Lambda mu, a `dot` per row. A proper belief (a marginal
+    posterior) has positive-definite precision and carries its covariance
+    `cov` and `logdet`, the log-determinant of its precision. Messages may be
     singular: their `cov` and `logdet` are None, and built `from_natural`
     their mean is the minimum-norm least-squares one. Both constructors
     compute all five fields, and nothing changes them afterwards, so values
@@ -43,7 +43,8 @@ class GaussianBelief:
     def __init__(self, mean, precision):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         precision = _symmetric(precision, mean.size)
-        self.precision, self.potential, self.mean = precision, precision @ mean, mean
+        self.precision, self.mean, means = precision, mean, mean.tolist()
+        self.potential = np.array([dot(row, means) for row in precision.tolist()])
         self.cov, self.logdet = _inverse(precision)
 
     @classmethod
@@ -246,12 +247,9 @@ def split_last(g: GaussianBelief) -> tuple[GaussianBelief, GaussianBelief]:
     lam = g.precision
     # the leading marginal's precision is the Schur complement of the corner
     edge = lam[:-1, -1]
-    schur = _symmetric(lam[:-1, :-1] - edge[:, None] * (edge / lam[-1, -1]),
-                       g.dim - 1)
-    lead = GaussianBelief._from_parts(
-        schur, np.array([dot(row, mean[:-1]) for row in schur]), mean[:-1],
-        *_inverse(schur))
-    return lead, GaussianBelief(mean[-1:], 1.0 / cov[-1:, -1:])
+    schur = lam[:-1, :-1] - edge[:, None] * (edge / lam[-1, -1])
+    return (GaussianBelief(mean[:-1], schur),
+            GaussianBelief(mean[-1:], 1.0 / cov[-1:, -1:]))
 
 
 def entropy_gaussian(g: GaussianBelief) -> float:

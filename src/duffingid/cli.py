@@ -7,7 +7,6 @@ Results go to stdout, structured errors to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -17,7 +16,6 @@ from . import dataio, engine
 from .beliefs import gaussian_moments
 from .dataio import ConfigError, DatasetError, SILVERBOX_DELTA
 from .duffing import ar_to_phys, phys_to_ar, simulate
-from .engine import PriorConfig
 
 
 def main(argv=None) -> int:
@@ -44,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="YAML file with m, c, a, b, tau, xi (optional x0)")
     p.add_argument("--input", default="sine",
                    help="'sine' or path to a CSV whose input column drives the system")
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--steps", type=int, help="samples to simulate: 2000 of "
+                   "the sine, or all rows of an --input file, by default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--delta", type=float, default=SILVERBOX_DELTA)
@@ -94,11 +93,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     params, x0 = dataio.load_params(args.params)
     if args.input == "sine":
-        t = np.arange(args.steps)
+        t = np.arange(2000 if args.steps is None else args.steps)
         u = args.sine_amplitude * np.sin(
             2.0 * math.pi * args.sine_frequency * t * args.delta)
     else:
         (u,) = dataio.load_columns(args.input, ("u",))
+        if args.steps is not None and not 0 <= args.steps <= len(u):
+            raise DatasetError(
+                f"{args.input}: --steps {args.steps} outside its {len(u)} rows")
+        u = u[:args.steps]
 
     ts, latent = simulate(params, u, args.delta, seed=args.seed, x0=x0,
                           noise_free=args.noise_free)
@@ -114,9 +117,8 @@ def cmd_identify(args) -> int:
                            args.output_column)
     if args.split_index:
         _, data = dataio.split(data, args.split_index)
-    cfg = dataio.load_config(args.config) if args.config else PriorConfig()
-    if args.mode is not None:
-        cfg = dataclasses.replace(cfg, model_mode=args.mode)
+    mode = {} if args.mode is None else {"model_mode": args.mode}
+    cfg = dataio.load_config(args.config, **mode)
 
     beliefs, reports = engine.identify(data, cfg)
 

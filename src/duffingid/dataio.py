@@ -10,10 +10,11 @@ value. `load_yaml` reads the YAML files, takes 1e-4 and 1e8 as floats and
 raises `ConfigError` on a syntax error: prior configs (`load_config`),
 simulator parameter files (`load_params`) and run artifacts
 (`save_artifact`, `load_artifact`). YAML goes through libyaml where PyYAML
-was built with it. An artifact holds the schema version, prior config,
-sample period, posterior, thinned free-energy trace and run metrics;
-readers derive the physical parameters. `save_truth` writes the simulator's
-truth sidecar.
+was built with it; `_from_mapping` turns a config's or parameter file's
+mapping into its dataclass, which checks the values. An artifact holds the
+schema version, prior config, sample period, posterior, thinned
+free-energy trace and run metrics; readers derive the physical parameters.
+`save_truth` writes the simulator's truth sidecar.
 """
 
 from __future__ import annotations
@@ -176,19 +177,31 @@ def load_params(path) -> tuple[PhysicalParams, tuple[float, float]]:
     """Read simulator parameters m, c, a, b, tau, xi and the optional
     initial state x0 = (x1, x0), (0, 0) by default, from a YAML mapping."""
     raw = load_yaml(path)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: parameter file must be a mapping")
-    unknown = sorted(set(raw) - {"m", "c", "a", "b", "tau", "xi", "x0"})
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    x0 = raw.pop("x0", (0.0, 0.0))
+    params = _from_mapping(PhysicalParams, raw, path, "parameter file",
+                           extra={"x0"})
+    x0 = raw.get("x0", (0.0, 0.0))
     if not (isinstance(x0, (list, tuple)) and len(x0) == 2
             and all(isinstance(v, (int, float)) for v in x0)):
         raise ConfigError(f"{path}: x0 must be two numbers, got {x0!r}")
+    return params, tuple(x0)
+
+
+def _from_mapping(cls, raw, source, kind: str, extra=frozenset(), **keys):
+    """`cls` from a YAML mapping, lists read as tuples, `keys` in place of
+    its own; the caller reads the `extra` keys. Any other key, a document
+    that is not a mapping and a bad value are a `ConfigError` from `source`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{source}: {kind} must be a mapping")
+    raw = {**raw, **keys}
+    fields = {field.name for field in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - fields - extra)
+    if unknown:
+        raise ConfigError(f"{source}: unknown keys {unknown}")
     try:
-        return PhysicalParams(**raw), tuple(x0)
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in raw.items() if key in fields})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def save_truth(path, coeffs: ArCoefficients, latent: np.ndarray) -> None:
@@ -201,28 +214,15 @@ def save_truth(path, coeffs: ArCoefficients, latent: np.ndarray) -> None:
         yaml.dump(truth, handle, Dumper=_SafeDumper)
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(PriorConfig)}
+def load_config(path=None, **keys) -> PriorConfig:
+    """Read a PriorConfig from a YAML mapping, `keys` in place of its own;
+    unknown keys are an error. An empty file, or none, yields the defaults."""
+    raw = {} if path is None else load_yaml(path)
+    return config_from_dict({} if raw is None else raw, str(path), **keys)
 
 
-def load_config(path) -> PriorConfig:
-    """Read a PriorConfig from YAML; unknown keys are an error (typo guard).
-    An empty file yields the full default configuration."""
-    raw = load_yaml(path)
-    return config_from_dict({} if raw is None else raw, source=str(path))
-
-
-def config_from_dict(raw: dict, source: str = "config") -> PriorConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{source}: config must be a mapping")
-    unknown = sorted(set(raw) - _CONFIG_FIELDS)
-    if unknown:
-        raise ConfigError(f"{source}: unknown keys {unknown}")
-    kwargs = {key: tuple(value) if isinstance(value, list) else value
-              for key, value in raw.items()}
-    try:
-        return PriorConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+def config_from_dict(raw: dict, source: str = "config", **keys) -> PriorConfig:
+    return _from_mapping(PriorConfig, raw, source, "config", **keys)
 
 
 def config_to_dict(cfg: PriorConfig) -> dict:

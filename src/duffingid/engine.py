@@ -71,7 +71,6 @@ from .beliefs import (
     digamma,
     dot,
     expected_quadratic,
-    independent,
     split_last,
 )
 # not called here; the benchmark's span tracer looks them up in this module
@@ -109,8 +108,8 @@ class BeliefSet:
 
     `q_coeffs` is the one belief over the coefficients w = (theta, eta);
     `q_theta` and `q_eta` are read-only views of its marginals, split from
-    it once, on first access. Build `q_coeffs` from separate beliefs over
-    theta and eta with `beliefs.independent`.
+    it once, on first access. `initial_beliefs` builds the prior's
+    `q_coeffs` as one diagonal Gaussian.
     """
 
     q_coeffs: GaussianBelief
@@ -151,7 +150,8 @@ class PriorConfig:
     Defaults are the benchmark choices: coefficient priors centred at 1 with
     precision 0.1, informative noise priors (shape-rate convention), and a
     weakly informative unit state prior. `iterations_per_step` caps the
-    sweeps of a step, which stops earlier once it settles.
+    sweeps of a step, which stops earlier once it settles. Construction
+    checks every field and builds the prior (`initial_beliefs`) once.
     """
 
     m0_theta: tuple = (1.0, 1.0, 1.0)
@@ -177,20 +177,19 @@ class PriorConfig:
             raise ValueError("iterations_per_step must be an integer of at least 1")
         for name in ("v0_theta", "v0_eta", "a0_gamma", "b0_gamma", "a0_xi",
                      "b0_xi", "state0_cov", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not isinstance(self.trace_free_energy, bool):
+            raise ValueError("trace_free_energy must be true or false")
         # the closed-form inverse calls a precision singular when its
         # determinant under- or overflows or its inverse overflows; such a
         # prior would fail at step 0
-        d = self.n_coeffs
-        for names, variances in (
-                ("v0_theta and v0_eta", [self.v0_theta] * d + [self.v0_eta]),
-                ("state0_cov", [self.state0_cov] * 2)):
-            prior = GaussianBelief(np.zeros(len(variances)),
-                                   np.diag([1.0 / v for v in variances]))
+        beliefs = initial_beliefs(self)
+        for names, prior in (("v0_theta and v0_eta", beliefs.q_coeffs),
+                             ("state0_cov", beliefs.q_state)):
             if prior.cov is not None:
                 continue
-            if sum(map(math.log, variances)) < 0.0:  # a determinant above 1
+            if np.log(prior.precision.diagonal()).sum() > 0.0:  # det above 1
                 raise ValueError(f"the prior from {names} is too narrow: its "
                                  "precision's determinant overflows in "
                                  "floating point")
@@ -206,21 +205,27 @@ class PriorConfig:
 
 
 def initial_beliefs(cfg: PriorConfig) -> BeliefSet:
-    """Belief set holding the configured priors."""
+    """Belief set holding the configured priors, q(theta, eta) as one
+    diagonal Gaussian; LARX drops the cubic entry of a 3-entry `m0_theta`.
+    A mean of another length, or one not finite times its precision, is a
+    ValueError."""
+    d = cfg.n_coeffs
     m0 = np.asarray(cfg.m0_theta, dtype=float)
-    if cfg.n_coeffs == 2 and m0.size == 3:
+    if d == 2 and m0.shape == (3,):
         m0 = m0[[0, 2]]  # drop the cubic coefficient in linear mode
-    if m0.size != cfg.n_coeffs:
-        raise ValueError("m0_theta size does not match the model mode")
-    return BeliefSet(
-        q_coeffs=independent(
-            GaussianBelief(m0, np.eye(cfg.n_coeffs) / cfg.v0_theta),
-            GaussianBelief([cfg.m0_eta], [[1.0 / cfg.v0_eta]])),
-        q_gamma=GammaBelief(cfg.a0_gamma, cfg.b0_gamma),
-        q_xi=GammaBelief(cfg.a0_xi, cfg.b0_xi),
-        q_state=GaussianBelief(np.asarray(cfg.state0_mean, dtype=float),
-                               np.eye(2) / cfg.state0_cov),
-    )
+    if m0.shape != (d,):
+        raise ValueError(f"m0_theta must be {d} numbers in {cfg.model_mode} mode")
+    state0 = np.asarray(cfg.state0_mean, dtype=float)
+    if state0.shape != (2,):
+        raise ValueError(f"state0_mean must be 2 numbers, got {cfg.state0_mean!r}")
+    q_coeffs = GaussianBelief(np.append(m0, float(cfg.m0_eta)), np.diag(
+        [1.0 / cfg.v0_theta] * d + [1.0 / cfg.v0_eta]))
+    q_state = GaussianBelief(state0, np.diag([1.0 / cfg.state0_cov] * 2))
+    if not np.isfinite(np.append(q_coeffs.potential, q_state.potential)).all():
+        raise ValueError("the prior means, and each times its precision, "
+                         "must be finite")
+    return BeliefSet(q_coeffs, GammaBelief(cfg.a0_gamma, cfg.b0_gamma),
+                     GammaBelief(cfg.a0_xi, cfg.b0_xi), q_state)
 
 
 def _require_proper(beliefs: BeliefSet) -> None:

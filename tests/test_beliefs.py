@@ -14,6 +14,7 @@ from duffingid.beliefs import (
     combine_gamma,
     combine_gaussian,
     digamma,
+    dot,
     entropy_gamma,
     entropy_gaussian,
     gaussian_moments,
@@ -278,7 +279,8 @@ class TestValueType:
         prec = 0.5 * (prec + prec.T)  # exactly symmetric: no constructor changes it
         mean = rng.normal(0, 1, dim)
         from_mean = GaussianBelief(mean, prec)
-        from_natural = GaussianBelief.from_natural(prec, prec @ mean)
+        from_natural = GaussianBelief.from_natural(
+            prec, np.array([dot(row, mean) for row in prec]))
         np.testing.assert_array_equal(from_mean.precision, from_natural.precision)
         np.testing.assert_array_equal(from_mean.potential, from_natural.potential)
         np.testing.assert_array_equal(from_mean.cov, from_natural.cov)

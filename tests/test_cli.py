@@ -98,6 +98,25 @@ class TestSimulate:
         ts = load_csv(str(out), delta=0.1)
         np.testing.assert_array_equal(ts.u, 0.1 * np.sin(np.arange(60) * 0.3))
 
+    def test_steps_cut_an_input_file(self, tmp_path, params_file, capsys):
+        drive = tmp_path / "u.csv"
+        save_columns(drive, {"u": 0.1 * np.sin(np.arange(50) * 0.3)})
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--params", params_file, "--input", drive,
+                   "--steps", 5, "--out", out, "--delta", 0.1) == 0
+        ts = load_csv(str(out), delta=0.1)
+        np.testing.assert_array_equal(ts.u, 0.1 * np.sin(np.arange(5) * 0.3))
+        sidecar = yaml.safe_load((tmp_path / "sim.csv.truth.yaml").read_text())
+        assert len(sidecar["latent_x"]) == 5
+        capsys.readouterr()
+        # more steps than the file has rows, or fewer than none
+        for steps in (51, -1):
+            assert run("simulate", "--params", params_file, "--input", drive,
+                       "--steps", steps, "--out", tmp_path / "x.csv") == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {drive}: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_exponent_numbers_in_params(self, tmp_path):
         outs = []
         for xi in ("1e6", "1.0e+6"):
@@ -265,6 +284,26 @@ class TestIdentifyPredictEvaluate:
         payload = yaml.safe_load(art.read_text())
         assert payload["config"]["model_mode"] == "larx"
         assert len(payload["posterior"]["theta"]["mean"]) == 2
+
+    def test_mode_is_set_before_the_config_is_checked(self, tmp_path, dataset,
+                                                      capsys):
+        # a 2-entry m0_theta fits only LARX, which --mode sets
+        cfgfile, art = tmp_path / "cfg.yaml", tmp_path / "run.yaml"
+        cfgfile.write_text("m0_theta: [1.5, -0.5]\n")
+        assert run("identify", "--data", dataset, "--config", cfgfile,
+                   "--mode", "larx", "--out", art, "--delta", 0.1) == 0
+        payload = yaml.safe_load(art.read_text())
+        assert payload["config"]["model_mode"] == "larx"
+        assert payload["config"]["m0_theta"] == [1.5, -0.5]
+        assert len(payload["posterior"]["theta"]["mean"]) == 2
+        capsys.readouterr()
+        # ... and a document that is not a mapping is still refused
+        for text in ("[]\n", "0\n"):
+            cfgfile.write_text(text)
+            assert run("identify", "--data", dataset, "--config", cfgfile,
+                       "--mode", "larx", "--out", art, "--delta", 0.1) == 2
+            assert capsys.readouterr().err == (
+                f"error: {cfgfile}: config must be a mapping\n")
 
     def test_predict_perfect_model(self, tmp_path, params_file, capsys):
         data = tmp_path / "clean.csv"
@@ -488,7 +527,14 @@ class TestMalformedFiles:
         # valid YAML that PriorConfig rejects: a narrow prior whose
         # determinant overflows, and a sweep cap `range` cannot take
         ("identify", b"v0_theta: 1e-100\nv0_eta: 1e-100\n"),
-        ("identify", b"iterations_per_step: 2.5\n")])
+        ("identify", b"iterations_per_step: 2.5\n"),
+        # an infinite variance or Gamma parameter, a prior mean of the wrong
+        # length, of strings or not finite, and a flag that is not a bool
+        ("identify", b"b0_xi: .inf\n"), ("identify", b"a0_gamma: .inf\n"),
+        ("identify", b"m0_theta: [1.0, 2.0]\n"),
+        ("identify", b"m0_theta: [a, b, c]\n"), ("identify", b"m0_eta: .nan\n"),
+        ("identify", b"state0_mean: [0.0, 0.0, 0.0]\n"),
+        ("identify", b'trace_free_energy: "no"\n')])
     def test_yaml_syntax_error_exit_2(self, tmp_path, capsys, command, text):
         bad = tmp_path / "bad.yaml"
         if command == "report":

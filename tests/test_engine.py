@@ -92,6 +92,31 @@ class TestInitialBeliefs:
                 PriorConfig(iterations_per_step=cap)
         with pytest.raises(ValueError, match="must be positive"):
             PriorConfig(epsilon=0.0)
+        for name in ("v0_theta", "a0_gamma", "b0_xi", "state0_cov"):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be positive and finite"):
+                PriorConfig(**{name: math.inf})
+        with pytest.raises(ValueError, match="trace_free_energy"):
+            PriorConfig(trace_free_energy="no")
+        # prior means of a length that does not fit the mode, or not finite
+        for means, match in (({"m0_theta": (1.0, 2.0)}, "m0_theta must be 3"),
+                             ({"m0_theta": (1.0,), "model_mode": "larx"},
+                              "m0_theta must be 2"),
+                             ({"state0_mean": (0.0, 0.0, 0.0)},
+                              "state0_mean must be 2"),
+                             ({"m0_eta": math.nan}, "must be finite"),
+                             ({"m0_theta": (1.0, math.inf, 1.0)},
+                              "must be finite"),
+                             ({"state0_mean": (0.0, -math.inf)},
+                              "must be finite"),
+                             # a finite mean whose potential overflows
+                             ({"m0_theta": (1e300,) * 3, "v0_theta": 1e-20},
+                              "must be finite")):
+            with pytest.raises(ValueError, match=match):
+                PriorConfig(**means)
+        with pytest.raises(ValueError, match="could not convert"):
+            PriorConfig(m0_theta=("a", "b", "c"))
+        PriorConfig(model_mode="larx", m0_theta=(1.5, -0.5))
         # proper priors whose precision's determinant underflows to 0
         for wide in ({"v0_theta": 1e81, "v0_eta": 1e81}, {"state0_cov": 1e200},
                      {"model_mode": "larx", "v0_theta": 1e110, "v0_eta": 1e110}):
