@@ -44,7 +44,7 @@ class GaussianBelief:
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         precision = _symmetric(precision, mean.size)
         self.precision, self.mean, means = precision, mean, mean.tolist()
-        self.potential = np.array([dot(row, means) for row in precision.tolist()])
+        self.potential = np.array(matvec(precision.tolist(), means))
         self.cov, self.logdet = _inverse(precision)
 
     @classmethod
@@ -220,11 +220,52 @@ def dot(a, b) -> float:
     return total
 
 
+def matvec(rows: list, v: list) -> list[float]:
+    """`dot` of each row with v, as a list: written out for 3 and 4
+    columns, in `dot`'s order of operations."""
+    if len(v) == 4:
+        v0, v1, v2, v3 = v
+        return [0.0 + r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3
+                for r0, r1, r2, r3 in rows]
+    if len(v) == 3:
+        v0, v1, v2 = v
+        return [0.0 + r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in rows]
+    return [dot(row, v) for row in rows]
+
+
+def add_scaled(a: list, s: float, b: list) -> list:
+    """a + s * b for matrices as nested lists of floats, entry by entry as
+    numpy's elementwise arithmetic rounds it: written out for 3 and 4
+    columns."""
+    if len(a) == 4:
+        return [[a0 + s * b0, a1 + s * b1, a2 + s * b2, a3 + s * b3]
+                for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(a, b)]
+    if len(a) == 3:
+        return [[a0 + s * b0, a1 + s * b1, a2 + s * b2]
+                for (a0, a1, a2), (b0, b1, b2) in zip(a, b)]
+    return [[a_ij + s * b_ij for a_ij, b_ij in zip(a_row, b_row)]
+            for a_row, b_row in zip(a, b)]
+
+
 def expected_quadratic(a: list, mean: list, cov: list) -> float:
     """E[x' A x] = mean' A mean + trace(A cov) for x with the given mean and
     covariance, in scalar code on (nested) lists of floats. Only the leading
-    len(a) coordinates of x enter, so A may weigh a leading block."""
+    len(a) coordinates of x enter, so A may weigh a leading block. The
+    terms are summed row by row, left to right; written out for 3 and 4
+    rows."""
     total = 0.0
+    if len(a) == 4:
+        m0, m1, m2, m3 = mean[:4]
+        for m_i, (a0, a1, a2, a3), c in zip(mean, a, cov):
+            total = (total + a0 * (m_i * m0 + c[0]) + a1 * (m_i * m1 + c[1])
+                     + a2 * (m_i * m2 + c[2]) + a3 * (m_i * m3 + c[3]))
+        return total
+    if len(a) == 3:
+        m0, m1, m2 = mean[:3]
+        for m_i, (a0, a1, a2), c in zip(mean, a, cov):
+            total = (total + a0 * (m_i * m0 + c[0]) + a1 * (m_i * m1 + c[1])
+                     + a2 * (m_i * m2 + c[2]))
+        return total
     for m_i, a_row, cov_row in zip(mean, a, cov):
         for m_j, a_ij, cov_ij in zip(mean, a_row, cov_row):
             total += a_ij * (m_i * m_j + cov_ij)

@@ -181,8 +181,9 @@ def load_params(path) -> tuple[PhysicalParams, tuple[float, float]]:
                            extra={"x0"})
     x0 = raw.get("x0", (0.0, 0.0))
     if not (isinstance(x0, (list, tuple)) and len(x0) == 2
-            and all(isinstance(v, (int, float)) for v in x0)):
-        raise ConfigError(f"{path}: x0 must be two numbers, got {x0!r}")
+            and all(isinstance(v, (int, float)) and math.isfinite(v)
+                    for v in x0)):
+        raise ConfigError(f"{path}: x0 must be two finite numbers, got {x0!r}")
     return params, tuple(x0)
 
 

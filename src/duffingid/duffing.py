@@ -15,6 +15,8 @@ loop of this recursion, for `simulate` and the rollout in `engine`;
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,10 @@ class PhysicalParams:
     xi: float
 
     def __post_init__(self):
+        for name in ("m", "c", "a", "b", "tau", "xi"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.m > 0:
             raise ValueError("mass must be positive")
         if not self.tau > 0:

@@ -15,48 +15,58 @@ output sample. The simulator in `duffing` and both prediction protocols use
 the same pairing; the rollout runs the simulator's own recursion,
 `duffing.propagate`.
 
-One online step is `step_update`. It predicts, then sweeps the message
-schedule; every sweep combines the fresh messages with the beliefs the step
-started from (the previous posteriors act as this step's priors), so
-repeated sweeps refine rather than double-count the observation. From the
-second sweep on it stops once a sweep moved every coefficient mean by less
-than `CONVERGENCE_TOL` of its posterior sd and E[gamma] by less than
+One online step is the kernel `_step`. It predicts, then sweeps the
+message schedule; every sweep combines the fresh messages with the beliefs
+the step started from (the previous posteriors act as this step's priors),
+so repeated sweeps refine rather than double-count the observation. From
+the second sweep on it stops once a sweep moved every coefficient mean by
+less than `CONVERGENCE_TOL` of its posterior sd and E[gamma] by less than
 `CONVERGENCE_TOL` relative; `PriorConfig.iterations_per_step` caps the
-sweeps. It builds no belief per message and the posterior `BeliefSet` once,
-at the end. `identify_stream` folds it over the stream. The `nlarx`
-messages, `combine_*` and `compute_free_energy` compose the same step from
-belief objects and stay the tested reference.
+sweeps. The kernel reads and returns the beliefs in its own float form,
+the carry (`_carry`): q(w)'s precision, potential, mean and covariance as
+(nested) lists and its log-determinant, the Gamma shapes and rates, and
+q(z)'s parts in the same form, the -0.0 off the diagonal of its covariance
+kept. `identify_stream` folds the kernel over the stream: it checks the
+initial beliefs once and builds the numpy `BeliefSet` once, after the last
+step. `step_update` converts a `BeliefSet` in, runs the same kernel and
+converts the result out. The `nlarx` messages, `combine_*` and
+`compute_free_energy` compose the same step from belief objects and stay
+the tested reference.
 
-Rounding rule: the step reproduces that composition bit for bit, so every
-float operation keeps its order there. numpy only adds and scales
-elementwise, which rounds as floats do; every vector product is
-`beliefs.dot`, summed left to right, so no BLAS kernel enters an estimate.
-What the previous state and the step's prior fix is computed once per step
-as floats and lists (`nlarx.regressor_psi`, `regressor_spread`,
-`coefficient_information`, `_prior_terms`). A sweep computes the forward
-mean `dot(E[w], psi)` once, for its expected squared residual
-(`nlarx.residual_moment`, shared with the messages) and for the next
-sweep's q(z). q(z) and the Gamma updates are scalar algebra: q(z)'s
-precision is always diag(E[gamma] + E[xi], 1/eps). q(w)'s precision
-`prec0 + E[gamma] info` is a numpy sum, `beliefs.closed_form_inverse`
-inverts it on nested lists, and its mean is a `dot` per covariance row.
-`_free_energy`, shared with `compute_free_energy`, runs on floats; its
-squares stay `** 2`, libm's pow, which rounds differently from `x * x`
-about once in a thousand.
+Rounding rule: the kernel reproduces that composition bit for bit, so every
+float operation keeps its order there. No numpy runs inside a step. The
+elementwise updates of q(w)'s natural parameters, `prec0 + E[gamma] info`
+(`beliefs.add_scaled`) and `pot0 + psi (E[gamma] E[x])`, are float
+expressions entry by entry, which round as numpy's elementwise ufuncs do.
+Every vector product is summed left to right as `beliefs.dot` sums it;
+`beliefs.matvec`, `expected_quadratic` and `nlarx.residual_moment` write
+the sums out for the common sizes, in the same order. So no BLAS kernel
+enters an estimate. What the previous state fixes is computed once per step
+(`nlarx.regressor_psi`, `regressor_spread`, `coefficient_information`). A
+sweep computes the forward mean `dot(E[w], psi)` once, for its expected
+squared residual (`nlarx.residual_moment`, shared with the messages) and
+for the next sweep's q(z). q(z) and the Gamma updates are scalar algebra:
+q(z)'s precision is always diag(E[gamma] + E[xi], 1/eps).
+`beliefs.closed_form_inverse` inverts q(w)'s precision. `_free_energy`,
+shared with `compute_free_energy`, runs on floats; its squares stay
+`** 2`, libm's pow, which rounds differently from `x * x` about once in a
+thousand.
 
-Failure contract: `step_update(..., t)` raises `InferenceError` with
-`.step == t` for every failure it detects inside the step: an input or
-output sample that is not a finite float, a non-finite coefficient message
-precision, state mean, coefficient mean or expected squared residual
-("diverged", caught before numpy can overflow on it), an improper posterior,
-a negative gamma message rate and a non-finite free energy. Only an
-improper incoming belief raises `ImproperBeliefError`, which carries no
-step. `identify_stream` passes these errors on unchanged.
+Failure contract: `step_update(..., t)` and the kernel raise
+`InferenceError` with `.step == t` for every failure they detect inside the
+step: an input or output sample that is not a finite float, a non-finite
+coefficient message precision, state mean, coefficient mean or expected
+squared residual ("diverged", caught where it first appears), an improper
+posterior, a negative gamma message rate and a non-finite free energy.
+Only an improper incoming belief raises `ImproperBeliefError`, which
+carries no step; `step_update` checks it first, as it converts the beliefs.
+`identify_stream` passes these errors on unchanged.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -67,10 +77,12 @@ from .beliefs import (
     GammaBelief,
     GaussianBelief,
     ImproperBeliefError,
+    add_scaled,
     closed_form_inverse,
     digamma,
     dot,
     expected_quadratic,
+    matvec,
     split_last,
 )
 # not called here; the benchmark's span tracer looks them up in this module
@@ -177,8 +189,10 @@ class PriorConfig:
             raise ValueError("iterations_per_step must be an integer of at least 1")
         for name in ("v0_theta", "v0_eta", "a0_gamma", "b0_gamma", "a0_xi",
                      "b0_xi", "state0_cov", "epsilon"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
         if not isinstance(self.trace_free_energy, bool):
             raise ValueError("trace_free_energy must be true or false")
         # the closed-form inverse calls a precision singular when its
@@ -207,18 +221,21 @@ class PriorConfig:
 def initial_beliefs(cfg: PriorConfig) -> BeliefSet:
     """Belief set holding the configured priors, q(theta, eta) as one
     diagonal Gaussian; LARX drops the cubic entry of a 3-entry `m0_theta`.
-    A mean of another length, or one not finite times its precision, is a
-    ValueError."""
+    A mean that is not a number, of another length, or not finite times its
+    precision, is a ValueError that names it."""
     d = cfg.n_coeffs
-    m0 = np.asarray(cfg.m0_theta, dtype=float)
-    if d == 2 and m0.shape == (3,):
-        m0 = m0[[0, 2]]  # drop the cubic coefficient in linear mode
-    if m0.shape != (d,):
-        raise ValueError(f"m0_theta must be {d} numbers in {cfg.model_mode} mode")
-    state0 = np.asarray(cfg.state0_mean, dtype=float)
-    if state0.shape != (2,):
+    m0 = _numbers(cfg.m0_theta)
+    if d == 2 and m0 is not None and len(m0) == 3:
+        m0 = [m0[0], m0[2]]  # drop the cubic coefficient in linear mode
+    if m0 is None or len(m0) != d:
+        raise ValueError(f"m0_theta must be {d} numbers in {cfg.model_mode} "
+                         f"mode, got {cfg.m0_theta!r}")
+    state0 = _numbers(cfg.state0_mean)
+    if state0 is None or len(state0) != 2:
         raise ValueError(f"state0_mean must be 2 numbers, got {cfg.state0_mean!r}")
-    q_coeffs = GaussianBelief(np.append(m0, float(cfg.m0_eta)), np.diag(
+    if not isinstance(cfg.m0_eta, numbers.Real):
+        raise ValueError(f"m0_eta must be a number, got {cfg.m0_eta!r}")
+    q_coeffs = GaussianBelief(m0 + [float(cfg.m0_eta)], np.diag(
         [1.0 / cfg.v0_theta] * d + [1.0 / cfg.v0_eta]))
     q_state = GaussianBelief(state0, np.diag([1.0 / cfg.state0_cov] * 2))
     if not np.isfinite(np.append(q_coeffs.potential, q_state.potential)).all():
@@ -228,10 +245,51 @@ def initial_beliefs(cfg: PriorConfig) -> BeliefSet:
                      GammaBelief(cfg.a0_xi, cfg.b0_xi), q_state)
 
 
+def _numbers(value) -> list[float] | None:
+    """A sequence of real numbers as a list of floats; None for anything
+    else (a string, say)."""
+    try:
+        items = list(value)
+    except TypeError:
+        return None
+    if not all(isinstance(item, numbers.Real) for item in items):
+        return None
+    return [float(item) for item in items]
+
+
 def _require_proper(beliefs: BeliefSet) -> None:
     if (beliefs.q_coeffs.cov is None or beliefs.q_state.cov is None
             or not (beliefs.q_gamma.is_proper and beliefs.q_xi.is_proper)):
         raise ImproperBeliefError("moments undefined for improper belief")
+
+
+def _carry(beliefs: BeliefSet) -> tuple:
+    """The step kernel's float form of a proper belief set: q(w)'s parts,
+    the shape and rate of q(gamma) and of q(xi), and q(z)'s parts, where a
+    Gaussian's parts are its precision, potential, mean and covariance as
+    (nested) lists of floats and its log-determinant, in the order of
+    `GaussianBelief._from_parts`."""
+    _require_proper(beliefs)
+    return (_parts(beliefs.q_coeffs), beliefs.q_gamma.shape,
+            beliefs.q_gamma.rate, beliefs.q_xi.shape, beliefs.q_xi.rate,
+            _parts(beliefs.q_state))
+
+
+def _parts(g: GaussianBelief) -> tuple:
+    return (g.precision.tolist(), g.potential.tolist(), g.mean.tolist(),
+            g.cov.tolist(), g.logdet)
+
+
+def _belief_set(carry: tuple) -> BeliefSet:
+    """The belief set of a `_carry`."""
+    w, ag, bg, ax, bx, z = carry
+    return BeliefSet(_belief(w), GammaBelief(ag, bg), GammaBelief(ax, bx),
+                     _belief(z))
+
+
+def _belief(parts: tuple) -> GaussianBelief:
+    *arrays, logdet = parts
+    return GaussianBelief._from_parts(*map(np.array, arrays), logdet)
 
 
 def step_update(
@@ -240,6 +298,14 @@ def step_update(
     """One online step: predict, then sweep the message schedule until it
     settles (see the module docstring). The returned state belief becomes
     the next step's previous state."""
+    carry, report = _step(_carry(beliefs), u_t, y_t, cfg, t)
+    return _belief_set(carry), report
+
+
+def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
+          t: int) -> tuple[tuple, StepReport]:
+    """`step_update` on the beliefs' float form (`_carry`): the posterior in
+    the same form, and the step's report."""
     try:
         u, y = float(u_t), float(y_t)
     except (TypeError, ValueError) as exc:
@@ -248,24 +314,19 @@ def step_update(
     if not (math.isfinite(u) and math.isfinite(y)):
         raise InferenceError(
             t, f"non-finite input/output sample: u={u!r}, y={y!r}")
-    _require_proper(beliefs)
-    prec0, pot0 = beliefs.q_coeffs.precision, beliefs.q_coeffs.potential
-    zp_mean, zp_cov = beliefs.q_state.mean, beliefs.q_state.cov
+    ((prec0, pot0, w_list, _, _), ag0, bg0, ax0, bx0,
+     (_, _, zp_mean, zp_cov, _)) = prior
     d = cfg.n_coeffs
     inv_eps = 1.0 / cfg.epsilon
     last = cfg.iterations_per_step - 1
-    # fixed within the step: the prior's terms of the free energy, psi,
-    # J Sigma_zprev J' and the coefficient message's precision per E[gamma]
-    prior = _prior_terms(beliefs, cfg.epsilon)
-    _, w_list, _, ag0, bg0, ax0, bx0, zp0, _, _ = prior
+    # fixed within the step: psi, J Sigma_zprev J' and the coefficient
+    # message's precision per E[gamma]
     psi = nlarx.regressor_psi(zp_mean, d, u)
     spread = nlarx.regressor_spread(zp_mean, zp_cov, d)
     info = nlarx.coefficient_information(psi, spread)
     if not all(math.isfinite(value) for row in info for value in row):
         raise InferenceError(t, "diverged: non-finite coefficient message precision")
-    info = np.array(info)
-    psi_array = np.array(psi)
-    hz1 = inv_eps * zp0
+    hz1 = inv_eps * zp_mean[0]
     ag, ax = ag0 + 1.5 - 1.0, ax0 + 1.5 - 1.0
     eg, ex = ag0 / bg0, ax0 / bx0
     pred_var = 1.0 / eg + 1.0 / ex
@@ -273,8 +334,6 @@ def step_update(
     pred_mean = forward = dot(w_list, psi)
     trace = []
     for k in range(cfg.iterations_per_step):
-        # the scalar algebra below runs on Python floats, which round like
-        # numpy scalars at a fraction of their cost per operation
         # q(z): forward message N((forward, zp0), diag(E[gamma], 1/eps)) times
         # the likelihood message; its precision is diag(E[gamma] + E[xi], 1/eps)
         za = eg + ex
@@ -288,14 +347,14 @@ def step_update(
             raise InferenceError(t, "diverged: non-finite state mean")
 
         # q(w): prior for the step plus the coefficient message
-        prec = prec0 + eg * info
-        pot = pot0 + psi_array * (eg * zm0)
-        inverse = closed_form_inverse(prec.tolist())
+        prec = add_scaled(prec0, eg, info)
+        scale = eg * zm0
+        pot = [h + a * scale for h, a in zip(pot0, psi)]
+        inverse = closed_form_inverse(prec)
         if inverse is None:
             raise InferenceError(t, "improper posterior")
         cov_list, det_w = inverse
-        pot_list = pot.tolist()
-        w_previous, w_list = w_list, [dot(row, pot_list) for row in cov_list]
+        w_previous, w_list = w_list, matvec(cov_list, pot)
         if not all(map(math.isfinite, w_list)):
             raise InferenceError(t, "diverged: non-finite coefficient mean")
 
@@ -321,8 +380,8 @@ def step_update(
         if cfg.trace_free_energy or done:
             logdet_w, logdet_z = math.log(det_w), math.log(zdet)
             zm1 = zc11 * hz1
-            energy = _free_energy(prior, w_list, cov_list, logdet_w,
-                                  (zm0, zm1, zc00, zc11, logdet_z),
+            energy = _free_energy(prior, cfg.epsilon, w_list, cov_list,
+                                  logdet_w, (zm0, zm1, zc00, zc11, logdet_z),
                                   ag, bg, ax, bx, esr, y)
             if not math.isfinite(energy):
                 raise InferenceError(t, f"non-finite free energy {energy}")
@@ -330,27 +389,17 @@ def step_update(
         if done:
             break
 
-    report = StepReport(
-        t=t,
-        free_energy=trace[-1],
-        prediction_mean=pred_mean,
-        prediction_var=pred_var,
-        iterations=k + 1,
-        free_energy_trace=tuple(trace) if cfg.trace_free_energy else (),
-    )
+    # fields in order: t, free energy, prediction mean and variance,
+    # sweeps, trace (positional arguments cost less)
+    report = StepReport(t, trace[-1], pred_mean, pred_var, k + 1,
+                        tuple(trace) if cfg.trace_free_energy else ())
     # the posterior of the last sweep, which always evaluated the free
-    # energy. q(z) as `combine_gaussian` builds it, from one buffer:
-    # precision, potential, mean, covariance; its closed-form inverse puts
-    # -0.0 off the diagonal of the covariance
-    z = np.array([za, 0.0, 0.0, inv_eps, hz0, hz1, zm0, zm1,
-                  zc00, -0.0, -0.0, zc11])
-    q_state = GaussianBelief._from_parts(
-        z[:4].reshape(2, 2), z[4:6], z[6:8], z[8:].reshape(2, 2), logdet_z)
-    q_coeffs = GaussianBelief._from_parts(prec, pot, np.array(w_list),
-                                          np.array(cov_list), logdet_w)
-    posterior = BeliefSet(q_coeffs, GammaBelief(ag, bg), GammaBelief(ax, bx),
-                          q_state)
-    return posterior, report
+    # energy; q(z) as `combine_gaussian` builds it, whose closed-form inverse
+    # puts -0.0 off the diagonal of the covariance
+    q_state = ([[za, 0.0], [0.0, inv_eps]], [hz0, hz1], [zm0, zm1],
+               [[zc00, -0.0], [-0.0, zc11]], logdet_z)
+    return ((prec, pot, w_list, cov_list, logdet_w), ag, bg, ax, bx,
+            q_state), report
 
 
 def _settled(w_mean: list[float], w_previous: list[float],
@@ -378,7 +427,7 @@ def compute_free_energy(
     affine surrogate the messages use. The previous-state belief is held
     fixed and enters only through the transition expectation."""
     _require_proper(beliefs)
-    _require_proper(beliefs_prior_for_step)
+    prior = _carry(beliefs_prior_for_step)
     q_coeffs, q_state = beliefs.q_coeffs, beliefs.q_state
     esr = nlarx.expected_square_residual(
         q_state, beliefs_prior_for_step.q_state, q_coeffs,
@@ -386,9 +435,8 @@ def compute_free_energy(
     zm0, zm1 = q_state.mean.tolist()
     (zc00, _), (_, zc11) = q_state.cov.tolist()
     energy = _free_energy(
-        _prior_terms(beliefs_prior_for_step, cfg.epsilon),
-        q_coeffs.mean.tolist(), q_coeffs.cov.tolist(), q_coeffs.logdet,
-        (zm0, zm1, zc00, zc11, q_state.logdet),
+        prior, cfg.epsilon, q_coeffs.mean.tolist(), q_coeffs.cov.tolist(),
+        q_coeffs.logdet, (zm0, zm1, zc00, zc11, q_state.logdet),
         beliefs.q_gamma.shape, beliefs.q_gamma.rate,
         beliefs.q_xi.shape, beliefs.q_xi.rate, esr, float(y_t))
     if not math.isfinite(energy):
@@ -396,29 +444,18 @@ def compute_free_energy(
     return energy
 
 
-def _prior_terms(prior: BeliefSet, eps: float) -> tuple:
-    """What a step's prior fixes in its free energy, as floats and lists:
-    q(w)'s precision (nested lists), mean (list) and log-determinant, the
-    shape and rate of q(gamma) and of q(xi), the previous position's mean
-    and variance, and eps."""
-    q_coeffs, q_gamma, q_xi = prior.q_coeffs, prior.q_gamma, prior.q_xi
-    return (q_coeffs.precision.tolist(), q_coeffs.mean.tolist(),
-            q_coeffs.logdet, q_gamma.shape, q_gamma.rate, q_xi.shape,
-            q_xi.rate, float(prior.q_state.mean[0]),
-            float(prior.q_state.cov[0, 0]), eps)
-
-
 def _free_energy(
-    prior: tuple, w_mean: list[float], w_cov: list[list[float]],
+    prior: tuple, eps: float, w_mean: list[float], w_cov: list[list[float]],
     w_logdet: float, z: tuple, ag: float, bg: float, ax: float, bx: float,
     esr: float, y: float,
 ) -> float:
-    """`compute_free_energy` on floats: the step's `_prior_terms`; the mean,
-    covariance and precision log-determinant of q(w); q(z) as (mean of
-    x_next, mean of x, variance of x_next, variance of x, precision
+    """`compute_free_energy` on floats: the step's prior as a `_carry` and
+    eps; the mean, covariance and precision log-determinant of q(w); q(z) as
+    (mean of x_next, mean of x, variance of x_next, variance of x, precision
     log-determinant); the Gamma shapes and rates of q(gamma) and q(xi); the
     expected squared residual of q(z), q(w) and the previous state; and y."""
-    prec0, mean0, logdet0, ag0, bg0, ax0, bx0, zp0, zp_var, eps = prior
+    ((prec0, _, mean0, _, logdet0), ag0, bg0, ax0, bx0,
+     (_, _, (zp0, _), ((zp_var, _), _), _)) = prior
     zm0, zm1, zv0, zv1, z_logdet = z
     dg_g, dg_x = digamma(ag), digamma(ax)
     n = len(w_mean)
@@ -467,16 +504,18 @@ def identify_stream(
 ) -> tuple[BeliefSet, list[StepReport]]:
     """Fold the online update over a stream of (input, output) pairs.
 
-    Single pass that keeps one `StepReport` per step.
+    Single pass that keeps one `StepReport` per step. The beliefs stay in
+    the kernel's float form from step to step, and become a `BeliefSet`
+    once, after the last step.
     """
-    beliefs = initial_beliefs(cfg)
+    carry = _carry(initial_beliefs(cfg))
     reports: list[StepReport] = []
     for t, (u_t, y_t) in enumerate(samples):
-        beliefs, report = step_update(beliefs, u_t, y_t, cfg, t)
+        carry, report = _step(carry, u_t, y_t, cfg, t)
         reports.append(report)
     if not reports:
         raise ValueError("insufficient data: empty sample stream")
-    return beliefs, reports
+    return _belief_set(carry), reports
 
 
 def identify(data: TimeSeries, cfg: PriorConfig) -> tuple[BeliefSet, list[StepReport]]:
@@ -485,7 +524,7 @@ def identify(data: TimeSeries, cfg: PriorConfig) -> tuple[BeliefSet, list[StepRe
     sample)."""
     if len(data) < 3:
         raise ValueError("insufficient data: need at least 3 samples")
-    pairs = zip(data.u[:-1], data.y[1:])
+    pairs = zip(data.u[:-1].tolist(), data.y[1:].tolist())
     return identify_stream(pairs, cfg)
 
 

@@ -53,25 +53,26 @@ class NodeConfig:
         return 3 if self.cubic else 2
 
 
-def regressor_psi(zp_mean: np.ndarray, n_coeffs: int, u: float) -> list[float]:
-    """The regressor psi = (phi(z_bar), u) of w at the previous-state mean,
-    as a list of floats: a cube that overflows gives inf."""
-    x, x_prev = zp_mean.tolist()
+def regressor_psi(zp_mean: list[float], n_coeffs: int, u: float) -> list[float]:
+    """The regressor psi = (phi(z_bar), u) of w at the previous-state mean
+    (a list of floats), as a list of floats: a cube that overflows gives
+    inf."""
+    x, x_prev = zp_mean
     if n_coeffs == 3:
         return [x, x * x * x, x_prev, float(u)]
     return [x, x_prev, float(u)]
 
 
-def regressor_spread(zp_mean: np.ndarray, zp_cov: np.ndarray,
+def regressor_spread(zp_mean: list[float], zp_cov: list[list[float]],
                      n_coeffs: int = 3) -> list[list[float]]:
-    """J Sigma_zprev J' at the previous-state mean, as nested lists of
-    floats: the covariance of phi(z_prev) under the affine surrogate. Built
-    entry by entry, so it is exactly symmetric and an overflow gives inf
-    instead of a numpy warning."""
-    (s00, s01), (_, s11) = zp_cov.tolist()
+    """J Sigma_zprev J' at the previous-state mean and covariance (lists of
+    floats), as nested lists of floats: the covariance of phi(z_prev) under
+    the affine surrogate. Built entry by entry, so it is exactly symmetric
+    and an overflow gives inf instead of a numpy warning."""
+    (s00, s01), (_, s11) = zp_cov
     if n_coeffs == 2:
         return [[s00, s01], [s01, s11]]
-    x = float(zp_mean[0])
+    x = zp_mean[0]
     g = 3.0 * (x * x)  # d(x^3)/dx
     gs00, gs01 = g * s00, g * s01
     return [[s00, gs00, s01], [gs00, gs00 * g, gs01], [s01, gs01, s11]]
@@ -109,9 +110,15 @@ def residual_moment(
     Sigma_zprev J').
     """
     total = resid * resid + x_var
-    for psi_i, cov_row in zip(psi, w_cov):
-        for psi_j, cov_ij in zip(psi, cov_row):
-            total += psi_i * cov_ij * psi_j
+    if len(psi) == 4:  # the sum below, written out for the cubic model
+        p0, p1, p2, p3 = psi
+        for p_i, (c0, c1, c2, c3) in zip(psi, w_cov):
+            total = (total + p_i * c0 * p0 + p_i * c1 * p1 + p_i * c2 * p2
+                     + p_i * c3 * p3)
+    else:
+        for psi_i, cov_row in zip(psi, w_cov):
+            for psi_j, cov_ij in zip(psi, cov_row):
+                total += psi_i * cov_ij * psi_j
     return total + expected_quadratic(spread, w_mean, w_cov)
 
 
@@ -126,7 +133,7 @@ def msg_coefficients(
     With J~ = [J; 0], the precision is E[gamma] (psi psi' + J~ Sigma_zprev J~')
     and the potential E[gamma] psi E[x_next].
     """
-    zp_mean, zp_cov = gaussian_moments(q_zprev)
+    zp_mean, zp_cov = (m.tolist() for m in gaussian_moments(q_zprev))
     d = cfg.n_coeffs
     psi = regressor_psi(zp_mean, d, cfg.u)
     e_gamma = q_gamma.mean
@@ -194,7 +201,7 @@ def expected_square_residual(
     squared mean residual and the variance of the residual, so nonnegative
     by construction."""
     z_mean, z_cov = gaussian_moments(q_z)
-    zp_mean, zp_cov = gaussian_moments(q_zprev)
+    zp_mean, zp_cov = (m.tolist() for m in gaussian_moments(q_zprev))
     w_mean, w_cov = gaussian_moments(q_coeffs)
     d = cfg.n_coeffs
     w = w_mean.tolist()
@@ -211,7 +218,7 @@ def msg_forward_state(
     cfg: NodeConfig,
 ) -> GaussianBelief:
     """Forward message to the new state: mean E[f], precision diag(E[gamma], 1/eps)."""
-    zp_mean, _ = gaussian_moments(q_zprev)
+    zp_mean = gaussian_moments(q_zprev)[0].tolist()
     d = cfg.n_coeffs
     psi = regressor_psi(zp_mean, d, cfg.u)
     mean = np.array([dot(q_coeffs.mean.tolist(), psi), zp_mean[0]])

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats and exit codes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -136,7 +137,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("text", [
         "5\n", "- 1.0\n- 2.0\n", yaml.safe_dump({**PARAMS, "x0": [0.1]}),
-        yaml.safe_dump({**PARAMS, "x0": [1, 2, 3]})])
+        yaml.safe_dump({**PARAMS, "x0": [1, 2, 3]}),
+        # a parameter that is not finite, and an initial state that is not
+        *(yaml.safe_dump({**PARAMS, field: value})
+          for field, value in (("c", math.nan), ("m", math.inf),
+                               ("tau", math.inf), ("xi", math.inf),
+                               ("x0", [math.nan, 0])))])
     def test_malformed_params_exit_2(self, tmp_path, capsys, text):
         params = tmp_path / "p.yaml"
         params.write_text(text)
@@ -534,7 +540,9 @@ class TestMalformedFiles:
         ("identify", b"m0_theta: [1.0, 2.0]\n"),
         ("identify", b"m0_theta: [a, b, c]\n"), ("identify", b"m0_eta: .nan\n"),
         ("identify", b"state0_mean: [0.0, 0.0, 0.0]\n"),
-        ("identify", b'trace_free_energy: "no"\n')])
+        ("identify", b'trace_free_energy: "no"\n'),
+        ("identify", b"m0_eta: [1, 2]\n"), ("identify", b"state0_mean: [a, 0]\n"),
+        ("identify", b"v0_theta: abc\n")])
     def test_yaml_syntax_error_exit_2(self, tmp_path, capsys, command, text):
         bad = tmp_path / "bad.yaml"
         if command == "report":

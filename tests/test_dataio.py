@@ -282,6 +282,8 @@ class TestParams:
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [0.1]\n", "x0"),
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [1, 2, 3]\n", "x0"),
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [a, b]\n", "x0"),
+        ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [.nan, 0]\n", "x0"),
+        ("m: 1\nc: .nan\na: 1\nb: 0\ntau: 1\nxi: 1\n", "c must be"),
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nmass: 2\n", "mass"),
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\n", "xi"),
         ("m: -1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\n", "mass"),

@@ -1,5 +1,7 @@
 """Parameter maps, transition function and simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,14 @@ class TestTypes:
             PhysicalParams(1, 0, 0, 0, 0, 1)
         with pytest.raises(ValueError, match="xi must be positive"):
             PhysicalParams(1, 0, 0, 0, 1, 0)
+        # every parameter finite, each named when it is not
+        for i, name in enumerate(("m", "c", "a", "b", "tau", "xi")):
+            for value in (math.nan, math.inf, -math.inf, "1.0"):
+                args = [1.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+                args[i] = value
+                with pytest.raises(ValueError,
+                                   match=f"^{name} must be a finite number"):
+                    PhysicalParams(*args)
 
     def test_ar_coefficients_validation(self):
         with pytest.raises(ValueError, match="2 or 3 coefficients"):

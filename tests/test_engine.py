@@ -93,9 +93,10 @@ class TestInitialBeliefs:
         with pytest.raises(ValueError, match="must be positive"):
             PriorConfig(epsilon=0.0)
         for name in ("v0_theta", "a0_gamma", "b0_xi", "state0_cov"):
-            with pytest.raises(ValueError,
-                               match=f"{name} must be positive and finite"):
-                PriorConfig(**{name: math.inf})
+            for value in (math.inf, "1.0", (1.0,)):
+                with pytest.raises(ValueError,
+                                   match=f"{name} must be positive and finite"):
+                    PriorConfig(**{name: value})
         with pytest.raises(ValueError, match="trace_free_energy"):
             PriorConfig(trace_free_energy="no")
         # prior means of a length that does not fit the mode, or not finite
@@ -114,8 +115,18 @@ class TestInitialBeliefs:
                               "must be finite")):
             with pytest.raises(ValueError, match=match):
                 PriorConfig(**means)
-        with pytest.raises(ValueError, match="could not convert"):
-            PriorConfig(m0_theta=("a", "b", "c"))
+        # prior means that are not numbers are named
+        for means, match in (({"m0_theta": ("a", "b", "c")},
+                               "m0_theta must be 3 numbers"),
+                             ({"m0_theta": "abc"}, "m0_theta must be 3 numbers"),
+                             ({"m0_eta": (1, 2)}, "m0_eta must be a number"),
+                             ({"m0_eta": "1.0"}, "m0_eta must be a number"),
+                             ({"state0_mean": ("a", 0.0)},
+                              "state0_mean must be 2 numbers"),
+                             ({"state0_mean": None},
+                              "state0_mean must be 2 numbers")):
+            with pytest.raises(ValueError, match=match):
+                PriorConfig(**means)
         PriorConfig(model_mode="larx", m0_theta=(1.5, -0.5))
         # proper priors whose precision's determinant underflows to 0
         for wide in ({"v0_theta": 1e81, "v0_eta": 1e81}, {"state0_cov": 1e200},

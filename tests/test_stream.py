@@ -1,0 +1,87 @@
+"""`identify_stream` carries the beliefs from step to step in the kernel's
+float form and builds a `BeliefSet` once, after the last step;
+`step_update` converts a `BeliefSet` in and out around the same kernel.
+Splitting a run between the two must not change a bit, and the stream must
+be read one pair per step.
+"""
+
+import numpy as np
+import pytest
+
+from duffingid import PriorConfig
+from duffingid.engine import identify_stream, step_update
+from test_acceptance import RUN_CONFIG, make_series
+
+
+def assert_bit_equal(got, want, name):
+    """Equal arrays or floats, of the same type, signs of zero included."""
+    assert type(got) is type(want), name
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want), name
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+    else:
+        assert got == want and np.signbit(got) == np.signbit(want), name
+
+
+def assert_same_belief_set(got, want):
+    for part in ("q_coeffs", "q_state"):
+        for field in ("precision", "potential", "mean", "cov", "logdet"):
+            assert_bit_equal(getattr(getattr(got, part), field),
+                             getattr(getattr(want, part), field),
+                             f"{part}.{field}")
+    for part in ("q_gamma", "q_xi"):
+        for field in ("shape", "rate"):
+            assert_bit_equal(getattr(getattr(got, part), field),
+                             getattr(getattr(want, part), field),
+                             f"{part}.{field}")
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    series = make_series(sim_seed=7, T=121)
+    return list(zip(series.u[:-1].tolist(), series.y[1:].tolist()))
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("mode", ["nlarx", "larx"])
+@pytest.mark.parametrize("k", [1, 2, 57, 119])
+def test_split_run_is_bit_identical(pairs, mode, trace, k):
+    cfg = PriorConfig(model_mode=mode, trace_free_energy=trace, **RUN_CONFIG)
+    want_beliefs, want_reports = identify_stream(pairs, cfg)
+    beliefs, reports = identify_stream(pairs[:k], cfg)
+    for t, (u_t, y_t) in enumerate(pairs[k:], start=k):
+        beliefs, report = step_update(beliefs, u_t, y_t, cfg, t)
+        reports.append(report)
+    assert_same_belief_set(beliefs, want_beliefs)
+    assert reports == want_reports
+    # the q(z) covariance keeps the -0.0 off its diagonal
+    assert np.signbit(beliefs.q_state.cov[0, 1])
+
+
+class Sample:
+    """A sample that logs its conversion to float."""
+
+    def __init__(self, value, log, tag):
+        self.value, self.log, self.tag = value, log, tag
+
+    def __float__(self):
+        self.log.append(self.tag)
+        return self.value
+
+
+def test_stream_is_read_one_pair_per_step():
+    # the benchmark stamps each pull to time each step; a kernel that
+    # drained the stream before its first step would log every pull first
+    log = []
+
+    def samples(n):
+        for t in range(n):
+            log.append(("pull", t))
+            yield (Sample(0.01 * t, log, ("u", t)),
+                   Sample(0.005 * t, log, ("y", t)))
+
+    _, reports = identify_stream(samples(6), PriorConfig())
+    assert len(reports) == 6
+    assert log == [entry for t in range(6)
+                   for entry in (("pull", t), ("u", t), ("y", t))]
