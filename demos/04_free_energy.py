@@ -2,9 +2,11 @@
 
 Within one time step the engine sweeps the beliefs until they settle, at
 most `iterations_per_step` times; each sweep re-evaluates the free energy
-(an upper bound on surprise). In the
-linear model every sweep is exact coordinate descent, so the within-step
-trace is non-increasing to machine precision.
+of the step's variables (x[t+1], the coefficients and the two noise
+precisions), an upper bound on the surprise -log p(y[t] | past) in nats.
+In the linear model every sweep is exact coordinate descent, so the
+within-step trace is non-increasing to machine precision. y is a density,
+so the surprise, and the bound, can fall below zero.
 """
 
 import numpy as np
@@ -38,6 +40,7 @@ print(f"\nworst within-step increase across {len(reports)} steps: "
       f"{worst:.2e}  (coordinate descent: never above rounding noise)")
 
 fe = np.array([r.free_energy for r in reports])
-print("\nper-step free energy (surprise) falls as the model learns:")
+print("\nper-step free energy (bound on surprise, nats) falls as the model "
+      "learns:")
 for a, b in ((0, 50), (50, 150), (150, 299)):
     print(f"  steps {a:3d}-{b:3d}: mean {fe[a:b].mean(): .4f}")

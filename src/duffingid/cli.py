@@ -15,7 +15,7 @@ import numpy as np
 from . import dataio, engine
 from .beliefs import gaussian_moments
 from .dataio import ConfigError, DatasetError, SILVERBOX_DELTA
-from .duffing import ar_to_phys, phys_to_ar, simulate
+from .duffing import ar_to_phys, is_number, phys_to_ar, simulate
 
 
 def main(argv=None) -> int:
@@ -42,8 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="YAML file with m, c, a, b, tau, xi (optional x0)")
     p.add_argument("--input", default="sine",
                    help="'sine' or path to a CSV whose input column drives the system")
-    p.add_argument("--steps", type=int, help="samples to simulate: 2000 of "
-                   "the sine, or all rows of an --input file, by default")
+    p.add_argument("--steps", type=int, help="samples to simulate, at least "
+                   "3: 2000 of the sine, or all rows of an --input file, by "
+                   "default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--delta", type=float, default=SILVERBOX_DELTA)
@@ -92,15 +93,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     params, x0 = dataio.load_params(args.params)
+    source = "" if args.input == "sine" else f"{args.input}: "
+    if args.steps is not None and args.steps < 3:
+        raise DatasetError(f"{source}--steps must be at least 3, got {args.steps}")
     if args.input == "sine":
         t = np.arange(2000 if args.steps is None else args.steps)
         u = args.sine_amplitude * np.sin(
             2.0 * math.pi * args.sine_frequency * t * args.delta)
     else:
         (u,) = dataio.load_columns(args.input, ("u",))
-        if args.steps is not None and not 0 <= args.steps <= len(u):
-            raise DatasetError(
-                f"{args.input}: --steps {args.steps} outside its {len(u)} rows")
+        if args.steps is not None and args.steps > len(u):
+            raise DatasetError(f"{source}--steps {args.steps} beyond its {len(u)} rows")
         u = u[:args.steps]
 
     ts, latent = simulate(params, u, args.delta, seed=args.seed, x0=x0,
@@ -122,21 +125,16 @@ def cmd_identify(args) -> int:
 
     beliefs, reports = engine.identify(data, cfg)
 
-    stride = max(1, len(reports) // 1000)
-    mean_iterations = sum(r.iterations for r in reports) / len(reports)
-    free_energies = [r.free_energy for r in reports[::stride]]
-    artifact = dataio.RunArtifact(
-        config=cfg,
-        delta=data.delta,
-        beliefs=beliefs,
-        free_energies=free_energies,
-        metrics={"final_free_energy": reports[-1].free_energy,
-                 "steps": len(reports),
-                 "mean_iterations": mean_iterations},
-    )
-    dataio.save_artifact(artifact, args.out)
+    # the artifact keeps about 1000 free energies, and their sum over all
+    energies = [r.free_energy for r in reports]
+    metrics = {"final_free_energy": energies[-1],
+               "free_energy_sum": math.fsum(energies), "steps": len(reports),
+               "mean_iterations": sum(r.iterations for r in reports) / len(reports)}
+    thinned = energies[::max(1, len(reports) // 1000)]
+    dataio.save_artifact(dataio.RunArtifact(cfg, data.delta, beliefs, thinned,
+                                            metrics), args.out)
     print(f"identified {len(reports)} steps, "
-          f"final free energy {reports[-1].free_energy:.6e}")
+          f"final free energy {energies[-1]:.6e}")
     return 0
 
 
@@ -188,6 +186,9 @@ def cmd_report(args) -> int:
     for name, belief in (("gamma", beliefs.q_gamma), ("xi", beliefs.q_xi)):
         std = math.sqrt(belief.shape) / belief.rate
         print(f"  {name:7s} {belief.mean: .6e} +/- {std:.3e}")
+    total = artifact.metrics.get("free_energy_sum")
+    if is_number(total):  # artifacts written by hand may lack it
+        print(f"free energy summed over the run: {total:.6e}")
     print("recovered physical parameters:")
     try:
         phys = ar_to_phys(engine.posterior_coefficients(beliefs),

@@ -32,10 +32,10 @@ import numpy as np
 import yaml
 
 from .beliefs import GammaBelief, GaussianBelief, independent
-from .duffing import ArCoefficients, PhysicalParams, TimeSeries
+from .duffing import ArCoefficients, PhysicalParams, TimeSeries, is_number
 from .engine import BeliefSet, PriorConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SILVERBOX_DELTA = 1.0 / 610.35
 SILVERBOX_SPLIT = 40000
@@ -181,8 +181,7 @@ def load_params(path) -> tuple[PhysicalParams, tuple[float, float]]:
                            extra={"x0"})
     x0 = raw.get("x0", (0.0, 0.0))
     if not (isinstance(x0, (list, tuple)) and len(x0) == 2
-            and all(isinstance(v, (int, float)) and math.isfinite(v)
-                    for v in x0)):
+            and all(is_number(v) and math.isfinite(v) for v in x0)):
         raise ConfigError(f"{path}: x0 must be two finite numbers, got {x0!r}")
     return params, tuple(x0)
 
@@ -302,7 +301,8 @@ def load_artifact(path) -> RunArtifact:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-_KINDS = {"mapping": dict, "list": list, "number": (int, float)}
+_KINDS = {"mapping": lambda node: isinstance(node, dict),
+          "list": lambda node: isinstance(node, list), "number": is_number}
 
 
 def _at(payload: dict, key: str, kind: str = "mapping"):
@@ -318,7 +318,7 @@ def _at(payload: dict, key: str, kind: str = "mapping"):
         if part not in node:
             raise ValueError(f"missing key {'.'.join(seen)!r}")
         node = node[part]
-    if isinstance(node, bool) or not isinstance(node, _KINDS[kind]):
+    if not _KINDS[kind](node):
         raise ValueError(f"{key} must be a {kind}, got {type(node).__name__}")
     return node
 

@@ -24,6 +24,11 @@ import numpy as np
 DIVERGENCE_LIMIT = 1e6
 
 
+def is_number(value) -> bool:
+    """A real number that is not a bool (YAML's true or false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class UnstableSimulationError(RuntimeError):
     """Trajectory left the divergence guard; carries the offending step index."""
 
@@ -46,7 +51,7 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("m", "c", "a", "b", "tau", "xi"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not (is_number(value) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.m > 0:
             raise ValueError("mass must be positive")

@@ -15,6 +15,11 @@ output sample. The simulator in `duffing` and both prediction protocols use
 the same pairing; the rollout runs the simulator's own recursion,
 `duffing.propagate`.
 
+q(z)'s x[t] is a copy of the previous x[t+1], tied to it by a Gaussian of
+variance `EPSILON`, for the next step's regressor. The free energy F counts
+only the step's own variables x[t+1], w, gamma and xi; a copy is an
+equality, which adds nothing, so F does not depend on `EPSILON`.
+
 One online step is the kernel `_step`. It predicts, then sweeps the
 message schedule; every sweep combines the fresh messages with the beliefs
 the step started from (the previous posteriors act as this step's priors),
@@ -46,9 +51,9 @@ enters an estimate. What the previous state fixes is computed once per step
 sweep computes the forward mean `dot(E[w], psi)` once, for its expected
 squared residual (`nlarx.residual_moment`, shared with the messages) and
 for the next sweep's q(z). q(z) and the Gamma updates are scalar algebra:
-q(z)'s precision is always diag(E[gamma] + E[xi], 1/eps).
+q(z)'s precision is always diag(E[gamma] + E[xi], 1/EPSILON).
 `beliefs.closed_form_inverse` inverts q(w)'s precision. `_free_energy`,
-shared with `compute_free_energy`, runs on floats; its squares stay
+shared with `compute_free_energy`, runs on floats; its square stays
 `** 2`, libm's pow, which rounds differently from `x * x` about once in a
 thousand.
 
@@ -66,7 +71,6 @@ carries no step; `step_update` checks it first, as it converts the beliefs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -94,11 +98,15 @@ from .beliefs import (  # noqa: F401
 )
 from .duffing import step_mean  # noqa: F401
 from .duffing import (ArCoefficients, TimeSeries, UnstableSimulationError,
-                      cubic_theta, propagate)
+                      cubic_theta, is_number, propagate)
 from . import nlarx
 from .nlarx import NodeConfig
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# variance of the tie of q(z)'s x to the previous x_next, read at call
+# time; it enters the estimates but not the free energy
+EPSILON = 1e-8
 
 # a step stops sweeping once a sweep moves every coefficient mean by less
 # than this fraction of its posterior sd and E[gamma] by less than this
@@ -176,7 +184,6 @@ class PriorConfig:
     b0_xi: float = 1e3
     state0_mean: tuple = (0.0, 0.0)
     state0_cov: float = 1.0
-    epsilon: float = 1e-8
     iterations_per_step: int = 5
     model_mode: str = "nlarx"
     trace_free_energy: bool = False
@@ -188,9 +195,9 @@ class PriorConfig:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("iterations_per_step must be an integer of at least 1")
         for name in ("v0_theta", "v0_eta", "a0_gamma", "b0_gamma", "a0_xi",
-                     "b0_xi", "state0_cov", "epsilon"):
+                     "b0_xi", "state0_cov"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            if not (is_number(value) and 0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
         if not isinstance(self.trace_free_energy, bool):
@@ -215,7 +222,7 @@ class PriorConfig:
         return 3 if self.model_mode == "nlarx" else 2
 
     def node_config(self, u: float) -> NodeConfig:
-        return NodeConfig(u=u, epsilon=self.epsilon, cubic=self.model_mode == "nlarx")
+        return NodeConfig(u=u, epsilon=EPSILON, cubic=self.model_mode == "nlarx")
 
 
 def initial_beliefs(cfg: PriorConfig) -> BeliefSet:
@@ -233,7 +240,7 @@ def initial_beliefs(cfg: PriorConfig) -> BeliefSet:
     state0 = _numbers(cfg.state0_mean)
     if state0 is None or len(state0) != 2:
         raise ValueError(f"state0_mean must be 2 numbers, got {cfg.state0_mean!r}")
-    if not isinstance(cfg.m0_eta, numbers.Real):
+    if not is_number(cfg.m0_eta):
         raise ValueError(f"m0_eta must be a number, got {cfg.m0_eta!r}")
     q_coeffs = GaussianBelief(m0 + [float(cfg.m0_eta)], np.diag(
         [1.0 / cfg.v0_theta] * d + [1.0 / cfg.v0_eta]))
@@ -252,7 +259,7 @@ def _numbers(value) -> list[float] | None:
         items = list(value)
     except TypeError:
         return None
-    if not all(isinstance(item, numbers.Real) for item in items):
+    if not all(map(is_number, items)):
         return None
     return [float(item) for item in items]
 
@@ -317,7 +324,7 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
     ((prec0, pot0, w_list, _, _), ag0, bg0, ax0, bx0,
      (_, _, zp_mean, zp_cov, _)) = prior
     d = cfg.n_coeffs
-    inv_eps = 1.0 / cfg.epsilon
+    inv_eps = 1.0 / EPSILON
     last = cfg.iterations_per_step - 1
     # fixed within the step: psi, J Sigma_zprev J' and the coefficient
     # message's precision per E[gamma]
@@ -334,8 +341,8 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
     pred_mean = forward = dot(w_list, psi)
     trace = []
     for k in range(cfg.iterations_per_step):
-        # q(z): forward message N((forward, zp0), diag(E[gamma], 1/eps)) times
-        # the likelihood message; its precision is diag(E[gamma] + E[xi], 1/eps)
+        # q(z): forward message N((forward, zp0), diag(E[gamma], 1/EPSILON))
+        # times the likelihood one; precision diag(E[gamma] + E[xi], 1/EPSILON)
         za = eg + ex
         zdet = za * inv_eps
         if not (za > 0.0 and zdet > 0.0):
@@ -378,11 +385,9 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
         done = k == last or (k > 0 and _settled(
             w_list, w_previous, cov_list, eg, eg_previous))
         if cfg.trace_free_energy or done:
-            logdet_w, logdet_z = math.log(det_w), math.log(zdet)
-            zm1 = zc11 * hz1
-            energy = _free_energy(prior, cfg.epsilon, w_list, cov_list,
-                                  logdet_w, (zm0, zm1, zc00, zc11, logdet_z),
-                                  ag, bg, ax, bx, esr, y)
+            logdet_w = math.log(det_w)
+            energy = _free_energy(prior, w_list, cov_list, logdet_w, zm0,
+                                  zc00, ag, bg, ax, bx, esr, y)
             if not math.isfinite(energy):
                 raise InferenceError(t, f"non-finite free energy {energy}")
             trace.append(energy)
@@ -396,8 +401,8 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
     # the posterior of the last sweep, which always evaluated the free
     # energy; q(z) as `combine_gaussian` builds it, whose closed-form inverse
     # puts -0.0 off the diagonal of the covariance
-    q_state = ([[za, 0.0], [0.0, inv_eps]], [hz0, hz1], [zm0, zm1],
-               [[zc00, -0.0], [-0.0, zc11]], logdet_z)
+    q_state = ([[za, 0.0], [0.0, inv_eps]], [hz0, hz1], [zm0, zc11 * hz1],
+               [[zc00, -0.0], [-0.0, zc11]], math.log(zdet))
     return ((prec, pot, w_list, cov_list, logdet_w), ag, bg, ax, bx,
             q_state), report
 
@@ -423,20 +428,18 @@ def compute_free_energy(
     beliefs_prior_for_step: BeliefSet,
     cfg: PriorConfig,
 ) -> float:
-    """Single-timestep free energy E_q[log q] - E_q[log p], with the same
-    affine surrogate the messages use. The previous-state belief is held
-    fixed and enters only through the transition expectation."""
+    """Single-timestep free energy E_q[log q] - E_q[log p] of x_next, w,
+    gamma and xi, with the messages' affine surrogate. The previous state is
+    held fixed and enters only through the transition expectation."""
     _require_proper(beliefs)
     prior = _carry(beliefs_prior_for_step)
     q_coeffs, q_state = beliefs.q_coeffs, beliefs.q_state
     esr = nlarx.expected_square_residual(
         q_state, beliefs_prior_for_step.q_state, q_coeffs,
         cfg.node_config(u_t))
-    zm0, zm1 = q_state.mean.tolist()
-    (zc00, _), (_, zc11) = q_state.cov.tolist()
     energy = _free_energy(
-        prior, cfg.epsilon, q_coeffs.mean.tolist(), q_coeffs.cov.tolist(),
-        q_coeffs.logdet, (zm0, zm1, zc00, zc11, q_state.logdet),
+        prior, q_coeffs.mean.tolist(), q_coeffs.cov.tolist(), q_coeffs.logdet,
+        float(q_state.mean[0]), float(q_state.cov[0, 0]),
         beliefs.q_gamma.shape, beliefs.q_gamma.rate,
         beliefs.q_xi.shape, beliefs.q_xi.rate, esr, float(y_t))
     if not math.isfinite(energy):
@@ -445,45 +448,35 @@ def compute_free_energy(
 
 
 def _free_energy(
-    prior: tuple, eps: float, w_mean: list[float], w_cov: list[list[float]],
-    w_logdet: float, z: tuple, ag: float, bg: float, ax: float, bx: float,
-    esr: float, y: float,
+    prior: tuple, w_mean: list[float], w_cov: list[list[float]],
+    w_logdet: float, x_mean: float, x_var: float, ag: float, bg: float,
+    ax: float, bx: float, esr: float, y: float,
 ) -> float:
-    """`compute_free_energy` on floats: the step's prior as a `_carry` and
-    eps; the mean, covariance and precision log-determinant of q(w); q(z) as
-    (mean of x_next, mean of x, variance of x_next, variance of x, precision
-    log-determinant); the Gamma shapes and rates of q(gamma) and q(xi); the
-    expected squared residual of q(z), q(w) and the previous state; and y."""
-    ((prec0, _, mean0, _, logdet0), ag0, bg0, ax0, bx0,
-     (_, _, (zp0, _), ((zp_var, _), _), _)) = prior
-    zm0, zm1, zv0, zv1, z_logdet = z
+    """`compute_free_energy` on floats: the step's prior as a `_carry`; the
+    mean, covariance and precision log-determinant of q(w); the mean and
+    variance of x_next; the Gamma shapes and rates of q(gamma) and q(xi);
+    the expected squared residual; and y."""
+    (prec0, _, mean0, _, logdet0), ag0, bg0, ax0, bx0, _ = prior
+    try:  # a float power or log raises where numpy's gave an infinity
+        miss2 = (y - x_mean) ** 2
+        log_var = math.log(x_var)
+    except (OverflowError, ValueError):
+        return math.inf
     dg_g, dg_x = digamma(ag), digamma(ax)
     n = len(w_mean)
     e_gamma, log_gamma = ag / bg, dg_g - math.log(bg)
     e_xi, log_xi = ax / bx, dg_x - math.log(bx)
 
     neg_entropy = -(
-        0.5 * (2 * (1.0 + _LOG_2PI) - z_logdet)
+        0.5 * (1.0 + _LOG_2PI + log_var)
         + 0.5 * (n * (1.0 + _LOG_2PI) - w_logdet)
         + (ag - math.log(bg) + math.lgamma(ag) + (1.0 - ag) * dg_g)
         + (ax - math.log(bx) + math.lgamma(ax) + (1.0 - ax) * dg_x)
     )
 
-    try:  # a float power raises where numpy's gave inf
-        q2 = (zm1 - zp0) ** 2 + zv1 + zp_var
-        miss2 = (y - zm0) ** 2
-    except OverflowError:
-        return math.inf
-
-    # transition factor
-    e_log_trans = (
-        -_LOG_2PI
-        + 0.5 * (log_gamma - math.log(eps))
-        - 0.5 * (e_gamma * esr + q2 / eps)
-    )
-
-    # likelihood factor
-    e_log_lik = -0.5 * _LOG_2PI + 0.5 * log_xi - 0.5 * e_xi * (miss2 + zv0)
+    # transition and likelihood factors
+    e_log_trans = -0.5 * _LOG_2PI + 0.5 * log_gamma - 0.5 * e_gamma * esr
+    e_log_lik = -0.5 * _LOG_2PI + 0.5 * log_xi - 0.5 * e_xi * (miss2 + x_var)
 
     # E_q[log prior] of the coefficient, gamma and xi priors
     quad = expected_quadratic(

@@ -278,14 +278,16 @@ def _gamma_cross_entropy_terms(shape, rate, shape0, rate0):
 
 def oracle_free_energy(w_mean, w_precision, gamma, xi, z_mean, z_precision,
                        prior_w_mean, prior_w_precision, prior_gamma, prior_xi,
-                       zp_mean, zp_precision, u, y, epsilon, cubic=True):
-    """E_q[log q] - E_q[log p] of one step, in matrix form.
+                       zp_mean, zp_precision, u, y, cubic=True):
+    """E_q[log q] - E_q[log p] of one step's variables x_next, w, gamma and
+    xi, in matrix form.
 
-    q(w) = N(w_mean, inv(w_precision)) over w = (theta, eta), q(z) likewise,
-    gamma and xi are (shape, rate) pairs, and the prior_* arguments are the
-    step's prior, the previous state among them. The transition is
-    N(x_next | psi'w, 1/gamma) N(x | x_prev, eps) with the surrogate
-    regressor; its expected squared residual comes from quadrature.
+    q(w) = N(w_mean, inv(w_precision)) over w = (theta, eta), q(z) likewise
+    over z = (x_next, x), gamma and xi are (shape, rate) pairs, and the
+    prior_* arguments are the step's prior, the previous state among them.
+    The transition is N(x_next | psi'w, 1/gamma) with the surrogate
+    regressor; its expected squared residual comes from quadrature. The
+    entry x of q(z) is a copy of the previous x_next and adds nothing.
     """
     w_cov = np.linalg.inv(w_precision)
     z_cov = np.linalg.inv(z_precision)
@@ -295,15 +297,14 @@ def oracle_free_energy(w_mean, w_precision, gamma, xi, z_mean, z_precision,
     h_gamma, lp_gamma, e_gamma, e_log_gamma = _gamma_cross_entropy_terms(
         *gamma, *prior_gamma)
     h_xi, lp_xi, e_xi, e_log_xi = _gamma_cross_entropy_terms(*xi, *prior_xi)
-    entropy = (_gaussian_entropy(z_precision) + _gaussian_entropy(w_precision)
-               + h_gamma + h_xi)
+    entropy = (_gaussian_entropy(np.array([[1.0 / z_cov[0, 0]]]))
+               + _gaussian_entropy(w_precision) + h_gamma + h_xi)
 
     esr = oracle_expected_square_residual(
         z_mean, z_cov, zp_mean, zp_cov, w_mean[:d], w_cov[:d, :d],
         w_mean[d], w_cov[d, d], u, cubic=cubic, th_eta_cov=w_cov[:d, d])
-    lag = (z_mean[1] - zp_mean[0]) ** 2 + z_cov[1, 1] + zp_cov[0, 0]
-    e_log_trans = (-math.log(2.0 * np.pi) + 0.5 * (e_log_gamma - math.log(epsilon))
-                   - 0.5 * (e_gamma * esr + lag / epsilon))
+    e_log_trans = (-0.5 * math.log(2.0 * np.pi) + 0.5 * e_log_gamma
+                   - 0.5 * e_gamma * esr)
     e_log_lik = (-0.5 * math.log(2.0 * np.pi) + 0.5 * e_log_xi
                  - 0.5 * e_xi * ((y - z_mean[0]) ** 2 + z_cov[0, 0]))
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from duffingid import PhysicalParams, PriorConfig, phys_to_ar
+from duffingid import PhysicalParams, PriorConfig, identify, phys_to_ar
 from duffingid.cli import main
 from duffingid.dataio import load_csv, save_artifact, save_columns
 from duffingid.dataio import RunArtifact
@@ -118,6 +118,19 @@ class TestSimulate:
             assert err.startswith(f"error: {drive}: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("steps", [2, 0, -1])
+    def test_too_few_steps_exit_2(self, tmp_path, params_file, capsys, steps):
+        drive = tmp_path / "u.csv"
+        save_columns(drive, {"u": np.zeros(50)})
+        out = tmp_path / "x.csv"
+        for source in ([], ["--input", drive]):
+            assert run("simulate", "--params", params_file, *source,
+                       "--steps", steps, "--out", out) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--steps must be at least 3" in err
+        assert not out.exists()
+
     def test_exponent_numbers_in_params(self, tmp_path):
         outs = []
         for xi in ("1e6", "1.0e+6"):
@@ -142,7 +155,9 @@ class TestSimulate:
         *(yaml.safe_dump({**PARAMS, field: value})
           for field, value in (("c", math.nan), ("m", math.inf),
                                ("tau", math.inf), ("xi", math.inf),
-                               ("x0", [math.nan, 0])))])
+                               ("x0", [math.nan, 0]),
+                               # YAML booleans, which Python counts as 1 and 0
+                               ("m", True), ("x0", [True, False])))])
     def test_malformed_params_exit_2(self, tmp_path, capsys, text):
         params = tmp_path / "p.yaml"
         params.write_text(text)
@@ -178,13 +193,35 @@ class TestIdentifyPredictEvaluate:
                    "--out", art, "--delta", 0.1)
         assert code == 0
         payload = yaml.safe_load(art.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["metrics"]["steps"] == 399
         assert "physical" not in payload
         assert np.isfinite(payload["metrics"]["final_free_energy"])
         # sweeps per step: never fewer than 2 under the default cap of 5,
         # and the convergence stop ends most steps early
         assert 2.0 <= payload["metrics"]["mean_iterations"] < 5.0
+
+    def test_identify_stores_the_summed_free_energy(self, tmp_path,
+                                                    params_file, capsys):
+        # more steps than the 1000 the stored trace is thinned to
+        data, cfgfile = tmp_path / "long.csv", tmp_path / "cfg.yaml"
+        run("simulate", "--params", params_file, "--steps", 2100, "--seed", 5,
+            "--out", data, "--delta", 0.1)
+        config = {"state0_cov": 1e-4, "a0_gamma": 1.0, "b0_gamma": 1e-4}
+        cfgfile.write_text(yaml.safe_dump(config))
+        art = tmp_path / "run.yaml"
+        assert run("identify", "--data", data, "--config", cfgfile,
+                   "--out", art, "--delta", 0.1) == 0
+        payload = yaml.safe_load(art.read_text())
+        _, reports = identify(load_csv(str(data), delta=0.1),
+                              PriorConfig(**config))
+        total = math.fsum(r.free_energy for r in reports)
+        assert payload["metrics"]["free_energy_sum"] == total
+        assert len(payload["free_energies"]) < len(reports)
+        capsys.readouterr()
+        assert run("report", "--artifact", art) == 0
+        assert (f"free energy summed over the run: {total:.6e}\n"
+                in capsys.readouterr().out)
 
     def test_identify_singular_prior_exit_2(self, tmp_path, dataset, capsys):
         cfgfile = tmp_path / "cfg.yaml"
@@ -423,13 +460,13 @@ class TestIdentifyPredictEvaluate:
                                                  capsys, command):
         art = tmp_path / "truth.yaml"
         make_truth_artifact(art)
-        art.write_text(art.read_text().replace("epsilon:", "epsilonn:"))
+        art.write_text(art.read_text().replace("state0_cov:", "state0_covv:"))
         argv = ["--artifact", art]
         if command == "predict":
             argv += ["--data", dataset, "--out", tmp_path / "p"]
         assert run(command, *argv) == 2
         assert capsys.readouterr().err.startswith(
-            f"error: {art}: unknown keys ['epsilonn']")
+            f"error: {art}: unknown keys ['state0_covv']")
 
     def test_report(self, tmp_path, capsys):
         art = make_truth_artifact(tmp_path / "truth.yaml")
@@ -542,7 +579,9 @@ class TestMalformedFiles:
         ("identify", b"state0_mean: [0.0, 0.0, 0.0]\n"),
         ("identify", b'trace_free_energy: "no"\n'),
         ("identify", b"m0_eta: [1, 2]\n"), ("identify", b"state0_mean: [a, 0]\n"),
-        ("identify", b"v0_theta: abc\n")])
+        ("identify", b"v0_theta: abc\n"),
+        # YAML booleans, which Python counts as 1 and 0
+        ("identify", b"v0_theta: true\n"), ("identify", b"m0_eta: false\n")])
     def test_yaml_syntax_error_exit_2(self, tmp_path, capsys, command, text):
         bad = tmp_path / "bad.yaml"
         if command == "report":

@@ -283,6 +283,8 @@ class TestParams:
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [1, 2, 3]\n", "x0"),
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [a, b]\n", "x0"),
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [.nan, 0]\n", "x0"),
+        ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nx0: [true, false]\n", "x0"),
+        ("m: true\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\n", "m must be"),
         ("m: 1\nc: .nan\na: 1\nb: 0\ntau: 1\nxi: 1\n", "c must be"),
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\nxi: 1\nmass: 2\n", "mass"),
         ("m: 1\nc: 0\na: 1\nb: 0\ntau: 1\n", "xi"),
@@ -352,7 +354,7 @@ class TestArtifact:
         artifact = make_artifact()
         path = tmp_path / "run.yaml"
         save_artifact(artifact, path)
-        text = path.read_text().replace("schema_version: 1",
+        text = path.read_text().replace("schema_version: 2",
                                         "schema_version: 99")
         path.write_text(text)
         with pytest.raises(ConfigError, match="schema version mismatch"):

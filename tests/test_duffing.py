@@ -230,7 +230,7 @@ class TestTypes:
             PhysicalParams(1, 0, 0, 0, 1, 0)
         # every parameter finite, each named when it is not
         for i, name in enumerate(("m", "c", "a", "b", "tau", "xi")):
-            for value in (math.nan, math.inf, -math.inf, "1.0"):
+            for value in (math.nan, math.inf, -math.inf, "1.0", True):
                 args = [1.0, 0.0, 0.0, 0.0, 1.0, 1.0]
                 args[i] = value
                 with pytest.raises(ValueError,

@@ -20,7 +20,7 @@ from duffingid import (
     simulate,
     simulate_rollout,
 )
-from duffingid import nlarx
+from duffingid import engine, nlarx
 from duffingid.beliefs import (
     GammaBelief,
     GaussianBelief,
@@ -90,10 +90,10 @@ class TestInitialBeliefs:
         for cap in (0, 2.5, True, "5"):
             with pytest.raises(ValueError, match="iterations_per_step"):
                 PriorConfig(iterations_per_step=cap)
-        with pytest.raises(ValueError, match="must be positive"):
-            PriorConfig(epsilon=0.0)
+        with pytest.raises(TypeError, match="keyword argument 'epsilon'"):
+            PriorConfig(epsilon=1e-8)
         for name in ("v0_theta", "a0_gamma", "b0_xi", "state0_cov"):
-            for value in (math.inf, "1.0", (1.0,)):
+            for value in (math.inf, "1.0", (1.0,), True):
                 with pytest.raises(ValueError,
                                    match=f"{name} must be positive and finite"):
                     PriorConfig(**{name: value})
@@ -121,7 +121,12 @@ class TestInitialBeliefs:
                              ({"m0_theta": "abc"}, "m0_theta must be 3 numbers"),
                              ({"m0_eta": (1, 2)}, "m0_eta must be a number"),
                              ({"m0_eta": "1.0"}, "m0_eta must be a number"),
+                             ({"m0_eta": False}, "m0_eta must be a number"),
+                             ({"m0_theta": (True, 1.0, 1.0)},
+                              "m0_theta must be 3 numbers"),
                              ({"state0_mean": ("a", 0.0)},
+                              "state0_mean must be 2 numbers"),
+                             ({"state0_mean": (0.0, True)},
                               "state0_mean must be 2 numbers"),
                              ({"state0_mean": None},
                               "state0_mean must be 2 numbers")):
@@ -227,7 +232,7 @@ class TestFreeEnergy:
         # energy at the exact posterior equals the negative log evidence
         pin, big = 1e-10, 1e10
         eps = 1e-4
-        cfg = PriorConfig(epsilon=eps)
+        cfg = PriorConfig()
         theta = np.array([1.2, 0.3, -0.8])
         eta, gam, xi = 0.7, 4.0, 9.0
         zp = np.array([0.3, -0.1])
@@ -265,7 +270,7 @@ class TestFreeEnergy:
         # non-diagonal previous state and moved Gamma rates, so the prior's
         # quadratic term and the coefficient entropy are pinned too
         rng = np.random.default_rng(seed)
-        cfg = PriorConfig(model_mode=mode, epsilon=1e-3)
+        cfg = PriorConfig(model_mode=mode)
         prior, posterior = random_beliefs(rng, cfg), random_beliefs(rng, cfg)
         assert posterior.q_gamma.rate != prior.q_gamma.rate
         assert prior.q_state.precision[0, 1] != 0.0
@@ -279,9 +284,24 @@ class TestFreeEnergy:
             (prior.q_gamma.shape, prior.q_gamma.rate),
             (prior.q_xi.shape, prior.q_xi.rate),
             prior.q_state.mean, prior.q_state.precision,
-            u, y, cfg.epsilon, cubic=mode == "nlarx")
+            u, y, cubic=mode == "nlarx")
         got = compute_free_energy(posterior, u, y, prior, cfg)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("mode", ["nlarx", "larx"])
+    def test_summed_free_energy_does_not_depend_on_epsilon(self, mode,
+                                                           monkeypatch):
+        # the Gaussian that ties q(z)'s copy of the previous state has width
+        # EPSILON; the copy is no variable of its own, so F holds no term in
+        # 1/EPSILON and only the small move of the estimates is left
+        data = make_resonant_series(sim_seed=42)
+        cfg = PriorConfig(model_mode=mode, **RUN_CONFIG)
+        sums = []
+        for epsilon in (1e-8, 1e-10):
+            monkeypatch.setattr(engine, "EPSILON", epsilon)
+            _, reports = identify(data, cfg)
+            sums.append(math.fsum(r.free_energy for r in reports))
+        assert abs(sums[1] - sums[0]) <= 1e-3 * abs(sums[0])
 
     def test_larx_within_step_monotone(self):
         # moderate noise priors: with shape ~1e8 the prior cross-entropy

@@ -6,8 +6,10 @@ began to stop sweeping at convergence (`engine.CONVERGENCE_TOL`), and
 recorded once more when every product on the estimation path became
 `beliefs.dot`, summed left to right: the coefficient mean had been a BLAS
 product whose summation order, and so its rounding, depended on the
-OpenBLAS kernel. A refactor meant to leave the estimates unchanged must
-reproduce them to 1e-12 relative. Regenerate them only for a deliberate
+OpenBLAS kernel. The free-energy entries alone were recorded again when
+the free energy stopped counting the copy of the previous state that q(z)
+holds, with every estimate unchanged. A refactor meant to leave the
+estimates unchanged must reproduce them to 1e-12 relative. Regenerate them only for a deliberate
 change of the estimator, and record why.
 """
 
@@ -43,8 +45,8 @@ GOLDEN = {
         gamma=(151.0, 0.004147715734133019),
         xi=(160.0, 0.00015467130875775599),
         state_mean=[0.04538498151856078, 0.0476573466620326],
-        free_energy=[5000.466196796062, 47.084951769490374, 43.63227449710282,
-                     42.6196739273344],
+        free_energy=[0.46619679606259723, -2.729960536591875,
+                     -3.9854313143417173, -4.077784335804704],
         prediction_mean=[0.01985671989323392, 0.0010625194792377383,
                          0.03903517351622562, 0.04238543589279559],
     ),
@@ -58,12 +60,12 @@ GOLDEN = {
         gamma=(151.0, 0.004062723037646609),
         xi=(160.0, 0.00015464097527781356),
         state_mean=[0.04538469975771893, 0.04765964812750895],
-        free_energy=[5000.466196796063, 47.0849517694831, 43.594967843506396,
-                     42.565254960309375],
+        free_energy=[0.46619679606259723, -2.7299605365991475,
+                     -3.98828772971123, -4.090339506507712],
         prediction_mean=[0.01985671989323392, 0.0010625194793972568,
                          0.03909456551497395, 0.04244468424638771],
-        trace_at_150=[43.59496797158734, 43.594967843512336,
-                      43.594967843506396],
+        trace_at_150=[-3.9882876016302884, -3.988287729705304,
+                      -3.98828772971123],
     ),
 }
 
