@@ -44,7 +44,7 @@ class GaussianBelief:
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         precision = _symmetric(precision, mean.size)
         self.precision, self.mean, means = precision, mean, mean.tolist()
-        self.potential = np.array(matvec(precision.tolist(), means))
+        self.potential = np.array([dot(row, means) for row in precision.tolist()])
         self.cov, self.logdet = _inverse(precision)
 
     @classmethod
@@ -104,12 +104,9 @@ def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
 def closed_form_inverse(p: list) -> tuple[list, float] | None:
     """Inverse and determinant of a symmetric matrix of dimension 1 to 4,
     as nested lists of floats, or None when it is not positive definite
-    (Sylvester's criterion).
-
-    Up to three dimensions the inverse is the adjugate over the determinant;
-    the fourth dimension goes through the Schur complement of the leading
-    3x3 block. Scalar arithmetic: numpy's per-call overhead dominates at
-    these sizes.
+    (Sylvester's criterion). Three and four dimensions go through
+    `inverse_3x3` and `inverse_4x4`, which read the upper triangle only.
+    Scalar arithmetic: numpy's per-call overhead dominates at these sizes.
     """
     d = len(p)
     if d == 1:
@@ -123,9 +120,25 @@ def closed_form_inverse(p: list) -> tuple[list, float] | None:
         if not (a > 0.0 and det > 0.0):
             return None
         return [[c / det, -b / det], [-b / det, a / det]], det
-    a, b, c = p[0][:3]
-    e, f = p[1][1:3]
-    i = p[2][2]
+    if d == 3:
+        inverse = inverse_3x3(*p[0], *p[1][1:], p[2][2])
+        if inverse is None:
+            return None
+        l00, l01, l02, l11, l12, l22, det = inverse
+        return [[l00, l01, l02], [l01, l11, l12], [l02, l12, l22]], det
+    inverse = inverse_4x4(*p[0], *p[1][1:], *p[2][2:], p[3][3])
+    if inverse is None:
+        return None
+    c00, c01, c02, c03, c11, c12, c13, c22, c23, c33, det = inverse
+    return [[c00, c01, c02, c03], [c01, c11, c12, c13],
+            [c02, c12, c22, c23], [c03, c13, c23, c33]], det
+
+
+def inverse_3x3(a: float, b: float, c: float, e: float, f: float,
+                i: float) -> tuple | None:
+    """The upper triangle, row by row, of the inverse of the symmetric matrix
+    with upper triangle (a, b, c; e, f; i), the adjugate over the
+    determinant, then the determinant; None when not positive definite."""
     c00 = e * i - f * f
     c01 = f * c - b * i
     c02 = b * f - e * c
@@ -135,11 +148,19 @@ def closed_form_inverse(p: list) -> tuple[list, float] | None:
         return None
     c11 = a * i - c * c
     c12 = b * c - a * f
-    l00, l01, l02 = c00 / det, c01 / det, c02 / det
-    l11, l12, l22 = c11 / det, c12 / det, c22 / det
-    if d == 3:
-        return [[l00, l01, l02], [l01, l11, l12], [l02, l12, l22]], det
-    g0, g1, g2, h = p[0][3], p[1][3], p[2][3], p[3][3]
+    return (c00 / det, c01 / det, c02 / det, c11 / det, c12 / det,
+            c22 / det, det)
+
+
+def inverse_4x4(a: float, b: float, c: float, g0: float, e: float, f: float,
+                g1: float, i: float, g2: float, h: float) -> tuple | None:
+    """`inverse_3x3` for the symmetric matrix with upper triangle (a, b, c,
+    g0; e, f, g1; i, g2; h), through the Schur complement of its leading
+    3x3 block."""
+    inverse = inverse_3x3(a, b, c, e, f, i)
+    if inverse is None:
+        return None
+    l00, l01, l02, l11, l12, l22, det = inverse
     k0 = l00 * g0 + l01 * g1 + l02 * g2
     k1 = l01 * g0 + l11 * g1 + l12 * g2
     k2 = l02 * g0 + l12 * g1 + l22 * g2
@@ -148,11 +169,9 @@ def closed_form_inverse(p: list) -> tuple[list, float] | None:
         return None
     v = 1.0 / schur
     m0, m1, m2 = k0 * v, k1 * v, k2 * v
-    u01, u02, u12 = l01 + k0 * m1, l02 + k0 * m2, l12 + k1 * m2
-    return [[l00 + k0 * m0, u01, u02, -m0],
-            [u01, l11 + k1 * m1, u12, -m1],
-            [u02, u12, l22 + k2 * m2, -m2],
-            [-m0, -m1, -m2, v]], det * schur
+    return (l00 + k0 * m0, l01 + k0 * m1, l02 + k0 * m2, -m0,
+            l11 + k1 * m1, l12 + k1 * m2, -m1, l22 + k2 * m2, -m2, v,
+            det * schur)
 
 
 @dataclass(frozen=True)
@@ -218,33 +237,6 @@ def dot(a, b) -> float:
     for a_i, b_i in zip(a, b):
         total += a_i * b_i
     return total
-
-
-def matvec(rows: list, v: list) -> list[float]:
-    """`dot` of each row with v, as a list: written out for 3 and 4
-    columns, in `dot`'s order of operations."""
-    if len(v) == 4:
-        v0, v1, v2, v3 = v
-        return [0.0 + r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3
-                for r0, r1, r2, r3 in rows]
-    if len(v) == 3:
-        v0, v1, v2 = v
-        return [0.0 + r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in rows]
-    return [dot(row, v) for row in rows]
-
-
-def add_scaled(a: list, s: float, b: list) -> list:
-    """a + s * b for matrices as nested lists of floats, entry by entry as
-    numpy's elementwise arithmetic rounds it: written out for 3 and 4
-    columns."""
-    if len(a) == 4:
-        return [[a0 + s * b0, a1 + s * b1, a2 + s * b2, a3 + s * b3]
-                for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(a, b)]
-    if len(a) == 3:
-        return [[a0 + s * b0, a1 + s * b1, a2 + s * b2]
-                for (a0, a1, a2), (b0, b1, b2) in zip(a, b)]
-    return [[a_ij + s * b_ij for a_ij, b_ij in zip(a_row, b_row)]
-            for a_row, b_row in zip(a, b)]
 
 
 def expected_quadratic(a: list, mean: list, cov: list) -> float:

@@ -104,6 +104,9 @@ def cmd_simulate(args) -> int:
         (u,) = dataio.load_columns(args.input, ("u",))
         if args.steps is not None and args.steps > len(u):
             raise DatasetError(f"{source}--steps {args.steps} beyond its {len(u)} rows")
+        if len(u) < 3:
+            raise DatasetError(f"{source}insufficient data: need at least 3 "
+                               f"input samples, got {len(u)}")
         u = u[:args.steps]
 
     ts, latent = simulate(params, u, args.delta, seed=args.seed, x0=x0,

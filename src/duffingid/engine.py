@@ -39,23 +39,26 @@ converts the result out. The `nlarx` messages, `combine_*` and
 the tested reference.
 
 Rounding rule: the kernel reproduces that composition bit for bit, so every
-float operation keeps its order there. No numpy runs inside a step. The
-elementwise updates of q(w)'s natural parameters, `prec0 + E[gamma] info`
-(`beliefs.add_scaled`) and `pot0 + psi (E[gamma] E[x])`, are float
-expressions entry by entry, which round as numpy's elementwise ufuncs do.
-Every vector product is summed left to right as `beliefs.dot` sums it;
-`beliefs.matvec`, `expected_quadratic` and `nlarx.residual_moment` write
-the sums out for the common sizes, in the same order. So no BLAS kernel
-enters an estimate. What the previous state fixes is computed once per step
-(`nlarx.regressor_psi`, `regressor_spread`, `coefficient_information`). A
-sweep computes the forward mean `dot(E[w], psi)` once, for its expected
-squared residual (`nlarx.residual_moment`, shared with the messages) and
-for the next sweep's q(z). q(z) and the Gamma updates are scalar algebra:
-q(z)'s precision is always diag(E[gamma] + E[xi], 1/EPSILON).
-`beliefs.closed_form_inverse` inverts q(w)'s precision. `_free_energy`,
-shared with `compute_free_energy`, runs on floats; its square stays
-`** 2`, libm's pow, which rounds differently from `x * x` about once in a
-thousand.
+float operation keeps its order there. No numpy runs inside a step, and no
+helper on nested lists inside a sweep. Once per step it computes psi and
+J Sigma_zprev J' (`nlarx.regressor_psi`, `regressor_spread`) and the
+entries of `nlarx.coefficient_information`. A sweep holds q(w) in local
+floats, written out once per coefficient count: the distinct entries of
+its symmetric precision and covariance (10 for NLARX, 6 for LARX). The
+precision `prec0 + E[gamma] info` and potential `pot0 + psi (E[gamma]
+E[x])` are float expressions entry by entry, as numpy's elementwise ufuncs
+round them; `beliefs.inverse_4x4` or `inverse_3x3` inverts the precision.
+The mean, the forward mean `dot(E[w], psi)` and the expected squared
+residual (`nlarx.residual_moment`) are sums left to right, as `beliefs.dot`
+sums them, so no BLAS kernel enters an estimate. The lower triangle reuses
+the upper one: a_ij + s b_ij is exactly symmetric when a and b are, and a
+float product commutes exactly. A sweep builds q(w)'s mean and covariance
+as lists only when it evaluates the free energy, and the carry's lists are
+built once, after the last sweep. q(z) and the Gamma updates are scalar
+algebra: q(z)'s precision is always diag(E[gamma] + E[xi], 1/EPSILON).
+`_free_energy`, shared with `compute_free_energy`, runs on floats; its
+square stays `** 2`, libm's pow, which rounds differently from `x * x`
+about once in a thousand.
 
 Failure contract: `step_update(..., t)` and the kernel raise
 `InferenceError` with `.step == t` for every failure they detect inside the
@@ -73,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -81,12 +84,11 @@ from .beliefs import (
     GammaBelief,
     GaussianBelief,
     ImproperBeliefError,
-    add_scaled,
-    closed_form_inverse,
     digamma,
     dot,
     expected_quadratic,
-    matvec,
+    inverse_3x3,
+    inverse_4x4,
     split_last,
 )
 # not called here; the benchmark's span tracer looks them up in this module
@@ -150,8 +152,7 @@ class BeliefSet:
         return self._marginals[1]
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """Per-step diagnostics; the prediction is taken before observing y.
     `iterations` is the number of sweeps the step ran."""
 
@@ -324,14 +325,33 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
     ((prec0, pot0, w_list, _, _), ag0, bg0, ax0, bx0,
      (_, _, zp_mean, zp_cov, _)) = prior
     d = cfg.n_coeffs
+    cubic = d == 3
     inv_eps = 1.0 / EPSILON
     last = cfg.iterations_per_step - 1
-    # fixed within the step: psi, J Sigma_zprev J' and the coefficient
-    # message's precision per E[gamma]
+    # fixed within the step: psi, J Sigma_zprev J', the upper triangle of
+    # the coefficient message's precision per E[gamma] (the i's) and of the
+    # prior's precision (the a's), its potential (g's) and mean (w's)
     psi = nlarx.regressor_psi(zp_mean, d, u)
     spread = nlarx.regressor_spread(zp_mean, zp_cov, d)
-    info = nlarx.coefficient_information(psi, spread)
-    if not all(math.isfinite(value) for row in info for value in row):
+    if cubic:
+        q0, q1, q2, q3 = psi
+        (r00, r01, r02), (_, r11, r12), (_, _, r22) = spread
+        info = (q0 * q0 + r00, q0 * q1 + r01, q0 * q2 + r02, q0 * q3,
+                q1 * q1 + r11, q1 * q2 + r12, q1 * q3, q2 * q2 + r22, q2 * q3,
+                q3 * q3)
+        i00, i01, i02, i03, i11, i12, i13, i22, i23, i33 = info
+        ((a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23),
+         (_, _, _, a33)) = prec0
+        (g0, g1, g2, g3), (w0, w1, w2, w3) = pot0, w_list
+    else:
+        q0, q1, q2 = psi
+        (r00, r01), (_, r11) = spread
+        info = (q0 * q0 + r00, q0 * q1 + r01, q0 * q2, q1 * q1 + r11, q1 * q2,
+                q2 * q2)
+        i00, i01, i02, i11, i12, i22 = info
+        (a00, a01, a02), (_, a11, a12), (_, _, a22) = prec0
+        (g0, g1, g2), (w0, w1, w2) = pot0, w_list
+    if not all(map(math.isfinite, info)):
         raise InferenceError(t, "diverged: non-finite coefficient message precision")
     hz1 = inv_eps * zp_mean[0]
     ag, ax = ag0 + 1.5 - 1.0, ax0 + 1.5 - 1.0
@@ -353,21 +373,62 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
         if not math.isfinite(zm0):
             raise InferenceError(t, "diverged: non-finite state mean")
 
-        # q(w): prior for the step plus the coefficient message
-        prec = add_scaled(prec0, eg, info)
+        # q(w): the step's prior plus the coefficient message, as precision
+        # (p), potential (h), covariance (c) and mean (w, v before); then esr
         scale = eg * zm0
-        pot = [h + a * scale for h, a in zip(pot0, psi)]
-        inverse = closed_form_inverse(prec)
-        if inverse is None:
-            raise InferenceError(t, "improper posterior")
-        cov_list, det_w = inverse
-        w_previous, w_list = w_list, matvec(cov_list, pot)
-        if not all(map(math.isfinite, w_list)):
-            raise InferenceError(t, "diverged: non-finite coefficient mean")
-
-        forward = dot(w_list, psi)
-        esr = nlarx.residual_moment(zm0 - forward, zc00, w_list, cov_list,
-                                    psi, spread)
+        v0, v1, v2 = w0, w1, w2
+        if cubic:
+            v3 = w3
+            p00, p01, p02, p03 = (a00 + eg * i00, a01 + eg * i01,
+                                  a02 + eg * i02, a03 + eg * i03)
+            p11, p12, p13 = a11 + eg * i11, a12 + eg * i12, a13 + eg * i13
+            p22, p23, p33 = a22 + eg * i22, a23 + eg * i23, a33 + eg * i33
+            h0, h1, h2, h3 = (g0 + q0 * scale, g1 + q1 * scale,
+                              g2 + q2 * scale, g3 + q3 * scale)
+            inverse = inverse_4x4(p00, p01, p02, p03, p11, p12, p13, p22, p23, p33)
+            if inverse is None:
+                raise InferenceError(t, "improper posterior")
+            c00, c01, c02, c03, c11, c12, c13, c22, c23, c33, det_w = inverse
+            w0 = 0.0 + c00 * h0 + c01 * h1 + c02 * h2 + c03 * h3
+            w1 = 0.0 + c01 * h0 + c11 * h1 + c12 * h2 + c13 * h3
+            w2 = 0.0 + c02 * h0 + c12 * h1 + c22 * h2 + c23 * h3
+            w3 = 0.0 + c03 * h0 + c13 * h1 + c23 * h2 + c33 * h3
+            if not all(map(math.isfinite, (w0, w1, w2, w3))):
+                raise InferenceError(t, "diverged: non-finite coefficient mean")
+            forward = 0.0 + w0 * q0 + w1 * q1 + w2 * q2 + w3 * q3
+            resid = zm0 - forward
+            e01, e02 = r01 * (w0 * w1 + c01), r02 * (w0 * w2 + c02)
+            e12 = r12 * (w1 * w2 + c12)
+            esr = (resid * resid + zc00
+                   + q0 * c00 * q0 + q0 * c01 * q1 + q0 * c02 * q2 + q0 * c03 * q3
+                   + q1 * c01 * q0 + q1 * c11 * q1 + q1 * c12 * q2 + q1 * c13 * q3
+                   + q2 * c02 * q0 + q2 * c12 * q1 + q2 * c22 * q2 + q2 * c23 * q3
+                   + q3 * c03 * q0 + q3 * c13 * q1 + q3 * c23 * q2 + q3 * c33 * q3
+                   ) + (0.0 + r00 * (w0 * w0 + c00) + e01 + e02
+                        + e01 + r11 * (w1 * w1 + c11) + e12
+                        + e02 + e12 + r22 * (w2 * w2 + c22))
+        else:
+            p00, p01, p02 = a00 + eg * i00, a01 + eg * i01, a02 + eg * i02
+            p11, p12, p22 = a11 + eg * i11, a12 + eg * i12, a22 + eg * i22
+            h0, h1, h2 = g0 + q0 * scale, g1 + q1 * scale, g2 + q2 * scale
+            inverse = inverse_3x3(p00, p01, p02, p11, p12, p22)
+            if inverse is None:
+                raise InferenceError(t, "improper posterior")
+            c00, c01, c02, c11, c12, c22, det_w = inverse
+            w0 = 0.0 + c00 * h0 + c01 * h1 + c02 * h2
+            w1 = 0.0 + c01 * h0 + c11 * h1 + c12 * h2
+            w2 = 0.0 + c02 * h0 + c12 * h1 + c22 * h2
+            if not all(map(math.isfinite, (w0, w1, w2))):
+                raise InferenceError(t, "diverged: non-finite coefficient mean")
+            forward = 0.0 + w0 * q0 + w1 * q1 + w2 * q2
+            resid = zm0 - forward
+            e01 = r01 * (w0 * w1 + c01)
+            esr = (resid * resid + zc00
+                   + q0 * c00 * q0 + q0 * c01 * q1 + q0 * c02 * q2
+                   + q1 * c01 * q0 + q1 * c11 * q1 + q1 * c12 * q2
+                   + q2 * c02 * q0 + q2 * c12 * q1 + q2 * c22 * q2
+                   ) + (0.0 + r00 * (w0 * w0 + c00) + e01
+                        + e01 + r11 * (w1 * w1 + c11))
         if not math.isfinite(esr):
             raise InferenceError(t, "diverged: non-finite expected squared residual")
         rate = 0.5 * esr
@@ -382,9 +443,21 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
         eg_previous = eg
         eg, ex = ag / bg, ax / bx
 
-        done = k == last or (k > 0 and _settled(
-            w_list, w_previous, cov_list, eg, eg_previous))
+        # settled: E[gamma] and each mean of w moved by under CONVERGENCE_TOL
+        done = k == last or (
+            k > 0 and abs(eg - eg_previous) < CONVERGENCE_TOL * eg
+            and abs(w0 - v0) < CONVERGENCE_TOL * math.sqrt(c00)
+            and abs(w1 - v1) < CONVERGENCE_TOL * math.sqrt(c11)
+            and abs(w2 - v2) < CONVERGENCE_TOL * math.sqrt(c22)
+            and (not cubic or abs(w3 - v3) < CONVERGENCE_TOL * math.sqrt(c33)))
         if cfg.trace_free_energy or done:
+            if cubic:
+                w_list = [w0, w1, w2, w3]
+                cov_list = [[c00, c01, c02, c03], [c01, c11, c12, c13],
+                            [c02, c12, c22, c23], [c03, c13, c23, c33]]
+            else:
+                w_list = [w0, w1, w2]
+                cov_list = [[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]
             logdet_w = math.log(det_w)
             energy = _free_energy(prior, w_list, cov_list, logdet_w, zm0,
                                   zc00, ag, bg, ax, bx, esr, y)
@@ -394,31 +467,23 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
         if done:
             break
 
-    # fields in order: t, free energy, prediction mean and variance,
-    # sweeps, trace (positional arguments cost less)
+    # a named tuple, built positionally: both cost less than a dataclass
     report = StepReport(t, trace[-1], pred_mean, pred_var, k + 1,
                         tuple(trace) if cfg.trace_free_energy else ())
     # the posterior of the last sweep, which always evaluated the free
     # energy; q(z) as `combine_gaussian` builds it, whose closed-form inverse
     # puts -0.0 off the diagonal of the covariance
+    if cubic:
+        prec = [[p00, p01, p02, p03], [p01, p11, p12, p13],
+                [p02, p12, p22, p23], [p03, p13, p23, p33]]
+        pot = [h0, h1, h2, h3]
+    else:
+        prec = [[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]]
+        pot = [h0, h1, h2]
     q_state = ([[za, 0.0], [0.0, inv_eps]], [hz0, hz1], [zm0, zc11 * hz1],
                [[zc00, -0.0], [-0.0, zc11]], math.log(zdet))
     return ((prec, pot, w_list, cov_list, logdet_w), ag, bg, ax, bx,
             q_state), report
-
-
-def _settled(w_mean: list[float], w_previous: list[float],
-             w_cov: list[list[float]], e_gamma: float,
-             e_gamma_previous: float) -> bool:
-    """Whether the last sweep moved every coefficient mean by less than
-    `CONVERGENCE_TOL` of its posterior sd and E[gamma] by less than
-    `CONVERGENCE_TOL` relative."""
-    if not abs(e_gamma - e_gamma_previous) < CONVERGENCE_TOL * e_gamma:
-        return False
-    for i, (now, before) in enumerate(zip(w_mean, w_previous)):
-        if not abs(now - before) < CONVERGENCE_TOL * math.sqrt(w_cov[i][i]):
-            return False
-    return True
 
 
 def compute_free_energy(

@@ -13,11 +13,11 @@ previous state:
     phi(z) ~= phi(z_bar) + J (z - z_bar),   J = d(phi)/dz at z_bar.
 
 `regressor_psi` builds psi and `regressor_spread` builds J Sigma_zprev J';
-all message math below is exact given that surrogate.
+all message math below is exact given that surrogate. The engine's step
+calls both once per step, since they are fixed within it.
 `coefficient_information` and `residual_moment` are the scalar forms of two
-messages, shared with the engine's step so that both evaluate them in the
-same floating-point order; psi and J Sigma_zprev J' are fixed within a
-step, so the step computes them once.
+messages; the step writes their sums out on local floats in the same
+floating-point order, and the tests hold the two to each other bit for bit.
 """
 
 from __future__ import annotations
@@ -110,15 +110,9 @@ def residual_moment(
     Sigma_zprev J').
     """
     total = resid * resid + x_var
-    if len(psi) == 4:  # the sum below, written out for the cubic model
-        p0, p1, p2, p3 = psi
-        for p_i, (c0, c1, c2, c3) in zip(psi, w_cov):
-            total = (total + p_i * c0 * p0 + p_i * c1 * p1 + p_i * c2 * p2
-                     + p_i * c3 * p3)
-    else:
-        for psi_i, cov_row in zip(psi, w_cov):
-            for psi_j, cov_ij in zip(psi, cov_row):
-                total += psi_i * cov_ij * psi_j
+    for psi_i, cov_row in zip(psi, w_cov):
+        for psi_j, cov_ij in zip(psi, cov_row):
+            total += psi_i * cov_ij * psi_j
     return total + expected_quadratic(spread, w_mean, w_cov)
 
 

@@ -131,6 +131,21 @@ class TestSimulate:
             assert "--steps must be at least 3" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_too_short_input_file_exit_2(self, tmp_path, params_file, capsys,
+                                         rows):
+        # without --steps every row is simulated, and a file of fewer than
+        # 3 rows is a bad input file, as it is for identify
+        drive = tmp_path / "u.csv"
+        save_columns(drive, {"u": np.zeros(rows)})
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--params", params_file, "--input", drive,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {drive}: ") and err.count("\n") == 1
+        assert "at least 3 input samples" in err
+        assert not out.exists()
+
     def test_exponent_numbers_in_params(self, tmp_path):
         outs = []
         for xi in ("1e6", "1.0e+6"):

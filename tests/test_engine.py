@@ -161,6 +161,15 @@ class TestStepUpdate:
         expected_var = 1.0 / beliefs.q_gamma.mean + 1.0 / beliefs.q_xi.mean
         assert report.prediction_var == pytest.approx(expected_var)
 
+    def test_report_is_an_immutable_record(self):
+        report = engine.StepReport(t=3, free_energy=-1.5, prediction_mean=0.1,
+                                   prediction_var=0.2, iterations=2)
+        assert report.free_energy_trace == ()
+        assert report == engine.StepReport(3, -1.5, 0.1, 0.2, 2, ())
+        assert (report.t, report.iterations) == (3, 2)
+        with pytest.raises(AttributeError):
+            report.free_energy = 0.0
+
     def test_no_observation_limit(self):
         # vanishing expected measurement precision: the state posterior is
         # the forward message alone
@@ -384,24 +393,53 @@ class TestIdentify:
                 identify_stream(stream, PriorConfig())
         assert info.value.step == 7
 
-    @pytest.mark.parametrize("reason", ["non-finite input/output sample",
-                                        "improper posterior",
-                                        "non-finite free energy"])
-    def test_step_update_names_its_step(self, reason):
-        cfg = PriorConfig()
+    @pytest.mark.parametrize("case", [
+        "non-finite input/output sample", "improper posterior",
+        "improper past the leading block", "coefficient message overflow",
+        "non-finite free energy"])
+    @pytest.mark.parametrize("mode", ["nlarx", "larx"])
+    def test_step_update_names_its_step(self, mode, case):
+        # the step writes q(w) out once per coefficient count, so every
+        # failure is raised in both modes
+        cfg = PriorConfig(model_mode=mode)
         beliefs = initial_beliefs(cfg)
-        y = math.nan
-        if reason == "improper posterior":
+        q = beliefs.q_coeffs
+        u, y, reason = 0.1, math.nan, case
+        if case == "improper posterior":
             # an incoming q(w) that claims a covariance but has a negative
-            # definite precision passes the incoming-belief check; the
-            # step's posterior precision is then not positive definite
-            q = beliefs.q_coeffs
+            # definite precision passes the incoming-belief check; one that
+            # outweighs the coefficient message leaves the step's posterior
+            # precision not positive definite
             indefinite = GaussianBelief._from_parts(
-                -q.precision, -q.potential, q.mean, q.cov, q.logdet)
+                -1e4 * q.precision, -q.potential, q.mean, q.cov, q.logdet)
             beliefs = BeliefSet(indefinite, beliefs.q_gamma, beliefs.q_xi,
                                 beliefs.q_state)
             y = 0.05
-        if reason == "non-finite free energy":
+        if case == "improper past the leading block":
+            # the input gain coupled strongly to the rest: the posterior
+            # precision's leading block is positive definite, so only the
+            # last test of the closed-form inverse fails (the Schur
+            # complement for 4 coefficients, the determinant for 3)
+            precision = np.eye(q.dim)
+            precision[-1, :-1] = precision[:-1, -1] = 20.0
+            coupled = GaussianBelief._from_parts(
+                precision, q.potential, q.mean, q.cov, q.logdet)
+            beliefs = BeliefSet(coupled, beliefs.q_gamma, beliefs.q_xi,
+                                beliefs.q_state)
+            u, y, reason = 0.0, 0.05, "improper posterior"
+            zp_mean, zp_cov = (m.tolist() for m in
+                               gaussian_moments(beliefs.q_state))
+            message = np.array(nlarx.coefficient_information(
+                nlarx.regressor_psi(zp_mean, cfg.n_coeffs, u),
+                nlarx.regressor_spread(zp_mean, zp_cov, cfg.n_coeffs)))
+            posterior = precision + beliefs.q_gamma.mean * message
+            assert np.linalg.eigvalsh(posterior[:-1, :-1]).min() > 0.0
+            assert np.linalg.det(posterior) < 0.0
+        if case == "coefficient message overflow":
+            # u * u, the input gain's entry of the message precision, is inf
+            u, y = 1e200, 0.05
+            reason = "diverged: non-finite coefficient message precision"
+        if case == "non-finite free energy":
             # E[xi] of 1e-250 keeps the state mean near the prediction, so
             # only the squared miss of a finite but huge y overflows
             beliefs = BeliefSet(beliefs.q_coeffs, beliefs.q_gamma,
@@ -411,7 +449,7 @@ class TestIdentify:
             warnings.simplefilter("error")
             with pytest.raises(InferenceError,
                                match=f"step 11: {reason}") as info:
-                step_update(beliefs, 0.1, y, cfg, t=11)
+                step_update(beliefs, u, y, cfg, t=11)
         assert info.value.step == 11
 
     @pytest.mark.parametrize("sim_seed, scale, step",
