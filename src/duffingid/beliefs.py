@@ -242,22 +242,10 @@ def dot(a, b) -> float:
 def expected_quadratic(a: list, mean: list, cov: list) -> float:
     """E[x' A x] = mean' A mean + trace(A cov) for x with the given mean and
     covariance, in scalar code on (nested) lists of floats. Only the leading
-    len(a) coordinates of x enter, so A may weigh a leading block. The
-    terms are summed row by row, left to right; written out for 3 and 4
-    rows."""
+    len(a) coordinates of x enter, so A may weigh a leading block. The terms
+    a_ij (m_i m_j + cov_ij) are summed row by row, left to right, the order
+    that `engine._step` writes out for its prior quadratic."""
     total = 0.0
-    if len(a) == 4:
-        m0, m1, m2, m3 = mean[:4]
-        for m_i, (a0, a1, a2, a3), c in zip(mean, a, cov):
-            total = (total + a0 * (m_i * m0 + c[0]) + a1 * (m_i * m1 + c[1])
-                     + a2 * (m_i * m2 + c[2]) + a3 * (m_i * m3 + c[3]))
-        return total
-    if len(a) == 3:
-        m0, m1, m2 = mean[:3]
-        for m_i, (a0, a1, a2), c in zip(mean, a, cov):
-            total = (total + a0 * (m_i * m0 + c[0]) + a1 * (m_i * m1 + c[1])
-                     + a2 * (m_i * m2 + c[2]))
-        return total
     for m_i, a_row, cov_row in zip(mean, a, cov):
         for m_j, a_ij, cov_ij in zip(mean, a_row, cov_row):
             total += a_ij * (m_i * m_j + cov_ij)

@@ -272,7 +272,9 @@ def save_artifact(artifact: RunArtifact, path) -> None:
 
 def load_artifact(path) -> RunArtifact:
     """Read an artifact; a malformed one is a `ConfigError` naming it and
-    the dotted key at fault, such as `posterior.gamma.rate`."""
+    the dotted key at fault, such as `posterior.gamma.rate`. Each stored
+    mean must be finite and of its belief's size: the config's coefficient
+    count for theta, 1 for eta and 2 for the state."""
     payload = load_yaml(path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: artifact must be a mapping")
@@ -287,13 +289,14 @@ def load_artifact(path) -> RunArtifact:
             config=config,
             delta=_positive_at(payload, "delta"),
             beliefs=BeliefSet(  # the stored marginals load as independent
-                q_coeffs=independent(_gaussian_at(payload, "posterior.theta"),
-                                     _gaussian_at(payload, "posterior.eta")),
+                q_coeffs=independent(
+                    _gaussian_at(payload, "posterior.theta", config.n_coeffs),
+                    _gaussian_at(payload, "posterior.eta", 1)),
                 q_gamma=GammaBelief(_positive_at(payload, "posterior.gamma.shape"),
                                     _positive_at(payload, "posterior.gamma.rate")),
                 q_xi=GammaBelief(_positive_at(payload, "posterior.xi.shape"),
                                  _positive_at(payload, "posterior.xi.rate")),
-                q_state=_gaussian_at(payload, "posterior.state")),
+                q_state=_gaussian_at(payload, "posterior.state", 2)),
             free_energies=_at(payload, "free_energies", "list"),
             metrics=_at(payload, "metrics"),
         )
@@ -330,9 +333,9 @@ def _positive_at(payload: dict, key: str) -> float:
     return float(value)
 
 
-def _gaussian_at(payload: dict, key: str) -> GaussianBelief:
+def _gaussian_at(payload: dict, key: str, size: int) -> GaussianBelief:
     """The proper Gaussian belief stored under a dotted key as mean and
-    precision."""
+    precision, its mean `size` finite numbers."""
     arrays = []
     for part in ("mean", "precision"):
         value = _at(payload, f"{key}.{part}", "list")
@@ -340,6 +343,9 @@ def _gaussian_at(payload: dict, key: str) -> GaussianBelief:
             arrays.append(np.array(value, dtype=float))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{key}.{part}: {exc}") from None
+    if arrays[0].shape != (size,) or not np.isfinite(arrays[0]).all():
+        raise ValueError(f"{key}.mean must have {size} entries, all finite, "
+                         f"got {arrays[0].tolist()!r}")
     try:
         belief = GaussianBelief(*arrays)
     except ValueError as exc:

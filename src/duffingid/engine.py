@@ -41,8 +41,9 @@ the tested reference.
 Rounding rule: the kernel reproduces that composition bit for bit, so every
 float operation keeps its order there. No numpy runs inside a step, and no
 helper on nested lists inside a sweep. Once per step it computes psi and
-J Sigma_zprev J' (`nlarx.regressor_psi`, `regressor_spread`) and the
-entries of `nlarx.coefficient_information`. A sweep holds q(w) in local
+J Sigma_zprev J' (`nlarx.regressor_psi`, `regressor_spread`), the
+entries of `nlarx.coefficient_information` and the free energy's
+`_fixed_terms`. A sweep holds q(w) in local
 floats, written out once per coefficient count: the distinct entries of
 its symmetric precision and covariance (10 for NLARX, 6 for LARX). The
 precision `prec0 + E[gamma] info` and potential `pot0 + psi (E[gamma]
@@ -52,13 +53,19 @@ The mean, the forward mean `dot(E[w], psi)` and the expected squared
 residual (`nlarx.residual_moment`) are sums left to right, as `beliefs.dot`
 sums them, so no BLAS kernel enters an estimate. The lower triangle reuses
 the upper one: a_ij + s b_ij is exactly symmetric when a and b are, and a
-float product commutes exactly. A sweep builds q(w)'s mean and covariance
-as lists only when it evaluates the free energy, and the carry's lists are
-built once, after the last sweep. q(z) and the Gamma updates are scalar
+float product commutes exactly. A sweep builds no list; the carry's lists
+are built once, after the last sweep. q(z) and the Gamma updates are scalar
 algebra: q(z)'s precision is always diag(E[gamma] + E[xi], 1/EPSILON).
-`_free_energy`, shared with `compute_free_energy`, runs on floats; its
-square stays `** 2`, libm's pow, which rounds differently from `x * x`
-about once in a thousand.
+The free energy has two parts, each shared with `compute_free_energy`.
+`_fixed_terms` holds what a step's sweeps cannot move, since the Gamma
+shapes and the prior are fixed within a step: the digammas and log Gammas
+of the shapes and the prior's constants and logs. `_free_energy` adds, per
+sweep, the logs of x_next's variance and of the two Gamma rates, once each.
+The fixed terms are sub-expressions of the one formula, so F keeps its
+expression tree and order; its square stays `** 2`, libm's pow, which
+rounds differently from `x * x` about once in a thousand. The kernel writes
+the prior quadratic E[(w - m0)' Lambda0 (w - m0)] out on the sweep's local
+floats, in `beliefs.expected_quadratic`'s order.
 
 Failure contract: `step_update(..., t)` and the kernel raise
 `InferenceError` with `.step == t` for every failure they detect inside the
@@ -330,7 +337,7 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
     last = cfg.iterations_per_step - 1
     # fixed within the step: psi, J Sigma_zprev J', the upper triangle of
     # the coefficient message's precision per E[gamma] (the i's) and of the
-    # prior's precision (the a's), its potential (g's) and mean (w's)
+    # prior's precision (the a's), its potential (g's) and mean (m's)
     psi = nlarx.regressor_psi(zp_mean, d, u)
     spread = nlarx.regressor_spread(zp_mean, zp_cov, d)
     if cubic:
@@ -342,7 +349,8 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
         i00, i01, i02, i03, i11, i12, i13, i22, i23, i33 = info
         ((a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23),
          (_, _, _, a33)) = prec0
-        (g0, g1, g2, g3), (w0, w1, w2, w3) = pot0, w_list
+        (g0, g1, g2, g3), (m0, m1, m2, m3) = pot0, w_list
+        w3 = m3
     else:
         q0, q1, q2 = psi
         (r00, r01), (_, r11) = spread
@@ -350,11 +358,13 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
                 q2 * q2)
         i00, i01, i02, i11, i12, i22 = info
         (a00, a01, a02), (_, a11, a12), (_, _, a22) = prec0
-        (g0, g1, g2), (w0, w1, w2) = pot0, w_list
+        (g0, g1, g2), (m0, m1, m2) = pot0, w_list
     if not all(map(math.isfinite, info)):
         raise InferenceError(t, "diverged: non-finite coefficient message precision")
     hz1 = inv_eps * zp_mean[0]
+    w0, w1, w2 = m0, m1, m2
     ag, ax = ag0 + 1.5 - 1.0, ax0 + 1.5 - 1.0
+    fixed = _fixed_terms(prior, d + 1, ag, ax)
     eg, ex = ag0 / bg0, ax0 / bx0
     pred_var = 1.0 / eg + 1.0 / ex
     # the prediction, taken before y enters
@@ -451,16 +461,25 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
             and abs(w2 - v2) < CONVERGENCE_TOL * math.sqrt(c22)
             and (not cubic or abs(w3 - v3) < CONVERGENCE_TOL * math.sqrt(c33)))
         if cfg.trace_free_energy or done:
+            # E[(w - m)' prec0 (w - m)], as `expected_quadratic` sums it
+            d0, d1, d2 = w0 - m0, w1 - m1, w2 - m2
+            t01, t02 = a01 * (d0 * d1 + c01), a02 * (d0 * d2 + c02)
+            t12 = a12 * (d1 * d2 + c12)
             if cubic:
-                w_list = [w0, w1, w2, w3]
-                cov_list = [[c00, c01, c02, c03], [c01, c11, c12, c13],
-                            [c02, c12, c22, c23], [c03, c13, c23, c33]]
+                d3 = w3 - m3
+                t03, t13 = a03 * (d0 * d3 + c03), a13 * (d1 * d3 + c13)
+                t23 = a23 * (d2 * d3 + c23)
+                quad = (0.0 + a00 * (d0 * d0 + c00) + t01 + t02 + t03
+                        + t01 + a11 * (d1 * d1 + c11) + t12 + t13
+                        + t02 + t12 + a22 * (d2 * d2 + c22) + t23
+                        + t03 + t13 + t23 + a33 * (d3 * d3 + c33))
             else:
-                w_list = [w0, w1, w2]
-                cov_list = [[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]
+                quad = (0.0 + a00 * (d0 * d0 + c00) + t01 + t02
+                        + t01 + a11 * (d1 * d1 + c11) + t12
+                        + t02 + t12 + a22 * (d2 * d2 + c22))
             logdet_w = math.log(det_w)
-            energy = _free_energy(prior, w_list, cov_list, logdet_w, zm0,
-                                  zc00, ag, bg, ax, bx, esr, y)
+            energy = _free_energy(fixed, quad, logdet_w, zm0, zc00, bg, bx,
+                                  esr, y)
             if not math.isfinite(energy):
                 raise InferenceError(t, f"non-finite free energy {energy}")
             trace.append(energy)
@@ -476,10 +495,13 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
     if cubic:
         prec = [[p00, p01, p02, p03], [p01, p11, p12, p13],
                 [p02, p12, p22, p23], [p03, p13, p23, p33]]
-        pot = [h0, h1, h2, h3]
+        pot, w_list = [h0, h1, h2, h3], [w0, w1, w2, w3]
+        cov_list = [[c00, c01, c02, c03], [c01, c11, c12, c13],
+                    [c02, c12, c22, c23], [c03, c13, c23, c33]]
     else:
         prec = [[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]]
-        pot = [h0, h1, h2]
+        pot, w_list = [h0, h1, h2], [w0, w1, w2]
+        cov_list = [[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]
     q_state = ([[za, 0.0], [0.0, inv_eps]], [hz0, hz1], [zm0, zc11 * hz1],
                [[zc00, -0.0], [-0.0, zc11]], math.log(zdet))
     return ((prec, pot, w_list, cov_list, logdet_w), ag, bg, ax, bx,
@@ -498,45 +520,63 @@ def compute_free_energy(
     held fixed and enters only through the transition expectation."""
     _require_proper(beliefs)
     prior = _carry(beliefs_prior_for_step)
+    prec0, _, mean0, _, _ = prior[0]
     q_coeffs, q_state = beliefs.q_coeffs, beliefs.q_state
     esr = nlarx.expected_square_residual(
         q_state, beliefs_prior_for_step.q_state, q_coeffs,
         cfg.node_config(u_t))
+    quad = expected_quadratic(
+        prec0, [w_i - m_i for w_i, m_i in zip(q_coeffs.mean.tolist(), mean0)],
+        q_coeffs.cov.tolist())
+    fixed = _fixed_terms(prior, q_coeffs.dim, beliefs.q_gamma.shape,
+                         beliefs.q_xi.shape)
     energy = _free_energy(
-        prior, q_coeffs.mean.tolist(), q_coeffs.cov.tolist(), q_coeffs.logdet,
-        float(q_state.mean[0]), float(q_state.cov[0, 0]),
-        beliefs.q_gamma.shape, beliefs.q_gamma.rate,
-        beliefs.q_xi.shape, beliefs.q_xi.rate, esr, float(y_t))
+        fixed, quad, q_coeffs.logdet, float(q_state.mean[0]),
+        float(q_state.cov[0, 0]), beliefs.q_gamma.rate, beliefs.q_xi.rate,
+        esr, float(y_t))
     if not math.isfinite(energy):
         raise RuntimeError(f"non-finite free energy {energy}")
     return energy
 
 
+def _fixed_terms(prior: tuple, n: int, ag: float, ax: float) -> tuple:
+    """The terms of `_free_energy` that stay fixed within a step, from the
+    step's prior as a `_carry`, the number n of coefficients and the Gamma
+    shapes of q(gamma) and q(xi), which a step's sweeps do not move."""
+    (_, _, _, _, logdet0), ag0, bg0, ax0, bx0, _ = prior
+    dg_g, dg_x = digamma(ag), digamma(ax)
+    return (ag, ax, dg_g, dg_x, n * (1.0 + _LOG_2PI),
+            math.lgamma(ag), (1.0 - ag) * dg_g,
+            math.lgamma(ax), (1.0 - ax) * dg_x,
+            -0.5 * n * _LOG_2PI + 0.5 * logdet0,
+            ag0 * math.log(bg0) - math.lgamma(ag0), ag0 - 1.0, bg0,
+            ax0 * math.log(bx0) - math.lgamma(ax0), ax0 - 1.0, bx0)
+
+
 def _free_energy(
-    prior: tuple, w_mean: list[float], w_cov: list[list[float]],
-    w_logdet: float, x_mean: float, x_var: float, ag: float, bg: float,
-    ax: float, bx: float, esr: float, y: float,
+    fixed: tuple, quad: float, w_logdet: float, x_mean: float, x_var: float,
+    bg: float, bx: float, esr: float, y: float,
 ) -> float:
-    """`compute_free_energy` on floats: the step's prior as a `_carry`; the
-    mean, covariance and precision log-determinant of q(w); the mean and
-    variance of x_next; the Gamma shapes and rates of q(gamma) and q(xi);
-    the expected squared residual; and y."""
-    (prec0, _, mean0, _, logdet0), ag0, bg0, ax0, bx0, _ = prior
+    """`compute_free_energy` on floats: the step's `_fixed_terms`; the
+    expected prior quadratic E[(w - m0)' Lambda0 (w - m0)] and precision
+    log-determinant of q(w); the mean and variance of x_next; the Gamma
+    rates of q(gamma) and q(xi); the expected squared residual; and y."""
+    (ag, ax, dg_g, dg_x, n_entropy, lg_g, psi_g, lg_x, psi_x, prior_w,
+     prior_g, ag0_1, bg0, prior_x, ax0_1, bx0) = fixed
     try:  # a float power or log raises where numpy's gave an infinity
         miss2 = (y - x_mean) ** 2
         log_var = math.log(x_var)
     except (OverflowError, ValueError):
         return math.inf
-    dg_g, dg_x = digamma(ag), digamma(ax)
-    n = len(w_mean)
-    e_gamma, log_gamma = ag / bg, dg_g - math.log(bg)
-    e_xi, log_xi = ax / bx, dg_x - math.log(bx)
+    log_bg, log_bx = math.log(bg), math.log(bx)
+    e_gamma, log_gamma = ag / bg, dg_g - log_bg
+    e_xi, log_xi = ax / bx, dg_x - log_bx
 
     neg_entropy = -(
         0.5 * (1.0 + _LOG_2PI + log_var)
-        + 0.5 * (n * (1.0 + _LOG_2PI) - w_logdet)
-        + (ag - math.log(bg) + math.lgamma(ag) + (1.0 - ag) * dg_g)
-        + (ax - math.log(bx) + math.lgamma(ax) + (1.0 - ax) * dg_x)
+        + 0.5 * (n_entropy - w_logdet)
+        + (ag - log_bg + lg_g + psi_g)
+        + (ax - log_bx + lg_x + psi_x)
     )
 
     # transition and likelihood factors
@@ -544,14 +584,10 @@ def _free_energy(
     e_log_lik = -0.5 * _LOG_2PI + 0.5 * log_xi - 0.5 * e_xi * (miss2 + x_var)
 
     # E_q[log prior] of the coefficient, gamma and xi priors
-    quad = expected_quadratic(
-        prec0, [w_i - m_i for w_i, m_i in zip(w_mean, mean0)], w_cov)
     e_log_priors = (
-        (-0.5 * n * _LOG_2PI + 0.5 * logdet0 - 0.5 * quad)
-        + (ag0 * math.log(bg0) - math.lgamma(ag0)
-           + (ag0 - 1.0) * log_gamma - bg0 * e_gamma)
-        + (ax0 * math.log(bx0) - math.lgamma(ax0)
-           + (ax0 - 1.0) * log_xi - bx0 * e_xi)
+        (prior_w - 0.5 * quad)
+        + (prior_g + ag0_1 * log_gamma - bg0 * e_gamma)
+        + (prior_x + ax0_1 * log_xi - bx0 * e_xi)
     )
 
     return neg_entropy - e_log_trans - e_log_lik - e_log_priors

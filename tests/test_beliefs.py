@@ -17,6 +17,7 @@ from duffingid.beliefs import (
     dot,
     entropy_gamma,
     entropy_gaussian,
+    expected_quadratic,
     gaussian_moments,
     independent,
     split_last,
@@ -415,6 +416,23 @@ class TestInvariantsAndValidation:
     def test_potential_consistency(self):
         g = GaussianBelief([2.0, -1.0], [[2.0, 0.5], [0.5, 1.0]])
         np.testing.assert_allclose(g.potential, g.precision @ g.mean)
+
+
+class TestExpectedQuadratic:
+    # (rows of A, size of the mean): 4 entries weighed by a 3x3 A is the
+    # leading block that `nlarx.residual_moment` passes
+    @pytest.mark.parametrize("rows, dim", [(2, 2), (3, 3), (4, 4), (3, 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_numpy(self, rows, dim, seed):
+        rng = np.random.default_rng(seed)
+        a = _random_spd(rng, rows)
+        a[0, -1] = a[-1, 0] = -a[0, -1]  # a sign mix off the diagonal
+        mean = rng.normal(0.0, 2.0, dim)
+        cov = np.linalg.inv(_random_spd(rng, dim))
+        lead = mean[:rows]
+        want = lead @ a @ lead + np.trace(a @ cov[:rows, :rows])
+        got = expected_quadratic(a.tolist(), mean.tolist(), cov.tolist())
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _random_spd(rng, dim):

@@ -552,7 +552,9 @@ class TestMalformedFiles:
         (("posterior", "eta", "precision"), [[0.0]]),
         (("posterior", "eta", "precision"), [[-1.0]]),
         (("posterior", "theta", "precision"), np.diag([1.0, -1.0, 1.0]).tolist()),
-        (("posterior", "state", "precision"), [[1.0, 0.0], [0.0, 0.0]])])
+        (("posterior", "state", "precision"), [[1.0, 0.0], [0.0, 0.0]]),
+        # a mean that is not finite
+        (("posterior", "theta", "mean"), [float("nan"), 0.0, 0.0])])
     @pytest.mark.parametrize("command", ["report", "predict"])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, command, keys,
                                        value):

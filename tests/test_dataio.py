@@ -1,5 +1,6 @@
 """CSV ingestion, splitting, config parsing and artifact persistence."""
 
+import re
 import warnings
 
 import numpy as np
@@ -358,4 +359,26 @@ class TestArtifact:
                                         "schema_version: 99")
         path.write_text(text)
         with pytest.raises(ConfigError, match="schema version mismatch"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("mode, key, mean", [
+        ("nlarx", "theta", [float("nan"), 0.0, 0.0]),
+        ("nlarx", "state", [float("inf"), 0.0]),
+        ("nlarx", "eta", [float("-inf")]),
+        ("nlarx", "theta", [1.9]), ("nlarx", "state", [0.01]),
+        ("nlarx", "eta", [0.0095, 0.0]),
+        # a LARX config stores 2 coefficients, so the 3 of an NLARX run
+        # are not a LARX posterior
+        ("larx", "theta", [1.9, -0.03, -0.95])])
+    def test_corrupt_posterior_mean_rejected(self, tmp_path, mode, key, mean):
+        path = tmp_path / "run.yaml"
+        save_artifact(make_artifact(), path)
+        payload = load_yaml(path)
+        payload["config"]["model_mode"] = mode
+        payload["posterior"][key]["mean"] = mean
+        path.write_text(yaml.safe_dump(payload))
+        size = {"theta": 3 if mode == "nlarx" else 2, "eta": 1, "state": 2}[key]
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}: posterior.{key}.mean must have {size} entries, "
+                f"all finite, got {mean!r}") + "$"):
             load_artifact(path)

@@ -24,6 +24,7 @@ from duffingid import engine, nlarx
 from duffingid.beliefs import (
     GammaBelief,
     GaussianBelief,
+    digamma,
     gaussian_moments,
     independent,
 )
@@ -325,6 +326,26 @@ class TestFreeEnergy:
         for report in reports:
             diffs = np.diff(report.free_energy_trace)
             assert diffs.max() <= 1e-9
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("mode", ["nlarx", "larx"])
+    def test_digamma_once_per_step(self, mode, trace, monkeypatch):
+        # the Gamma shapes do not move within a step, so the kernel computes
+        # psi of each once per step, however many sweeps evaluate F
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return digamma(x)
+
+        monkeypatch.setattr(engine, "digamma", counted)
+        p = PhysicalParams(m=1, c=0.5, a=2, b=3, tau=10.0, xi=1e6)
+        ts, _ = make_series(p, 200, input_seed=52, sim_seed=52)
+        cfg = PriorConfig(model_mode=mode, trace_free_energy=trace,
+                          **RUN_CONFIG)
+        _, reports = identify(ts, cfg)
+        assert sum(report.iterations for report in reports) > len(reports)
+        assert len(calls) == 2 * len(reports)
 
     def test_nlarx_final_not_above_first(self):
         p = PhysicalParams(m=1, c=0.5, a=2, b=3, tau=10.0, xi=1e6)
