@@ -96,10 +96,20 @@ def cmd_simulate(args) -> int:
     source = "" if args.input == "sine" else f"{args.input}: "
     if args.steps is not None and args.steps < 3:
         raise DatasetError(f"{source}--steps must be at least 3, got {args.steps}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+    try:
+        truth = phys_to_ar(params, args.delta)
+    except ValueError as exc:
+        raise ConfigError(f"--delta: {exc}") from None
     if args.input == "sine":
         t = np.arange(2000 if args.steps is None else args.steps)
-        u = args.sine_amplitude * np.sin(
-            2.0 * math.pi * args.sine_frequency * t * args.delta)
+        with np.errstate(invalid="ignore", over="ignore"):  # checked below
+            u = args.sine_amplitude * np.sin(
+                2.0 * math.pi * args.sine_frequency * t * args.delta)
+        if not np.isfinite(u).all():
+            raise ConfigError("--sine-amplitude and --sine-frequency must give "
+                              "a finite input")
     else:
         (u,) = dataio.load_columns(args.input, ("u",))
         if args.steps is not None and args.steps > len(u):
@@ -112,13 +122,14 @@ def cmd_simulate(args) -> int:
     ts, latent = simulate(params, u, args.delta, seed=args.seed, x0=x0,
                           noise_free=args.noise_free)
     dataio.save_columns(args.out, {"u": ts.u, "y": ts.y})
-    dataio.save_truth(f"{args.out}.truth.yaml",
-                      phys_to_ar(params, args.delta), latent)
+    dataio.save_truth(f"{args.out}.truth.yaml", truth, latent)
     print(f"wrote {len(ts)} samples to {args.out}")
     return 0
 
 
 def cmd_identify(args) -> int:
+    if not 0 < args.delta < math.inf:  # as `TimeSeries` requires
+        raise ConfigError(f"--delta must be positive and finite, got {args.delta}")
     data = dataio.load_csv(args.data, args.delta, args.input_column,
                            args.output_column)
     if args.split_index:

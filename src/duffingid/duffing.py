@@ -94,8 +94,7 @@ class TimeSeries:
             raise ValueError("u and y must be 1-D arrays of equal length")
         if len(u) < 3:
             raise ValueError("insufficient data: need at least 3 samples")
-        if not self.delta > 0:
-            raise ValueError("sample period must be positive")
+        _check_period(self.delta)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
 
@@ -103,18 +102,29 @@ class TimeSeries:
         return len(self.u)
 
 
+def _check_period(delta: float) -> None:
+    if not 0 < delta < math.inf:
+        raise ValueError(f"sample period must be positive and finite, got {delta!r}")
+
+
 def phys_to_ar(p: PhysicalParams, delta: float) -> ArCoefficients:
     """Substitute physical parameters into the autoregressive coefficients."""
+    _check_period(delta)
     den = p.m + p.c * delta
     if den == 0:
         raise ValueError("degenerate discretization: m + c*delta == 0")
+    try:  # delta**4 under- or overflows, or den**2 overflows
+        gamma = p.tau * den**2 / delta**4
+    except (OverflowError, ZeroDivisionError):
+        gamma = math.inf
+    if gamma == math.inf:
+        raise ValueError(f"discretization gives an infinite gamma at delta={delta!r}")
     theta = np.array([
         (2 * p.m + p.c * delta - p.a * delta**2) / den,
         -p.b * delta**2 / den,
         -p.m / den,
     ])
     eta = delta**2 / den
-    gamma = p.tau * den**2 / delta**4
     return ArCoefficients(theta, eta, gamma)
 
 

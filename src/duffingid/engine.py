@@ -28,10 +28,11 @@ the second sweep on it stops once a sweep moved every coefficient mean by
 less than `CONVERGENCE_TOL` of its posterior sd and E[gamma] by less than
 `CONVERGENCE_TOL` relative; `PriorConfig.iterations_per_step` caps the
 sweeps. The kernel reads and returns the beliefs in its own float form,
-the carry (`_carry`): q(w)'s precision, potential, mean and covariance as
-(nested) lists and its log-determinant, the Gamma shapes and rates, and
-q(z)'s parts in the same form, the -0.0 off the diagonal of its covariance
-kept. `identify_stream` folds the kernel over the stream: it checks the
+the carry (`_carry`): q(w) and q(z) as one flat tuple of floats each (the
+upper triangles of precision and covariance, the -0.0 off the diagonal of
+q(z)'s covariance kept), the Gamma shapes and rates, and lgamma of each
+shape and log of each rate, which the next step's free energy reads as its
+prior's. `identify_stream` folds the kernel over the stream: it checks the
 initial beliefs once and builds the numpy `BeliefSet` once, after the last
 step. `step_update` converts a `BeliefSet` in, runs the same kernel and
 converts the result out. The `nlarx` messages, `combine_*` and
@@ -39,33 +40,32 @@ converts the result out. The `nlarx` messages, `combine_*` and
 the tested reference.
 
 Rounding rule: the kernel reproduces that composition bit for bit, so every
-float operation keeps its order there. No numpy runs inside a step, and no
-helper on nested lists inside a sweep. Once per step it computes psi and
-J Sigma_zprev J' (`nlarx.regressor_psi`, `regressor_spread`), the
-entries of `nlarx.coefficient_information` and the free energy's
-`_fixed_terms`. A sweep holds q(w) in local
-floats, written out once per coefficient count: the distinct entries of
-its symmetric precision and covariance (10 for NLARX, 6 for LARX). The
-precision `prec0 + E[gamma] info` and potential `pot0 + psi (E[gamma]
-E[x])` are float expressions entry by entry, as numpy's elementwise ufuncs
-round them; `beliefs.inverse_4x4` or `inverse_3x3` inverts the precision.
-The mean, the forward mean `dot(E[w], psi)` and the expected squared
-residual (`nlarx.residual_moment`) are sums left to right, as `beliefs.dot`
-sums them, so no BLAS kernel enters an estimate. The lower triangle reuses
-the upper one: a_ij + s b_ij is exactly symmetric when a and b are, and a
-float product commutes exactly. A sweep builds no list; the carry's lists
-are built once, after the last sweep. q(z) and the Gamma updates are scalar
-algebra: q(z)'s precision is always diag(E[gamma] + E[xi], 1/EPSILON).
-The free energy has two parts, each shared with `compute_free_energy`.
-`_fixed_terms` holds what a step's sweeps cannot move, since the Gamma
-shapes and the prior are fixed within a step: the digammas and log Gammas
-of the shapes and the prior's constants and logs. `_free_energy` adds, per
-sweep, the logs of x_next's variance and of the two Gamma rates, once each.
-The fixed terms are sub-expressions of the one formula, so F keeps its
-expression tree and order; its square stays `** 2`, libm's pow, which
-rounds differently from `x * x` about once in a thousand. The kernel writes
-the prior quadratic E[(w - m0)' Lambda0 (w - m0)] out on the sweep's local
-floats, in `beliefs.expected_quadratic`'s order.
+float operation keeps its order there. No numpy runs inside a step, and a
+step builds no list. Once per step it writes out psi and J Sigma_zprev J'
+as `nlarx.regressor_psi` and `regressor_spread` compute them, the entries
+of `nlarx.coefficient_information` and the prediction, and it computes the
+free energy's `_fixed_terms`. A sweep holds q(w) in local floats, written
+out once per coefficient count: the distinct entries of its symmetric
+precision and covariance (10 for NLARX, 6 for LARX). The precision `prec0 +
+E[gamma] info` and potential `pot0 + psi (E[gamma] E[x])` are float
+expressions entry by entry, as numpy's elementwise ufuncs round them;
+`beliefs.inverse_4x4` or `inverse_3x3` inverts the precision. The mean, the
+forward mean E[w]'psi and the expected squared residual
+(`nlarx.residual_moment`) are sums left to right, as `beliefs.dot` sums
+them, so no BLAS kernel enters an estimate. The carry's upper triangles
+stand for the whole: a_ij + s b_ij is exactly symmetric when a and b are,
+and a float product commutes exactly. q(z) and the Gamma updates are
+scalar algebra: q(z)'s precision is always diag(E[gamma] + E[xi],
+1/EPSILON). The free energy has two parts, each shared with
+`compute_free_energy`. `_fixed_terms` holds what a step's sweeps cannot
+move: the digammas and log Gammas of the shapes, fixed within a step, and
+the prior's terms, from the carry. `_free_energy` adds, per sweep, the log
+of x_next's variance; the kernel takes the logs of the two Gamma rates once
+each and carries the last sweep's on. Each value is the one the single
+formula computed, so F keeps its expression tree and order; its square
+stays `** 2`, libm's pow, which rounds differently from `x * x` about once
+in a thousand. The kernel writes the prior quadratic E[(w - m0)' Lambda0
+(w - m0)] out on local floats, in `beliefs.expected_quadratic`'s order.
 
 Failure contract: `step_update(..., t)` and the kernel raise
 `InferenceError` with `.step == t` for every failure they detect inside the
@@ -87,24 +87,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .beliefs import (
-    GammaBelief,
-    GaussianBelief,
-    ImproperBeliefError,
-    digamma,
-    dot,
-    expected_quadratic,
-    inverse_3x3,
-    inverse_4x4,
-    split_last,
-)
+from .beliefs import (GammaBelief, GaussianBelief, ImproperBeliefError,
+                      digamma, expected_quadratic, inverse_3x3, inverse_4x4,
+                      split_last)
 # not called here; the benchmark's span tracer looks them up in this module
-from .beliefs import (  # noqa: F401
-    combine_gamma,
-    combine_gaussian,
-    entropy_gamma,
-    entropy_gaussian,
-)
+from .beliefs import (combine_gamma, combine_gaussian,  # noqa: F401
+                      entropy_gamma, entropy_gaussian)
 from .duffing import step_mean  # noqa: F401
 from .duffing import (ArCoefficients, TimeSeries, UnstableSimulationError,
                       cubic_theta, is_number, propagate)
@@ -121,6 +109,12 @@ EPSILON = 1e-8
 # than this fraction of its posterior sd and E[gamma] by less than this
 # fraction of itself; `PriorConfig.iterations_per_step` caps the sweeps
 CONVERGENCE_TOL = 1e-6
+
+# the upper triangle of a d x d matrix, row by row: the flat indices of its
+# entries, and the position in it of each entry of a symmetric matrix
+_UPPER = {d: np.flatnonzero(np.triu(np.ones((d, d)))) for d in (2, 3, 4)}
+_SQUARE = {d: np.array([[min(i, j) * (2 * d + 1 - min(i, j)) // 2 + abs(i - j)
+                         for j in range(d)] for i in range(d)]) for d in (2, 3, 4)}
 
 
 class InferenceError(RuntimeError):
@@ -280,31 +274,35 @@ def _require_proper(beliefs: BeliefSet) -> None:
 
 def _carry(beliefs: BeliefSet) -> tuple:
     """The step kernel's float form of a proper belief set: q(w)'s parts,
-    the shape and rate of q(gamma) and of q(xi), and q(z)'s parts, where a
-    Gaussian's parts are its precision, potential, mean and covariance as
-    (nested) lists of floats and its log-determinant, in the order of
-    `GaussianBelief._from_parts`."""
+    the shape and rate of q(gamma) and of q(xi), lgamma of each shape and log
+    of each rate, and q(z)'s parts. A Gaussian's parts are one flat tuple:
+    the upper triangle of its precision row by row, its potential and mean,
+    the upper triangle of its covariance and its log-determinant."""
     _require_proper(beliefs)
-    return (_parts(beliefs.q_coeffs), beliefs.q_gamma.shape,
-            beliefs.q_gamma.rate, beliefs.q_xi.shape, beliefs.q_xi.rate,
-            _parts(beliefs.q_state))
+    g, x = beliefs.q_gamma, beliefs.q_xi
+    return (_parts(beliefs.q_coeffs), g.shape, g.rate, x.shape, x.rate,
+            math.lgamma(g.shape), math.log(g.rate), math.lgamma(x.shape),
+            math.log(x.rate), _parts(beliefs.q_state))
 
 
 def _parts(g: GaussianBelief) -> tuple:
-    return (g.precision.tolist(), g.potential.tolist(), g.mean.tolist(),
-            g.cov.tolist(), g.logdet)
+    upper = _UPPER[g.dim]
+    return (*g.precision.take(upper).tolist(), *g.potential.tolist(),
+            *g.mean.tolist(), *g.cov.take(upper).tolist(), g.logdet)
 
 
-def _belief_set(carry: tuple) -> BeliefSet:
-    """The belief set of a `_carry`."""
-    w, ag, bg, ax, bx, z = carry
-    return BeliefSet(_belief(w), GammaBelief(ag, bg), GammaBelief(ax, bx),
-                     _belief(z))
+def _belief_set(carry: tuple, d: int) -> BeliefSet:
+    """The belief set of a `_carry` whose q(w) has d coefficients."""
+    w, ag, bg, ax, bx, _, _, _, _, z = carry
+    return BeliefSet(_belief(w, d), GammaBelief(ag, bg), GammaBelief(ax, bx),
+                     _belief(z, 2))
 
 
-def _belief(parts: tuple) -> GaussianBelief:
-    *arrays, logdet = parts
-    return GaussianBelief._from_parts(*map(np.array, arrays), logdet)
+def _belief(parts: tuple, d: int) -> GaussianBelief:
+    n, square, flat = d * (d + 1) // 2, _SQUARE[d], np.array(parts[:-1])
+    return GaussianBelief._from_parts(
+        flat[square], flat[n:n + d].copy(), flat[n + d:n + 2 * d].copy(),
+        flat[square + n + 2 * d], parts[-1])
 
 
 def step_update(
@@ -314,7 +312,7 @@ def step_update(
     settles (see the module docstring). The returned state belief becomes
     the next step's previous state."""
     carry, report = _step(_carry(beliefs), u_t, y_t, cfg, t)
-    return _belief_set(carry), report
+    return _belief_set(carry, beliefs.q_coeffs.dim), report
 
 
 def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
@@ -324,52 +322,50 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
     try:
         u, y = float(u_t), float(y_t)
     except (TypeError, ValueError) as exc:
-        raise InferenceError(
-            t, f"unconvertible input/output sample: {exc}") from exc
-    if not (math.isfinite(u) and math.isfinite(y)):
-        raise InferenceError(
-            t, f"non-finite input/output sample: u={u!r}, y={y!r}")
-    ((prec0, pot0, w_list, _, _), ag0, bg0, ax0, bx0,
-     (_, _, zp_mean, zp_cov, _)) = prior
+        raise InferenceError(t, f"unconvertible input/output sample: {exc}") from exc
+    isfinite, sqrt = math.isfinite, math.sqrt
+    if not (isfinite(u) and isfinite(y)):
+        raise InferenceError(t, f"non-finite input/output sample: u={u!r}, y={y!r}")
+    w_prior, ag0, bg0, ax0, bx0, _, _, _, _, z_prior = prior
+    _, _, _, _, _, x, x_prev, s00, s01, s11, _ = z_prior
     d = cfg.n_coeffs
     cubic = d == 3
     inv_eps = 1.0 / EPSILON
     last = cfg.iterations_per_step - 1
-    # fixed within the step: psi, J Sigma_zprev J', the upper triangle of
-    # the coefficient message's precision per E[gamma] (the i's) and of the
-    # prior's precision (the a's), its potential (g's) and mean (m's)
-    psi = nlarx.regressor_psi(zp_mean, d, u)
-    spread = nlarx.regressor_spread(zp_mean, zp_cov, d)
+    # fixed within the step: psi (q's), J Sigma_zprev J' (r's), the upper
+    # triangles of the message's precision per E[gamma] (i's) and the prior's
+    # (a's), its potential (g's) and mean (m's), and the prediction
     if cubic:
-        q0, q1, q2, q3 = psi
-        (r00, r01, r02), (_, r11, r12), (_, _, r22) = spread
+        q0, q1, q2, q3 = x, x * x * x, x_prev, u
+        slope = 3.0 * (x * x)  # d(x^3)/dx
+        r00, r01, r02 = s00, slope * s00, s01
+        r11, r12, r22 = slope * s00 * slope, slope * s01, s11
         info = (q0 * q0 + r00, q0 * q1 + r01, q0 * q2 + r02, q0 * q3,
                 q1 * q1 + r11, q1 * q2 + r12, q1 * q3, q2 * q2 + r22, q2 * q3,
                 q3 * q3)
         i00, i01, i02, i03, i11, i12, i13, i22, i23, i33 = info
-        ((a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23),
-         (_, _, _, a33)) = prec0
-        (g0, g1, g2, g3), (m0, m1, m2, m3) = pot0, w_list
+        (a00, a01, a02, a03, a11, a12, a13, a22, a23, a33, g0, g1, g2, g3,
+         m0, m1, m2, m3, _, _, _, _, _, _, _, _, _, _, _) = w_prior
         w3 = m3
+        forward = 0.0 + m0 * q0 + m1 * q1 + m2 * q2 + m3 * q3
     else:
-        q0, q1, q2 = psi
-        (r00, r01), (_, r11) = spread
+        q0, q1, q2 = x, x_prev, u
+        r00, r01, r11 = s00, s01, s11
         info = (q0 * q0 + r00, q0 * q1 + r01, q0 * q2, q1 * q1 + r11, q1 * q2,
                 q2 * q2)
         i00, i01, i02, i11, i12, i22 = info
-        (a00, a01, a02), (_, a11, a12), (_, _, a22) = prec0
-        (g0, g1, g2), (m0, m1, m2) = pot0, w_list
-    if not all(map(math.isfinite, info)):
+        (a00, a01, a02, a11, a12, a22, g0, g1, g2, m0, m1, m2,
+         _, _, _, _, _, _, _) = w_prior
+        forward = 0.0 + m0 * q0 + m1 * q1 + m2 * q2
+    if not all(map(isfinite, info)):
         raise InferenceError(t, "diverged: non-finite coefficient message precision")
-    hz1 = inv_eps * zp_mean[0]
+    hz1 = inv_eps * x
     w0, w1, w2 = m0, m1, m2
     ag, ax = ag0 + 1.5 - 1.0, ax0 + 1.5 - 1.0
     fixed = _fixed_terms(prior, d + 1, ag, ax)
     eg, ex = ag0 / bg0, ax0 / bx0
-    pred_var = 1.0 / eg + 1.0 / ex
-    # the prediction, taken before y enters
-    pred_mean = forward = dot(w_list, psi)
-    trace = []
+    pred_mean, pred_var = forward, 1.0 / eg + 1.0 / ex
+    trace = ()
     for k in range(cfg.iterations_per_step):
         # q(z): forward message N((forward, zp0), diag(E[gamma], 1/EPSILON))
         # times the likelihood one; precision diag(E[gamma] + E[xi], 1/EPSILON)
@@ -380,7 +376,7 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
         zc00, zc11 = inv_eps / zdet, za / zdet
         hz0 = eg * forward + ex * y
         zm0 = zc00 * hz0
-        if not math.isfinite(zm0):
+        if not isfinite(zm0):
             raise InferenceError(t, "diverged: non-finite state mean")
 
         # q(w): the step's prior plus the coefficient message, as precision
@@ -403,7 +399,8 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
             w1 = 0.0 + c01 * h0 + c11 * h1 + c12 * h2 + c13 * h3
             w2 = 0.0 + c02 * h0 + c12 * h1 + c22 * h2 + c23 * h3
             w3 = 0.0 + c03 * h0 + c13 * h1 + c23 * h2 + c33 * h3
-            if not all(map(math.isfinite, (w0, w1, w2, w3))):
+            if not (isfinite(w0) and isfinite(w1) and isfinite(w2)
+                    and isfinite(w3)):
                 raise InferenceError(t, "diverged: non-finite coefficient mean")
             forward = 0.0 + w0 * q0 + w1 * q1 + w2 * q2 + w3 * q3
             resid = zm0 - forward
@@ -428,7 +425,7 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
             w0 = 0.0 + c00 * h0 + c01 * h1 + c02 * h2
             w1 = 0.0 + c01 * h0 + c11 * h1 + c12 * h2
             w2 = 0.0 + c02 * h0 + c12 * h1 + c22 * h2
-            if not all(map(math.isfinite, (w0, w1, w2))):
+            if not (isfinite(w0) and isfinite(w1) and isfinite(w2)):
                 raise InferenceError(t, "diverged: non-finite coefficient mean")
             forward = 0.0 + w0 * q0 + w1 * q1 + w2 * q2
             resid = zm0 - forward
@@ -439,7 +436,7 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
                    + q2 * c02 * q0 + q2 * c12 * q1 + q2 * c22 * q2
                    ) + (0.0 + r00 * (w0 * w0 + c00) + e01
                         + e01 + r11 * (w1 * w1 + c11))
-        if not math.isfinite(esr):
+        if not isfinite(esr):
             raise InferenceError(t, "diverged: non-finite expected squared residual")
         rate = 0.5 * esr
         if rate < 0:
@@ -456,10 +453,10 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
         # settled: E[gamma] and each mean of w moved by under CONVERGENCE_TOL
         done = k == last or (
             k > 0 and abs(eg - eg_previous) < CONVERGENCE_TOL * eg
-            and abs(w0 - v0) < CONVERGENCE_TOL * math.sqrt(c00)
-            and abs(w1 - v1) < CONVERGENCE_TOL * math.sqrt(c11)
-            and abs(w2 - v2) < CONVERGENCE_TOL * math.sqrt(c22)
-            and (not cubic or abs(w3 - v3) < CONVERGENCE_TOL * math.sqrt(c33)))
+            and abs(w0 - v0) < CONVERGENCE_TOL * sqrt(c00)
+            and abs(w1 - v1) < CONVERGENCE_TOL * sqrt(c11)
+            and abs(w2 - v2) < CONVERGENCE_TOL * sqrt(c22)
+            and (not cubic or abs(w3 - v3) < CONVERGENCE_TOL * sqrt(c33)))
         if cfg.trace_free_energy or done:
             # E[(w - m)' prec0 (w - m)], as `expected_quadratic` sums it
             d0, d1, d2 = w0 - m0, w1 - m1, w2 - m2
@@ -478,34 +475,32 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
                         + t01 + a11 * (d1 * d1 + c11) + t12
                         + t02 + t12 + a22 * (d2 * d2 + c22))
             logdet_w = math.log(det_w)
+            log_bg, log_bx = math.log(bg), math.log(bx)
             energy = _free_energy(fixed, quad, logdet_w, zm0, zc00, bg, bx,
-                                  esr, y)
-            if not math.isfinite(energy):
+                                  log_bg, log_bx, esr, y)
+            if not isfinite(energy):
                 raise InferenceError(t, f"non-finite free energy {energy}")
-            trace.append(energy)
+            if cfg.trace_free_energy:
+                trace += (energy,)
         if done:
             break
 
-    # a named tuple, built positionally: both cost less than a dataclass
-    report = StepReport(t, trace[-1], pred_mean, pred_var, k + 1,
-                        tuple(trace) if cfg.trace_free_energy else ())
     # the posterior of the last sweep, which always evaluated the free
     # energy; q(z) as `combine_gaussian` builds it, whose closed-form inverse
     # puts -0.0 off the diagonal of the covariance
     if cubic:
-        prec = [[p00, p01, p02, p03], [p01, p11, p12, p13],
-                [p02, p12, p22, p23], [p03, p13, p23, p33]]
-        pot, w_list = [h0, h1, h2, h3], [w0, w1, w2, w3]
-        cov_list = [[c00, c01, c02, c03], [c01, c11, c12, c13],
-                    [c02, c12, c22, c23], [c03, c13, c23, c33]]
+        w_post = (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33,
+                  h0, h1, h2, h3, w0, w1, w2, w3,
+                  c00, c01, c02, c03, c11, c12, c13, c22, c23, c33, logdet_w)
     else:
-        prec = [[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]]
-        pot, w_list = [h0, h1, h2], [w0, w1, w2]
-        cov_list = [[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]
-    q_state = ([[za, 0.0], [0.0, inv_eps]], [hz0, hz1], [zm0, zc11 * hz1],
-               [[zc00, -0.0], [-0.0, zc11]], math.log(zdet))
-    return ((prec, pot, w_list, cov_list, logdet_w), ag, bg, ax, bx,
-            q_state), report
+        w_post = (p00, p01, p02, p11, p12, p22, h0, h1, h2, w0, w1, w2,
+                  c00, c01, c02, c11, c12, c22, logdet_w)
+    z_post = (za, 0.0, inv_eps, hz0, hz1, zm0, zc11 * hz1, zc00, -0.0, zc11,
+              math.log(zdet))
+    # fixed[5], [7]: lgamma of the shapes; tuple.__new__ runs no Python frame
+    return ((w_post, ag, bg, ax, bx, fixed[5], log_bg, fixed[7], log_bx,
+             z_post), tuple.__new__(StepReport, (t, energy, pred_mean, pred_var,
+                                                 k + 1, trace)))
 
 
 def compute_free_energy(
@@ -519,48 +514,48 @@ def compute_free_energy(
     gamma and xi, with the messages' affine surrogate. The previous state is
     held fixed and enters only through the transition expectation."""
     _require_proper(beliefs)
-    prior = _carry(beliefs_prior_for_step)
-    prec0, _, mean0, _, _ = prior[0]
+    prior, w_prior = _carry(beliefs_prior_for_step), beliefs_prior_for_step.q_coeffs
     q_coeffs, q_state = beliefs.q_coeffs, beliefs.q_state
+    bg, bx = beliefs.q_gamma.rate, beliefs.q_xi.rate
     esr = nlarx.expected_square_residual(
         q_state, beliefs_prior_for_step.q_state, q_coeffs,
         cfg.node_config(u_t))
-    quad = expected_quadratic(
-        prec0, [w_i - m_i for w_i, m_i in zip(q_coeffs.mean.tolist(), mean0)],
-        q_coeffs.cov.tolist())
+    quad = expected_quadratic(w_prior.precision.tolist(),
+                              (q_coeffs.mean - w_prior.mean).tolist(),
+                              q_coeffs.cov.tolist())
     fixed = _fixed_terms(prior, q_coeffs.dim, beliefs.q_gamma.shape,
                          beliefs.q_xi.shape)
     energy = _free_energy(
         fixed, quad, q_coeffs.logdet, float(q_state.mean[0]),
-        float(q_state.cov[0, 0]), beliefs.q_gamma.rate, beliefs.q_xi.rate,
-        esr, float(y_t))
+        float(q_state.cov[0, 0]), bg, bx, math.log(bg), math.log(bx), esr,
+        float(y_t))
     if not math.isfinite(energy):
         raise RuntimeError(f"non-finite free energy {energy}")
     return energy
 
 
 def _fixed_terms(prior: tuple, n: int, ag: float, ax: float) -> tuple:
-    """The terms of `_free_energy` that stay fixed within a step, from the
-    step's prior as a `_carry`, the number n of coefficients and the Gamma
-    shapes of q(gamma) and q(xi), which a step's sweeps do not move."""
-    (_, _, _, _, logdet0), ag0, bg0, ax0, bx0, _ = prior
+    """The terms of `_free_energy` fixed within a step, from the step's prior
+    as a `_carry`, the number n of coefficients and the Gamma shapes of
+    q(gamma) and q(xi): two digammas, two lgammas and no log."""
+    w, ag0, bg0, ax0, bx0, lg_g0, log_bg0, lg_x0, log_bx0, _ = prior
     dg_g, dg_x = digamma(ag), digamma(ax)
     return (ag, ax, dg_g, dg_x, n * (1.0 + _LOG_2PI),
             math.lgamma(ag), (1.0 - ag) * dg_g,
             math.lgamma(ax), (1.0 - ax) * dg_x,
-            -0.5 * n * _LOG_2PI + 0.5 * logdet0,
-            ag0 * math.log(bg0) - math.lgamma(ag0), ag0 - 1.0, bg0,
-            ax0 * math.log(bx0) - math.lgamma(ax0), ax0 - 1.0, bx0)
+            -0.5 * n * _LOG_2PI + 0.5 * w[-1],
+            ag0 * log_bg0 - lg_g0, ag0 - 1.0, bg0,
+            ax0 * log_bx0 - lg_x0, ax0 - 1.0, bx0)
 
 
 def _free_energy(
     fixed: tuple, quad: float, w_logdet: float, x_mean: float, x_var: float,
-    bg: float, bx: float, esr: float, y: float,
+    bg: float, bx: float, log_bg: float, log_bx: float, esr: float, y: float,
 ) -> float:
     """`compute_free_energy` on floats: the step's `_fixed_terms`; the
     expected prior quadratic E[(w - m0)' Lambda0 (w - m0)] and precision
-    log-determinant of q(w); the mean and variance of x_next; the Gamma
-    rates of q(gamma) and q(xi); the expected squared residual; and y."""
+    log-determinant of q(w); x_next's mean and variance; the Gamma rates of
+    q(gamma) and q(xi) and their logs; the expected squared residual; y."""
     (ag, ax, dg_g, dg_x, n_entropy, lg_g, psi_g, lg_x, psi_x, prior_w,
      prior_g, ag0_1, bg0, prior_x, ax0_1, bx0) = fixed
     try:  # a float power or log raises where numpy's gave an infinity
@@ -568,7 +563,6 @@ def _free_energy(
         log_var = math.log(x_var)
     except (OverflowError, ValueError):
         return math.inf
-    log_bg, log_bx = math.log(bg), math.log(bx)
     e_gamma, log_gamma = ag / bg, dg_g - log_bg
     e_xi, log_xi = ax / bx, dg_x - log_bx
 
@@ -609,7 +603,7 @@ def identify_stream(
         reports.append(report)
     if not reports:
         raise ValueError("insufficient data: empty sample stream")
-    return _belief_set(carry), reports
+    return _belief_set(carry, cfg.n_coeffs + 1), reports
 
 
 def identify(data: TimeSeries, cfg: PriorConfig) -> tuple[BeliefSet, list[StepReport]]:

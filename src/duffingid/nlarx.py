@@ -14,7 +14,7 @@ previous state:
 
 `regressor_psi` builds psi and `regressor_spread` builds J Sigma_zprev J';
 all message math below is exact given that surrogate. The engine's step
-calls both once per step, since they are fixed within it.
+writes both out once per step, since they are fixed within it.
 `coefficient_information` and `residual_moment` are the scalar forms of two
 messages; the step writes their sums out on local floats in the same
 floating-point order, and the tests hold the two to each other bit for bit.

@@ -191,6 +191,33 @@ class TestSimulate:
                    "--out", tmp_path / "x.csv") == 1
 
 
+class TestBadOptions:
+    @pytest.mark.parametrize("command, option, value", [
+        ("simulate", "--delta", "0"),
+        ("simulate", "--delta", "1e-300"),  # delta**2 and delta**4 underflow
+        ("simulate", "--delta", "nan"),
+        ("simulate", "--delta", "inf"),
+        ("identify", "--delta", "inf"),
+        ("simulate", "--seed", "-1"),
+        ("simulate", "--sine-frequency", "inf"),
+        ("simulate", "--sine-amplitude", "nan"),
+    ])
+    def test_bad_option_exit_2(self, tmp_path, params_file, capsys, command,
+                               option, value):
+        # one error line that names the option: no traceback, and no
+        # warning, which is an error here
+        data = tmp_path / "data.csv"
+        save_columns(data, {"u": np.zeros(50), "y": np.zeros(50)})
+        out = tmp_path / "out"
+        source = (["--params", params_file] if command == "simulate"
+                  else ["--data", data])
+        assert run(command, *source, "--out", out, option, value) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and option in captured.err
+        assert captured.err.count("\n") == 1 and not captured.out
+        assert not out.exists()
+
+
 class TestIdentifyPredictEvaluate:
     @pytest.fixture
     def dataset(self, tmp_path, params_file):

@@ -40,6 +40,12 @@ class TestPhysToAr:
         coeffs = phys_to_ar(PhysicalParams(0.7, 1.3, -2.0, 0.0, 5, 1), 0.05)
         assert coeffs.theta[1] == 0.0
 
+    @pytest.mark.parametrize("delta", [1e-300, 1e-100, 1e100])
+    def test_sample_period_whose_powers_under_or_overflow(self, delta):
+        # delta**4, or delta**2 too, underflows to 0 or overflows
+        with pytest.raises(ValueError, match="infinite gamma"):
+            phys_to_ar(PhysicalParams(1, 0.5, 2, 3, 10, 1e6), delta)
+
     def test_degenerate_denominator(self):
         with pytest.raises(ValueError, match="degenerate discretization"):
             phys_to_ar(PhysicalParams(1, -10, 0, 0, 1, 1), delta=0.1)
@@ -242,6 +248,12 @@ class TestTypes:
             ArCoefficients([1.0], 1.0, 1.0)
         with pytest.raises(ValueError, match="gamma must be positive"):
             ArCoefficients([2.0, 0.0, -1.0], 1.0, 0.0)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_timeseries_needs_a_finite_period(self, delta):
+        with pytest.raises(ValueError,
+                           match="sample period must be positive and finite"):
+            TimeSeries(np.zeros(5), np.zeros(5), delta)
 
     def test_timeseries_validation(self):
         with pytest.raises(ValueError, match="equal length"):

@@ -171,6 +171,24 @@ class TestStepUpdate:
         with pytest.raises(AttributeError):
             report.free_energy = 0.0
 
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_kernel_reports_are_step_reports(self, trace):
+        p = PhysicalParams(m=1, c=0.5, a=2, b=3, tau=10.0, xi=1e6)
+        ts, _ = make_series(p, 30, input_seed=54, sim_seed=54)
+        cfg = PriorConfig(trace_free_energy=trace, **RUN_CONFIG)
+        _, reports = identify(ts, cfg)
+        beliefs = initial_beliefs(cfg)
+        for t in range(5):
+            beliefs, report = step_update(beliefs, ts.u[t], ts.y[t + 1], cfg, t)
+            reports.append(report)
+        for report in reports:
+            assert type(report) is engine.StepReport
+            assert report == (report.t, report.free_energy,
+                              report.prediction_mean, report.prediction_var,
+                              report.iterations, report.free_energy_trace)
+            assert len(report.free_energy_trace) == (
+                report.iterations if trace else 0)
+
     def test_no_observation_limit(self):
         # vanishing expected measurement precision: the state posterior is
         # the forward message alone
@@ -346,6 +364,29 @@ class TestFreeEnergy:
         _, reports = identify(ts, cfg)
         assert sum(report.iterations for report in reports) > len(reports)
         assert len(calls) == 2 * len(reports)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("mode", ["nlarx", "larx"])
+    def test_lgamma_twice_per_step(self, mode, trace, monkeypatch):
+        # the carry brings the prior's log Gammas along, so a step computes
+        # only those of its own shapes; the initial carry computes the
+        # prior's two
+        calls = []
+        lgamma = math.lgamma
+
+        def counted(x):
+            calls.append(x)
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", counted)
+        p = PhysicalParams(m=1, c=0.5, a=2, b=3, tau=10.0, xi=1e6)
+        ts, _ = make_series(p, 201, input_seed=53, sim_seed=53)
+        cfg = PriorConfig(model_mode=mode, trace_free_energy=trace,
+                          **RUN_CONFIG)
+        _, reports = identify(ts, cfg)
+        assert len(reports) == 200
+        assert sum(report.iterations for report in reports) > len(reports)
+        assert len(calls) == 2 * len(reports) + 2
 
     def test_nlarx_final_not_above_first(self):
         p = PhysicalParams(m=1, c=0.5, a=2, b=3, tau=10.0, xi=1e6)
