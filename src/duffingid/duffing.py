@@ -134,16 +134,13 @@ def ar_to_phys(coeffs: ArCoefficients, delta: float, xi: float) -> PhysicalParam
     coefficients and is passed through."""
     if coeffs.eta == 0:
         raise ValueError("inversion undefined: eta == 0")
-    th1, th2, th3 = cubic_theta(coeffs.theta)
-    eta = coeffs.eta
-    return PhysicalParams(
-        m=-th3 * delta**2 / eta,
-        c=(1 + th3) * delta / eta,
-        a=(1 - th1 - th3) / eta,
-        b=-th2 / eta,
-        tau=coeffs.gamma * eta**2,
-        xi=xi,
-    )
+    (th1, th2, th3), eta = cubic_theta(coeffs.theta), coeffs.eta
+    try:  # a float power raises where it overflows
+        m, tau = -th3 * delta**2 / eta, coeffs.gamma * eta**2
+    except OverflowError:
+        raise ValueError(f"the parameters overflow at delta={delta!r}") from None
+    return PhysicalParams(m=m, c=(1 + th3) * delta / eta,
+                          a=(1 - th1 - th3) / eta, b=-th2 / eta, tau=tau, xi=xi)
 
 
 def cubic_theta(theta) -> tuple[float, float, float]:

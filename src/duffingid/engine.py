@@ -32,12 +32,12 @@ the carry (`_carry`): q(w) and q(z) as one flat tuple of floats each (the
 upper triangles of precision and covariance, the -0.0 off the diagonal of
 q(z)'s covariance kept), the Gamma shapes and rates, and lgamma of each
 shape and log of each rate, which the next step's free energy reads as its
-prior's. `identify_stream` folds the kernel over the stream: it checks the
-initial beliefs once and builds the numpy `BeliefSet` once, after the last
-step. `step_update` converts a `BeliefSet` in, runs the same kernel and
-converts the result out. The `nlarx` messages, `combine_*` and
-`compute_free_energy` compose the same step from belief objects and stay
-the tested reference.
+prior's. A `BeliefSet` holds the carry: `step_update` passes a set's carry
+to the kernel and returns the kernel's carry as a set, which builds its
+numpy beliefs only when one is read. `identify_stream` is a fold of
+`step_update`, so the batch and the per-sample API run one path on one
+state form. The `nlarx` messages, `combine_*` and `compute_free_energy`
+compose the same step from belief objects and stay the tested reference.
 
 Rounding rule: the kernel reproduces that composition bit for bit, so every
 float operation keeps its order there. No numpy runs inside a step, and a
@@ -74,8 +74,8 @@ coefficient message precision, state mean, coefficient mean or expected
 squared residual ("diverged", caught where it first appears), an improper
 posterior, a negative gamma message rate and a non-finite free energy.
 Only an improper incoming belief raises `ImproperBeliefError`, which
-carries no step; `step_update` checks it first, as it converts the beliefs.
-`identify_stream` passes these errors on unchanged.
+carries no step; a set built from beliefs raises it when `step_update`
+first reads its carry. `identify_stream` passes these errors on unchanged.
 """
 
 from __future__ import annotations
@@ -125,32 +125,49 @@ class InferenceError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
 class BeliefSet:
     """State at one time step under q(z) q(theta, eta) q(gamma) q(xi).
 
     `q_coeffs` is the one belief over the coefficients w = (theta, eta);
-    `q_theta` and `q_eta` are read-only views of its marginals, split from
-    it once, on first access. `initial_beliefs` builds the prior's
-    `q_coeffs` as one diagonal Gaussian.
+    `q_theta` and `q_eta` are views of its marginals. `initial_beliefs`
+    builds the prior's `q_coeffs` as one diagonal Gaussian. A set holds the
+    read-only beliefs and the kernel's float form of them, `carry`; built
+    from either, it computes the other once, on first read. So a set built
+    from beliefs checks them on first kernel use (`_carry`), and one that
+    `step_update` returns builds its numpy beliefs only when one is read.
     """
 
-    q_coeffs: GaussianBelief
-    q_gamma: GammaBelief
-    q_xi: GammaBelief
-    q_state: GaussianBelief
+    def __init__(self, q_coeffs: GaussianBelief, q_gamma: GammaBelief,
+                 q_xi: GammaBelief, q_state: GaussianBelief):
+        self._beliefs = (q_coeffs, q_gamma, q_xi, q_state)
+
+    @classmethod
+    def _from_carry(cls, carry: tuple) -> BeliefSet:
+        """The set of a `_carry`."""
+        self = object.__new__(cls)
+        self.carry = carry
+        return self
+
+    @cached_property
+    def carry(self) -> tuple:
+        return _carry(self)
+
+    @cached_property
+    def _beliefs(self) -> tuple:
+        w, ag, bg, ax, bx, _, _, _, _, z = self.carry
+        return (_belief(w), GammaBelief(ag, bg), GammaBelief(ax, bx),
+                _belief(z))
 
     @cached_property
     def _marginals(self) -> tuple[GaussianBelief, GaussianBelief]:
         return split_last(self.q_coeffs)
 
-    @property
-    def q_theta(self) -> GaussianBelief:
-        return self._marginals[0]
-
-    @property
-    def q_eta(self) -> GaussianBelief:
-        return self._marginals[1]
+    q_coeffs = property(lambda self: self._beliefs[0])
+    q_gamma = property(lambda self: self._beliefs[1])
+    q_xi = property(lambda self: self._beliefs[2])
+    q_state = property(lambda self: self._beliefs[3])
+    q_theta = property(lambda self: self._marginals[0])
+    q_eta = property(lambda self: self._marginals[1])
 
 
 class StepReport(NamedTuple):
@@ -266,20 +283,16 @@ def _numbers(value) -> list[float] | None:
     return [float(item) for item in items]
 
 
-def _require_proper(beliefs: BeliefSet) -> None:
-    if (beliefs.q_coeffs.cov is None or beliefs.q_state.cov is None
-            or not (beliefs.q_gamma.is_proper and beliefs.q_xi.is_proper)):
-        raise ImproperBeliefError("moments undefined for improper belief")
-
-
 def _carry(beliefs: BeliefSet) -> tuple:
     """The step kernel's float form of a proper belief set: q(w)'s parts,
     the shape and rate of q(gamma) and of q(xi), lgamma of each shape and log
     of each rate, and q(z)'s parts. A Gaussian's parts are one flat tuple:
     the upper triangle of its precision row by row, its potential and mean,
     the upper triangle of its covariance and its log-determinant."""
-    _require_proper(beliefs)
     g, x = beliefs.q_gamma, beliefs.q_xi
+    if (beliefs.q_coeffs.cov is None or beliefs.q_state.cov is None
+            or not (g.is_proper and x.is_proper)):
+        raise ImproperBeliefError("moments undefined for improper belief")
     return (_parts(beliefs.q_coeffs), g.shape, g.rate, x.shape, x.rate,
             math.lgamma(g.shape), math.log(g.rate), math.lgamma(x.shape),
             math.log(x.rate), _parts(beliefs.q_state))
@@ -291,14 +304,9 @@ def _parts(g: GaussianBelief) -> tuple:
             *g.mean.tolist(), *g.cov.take(upper).tolist(), g.logdet)
 
 
-def _belief_set(carry: tuple, d: int) -> BeliefSet:
-    """The belief set of a `_carry` whose q(w) has d coefficients."""
-    w, ag, bg, ax, bx, _, _, _, _, z = carry
-    return BeliefSet(_belief(w, d), GammaBelief(ag, bg), GammaBelief(ax, bx),
-                     _belief(z, 2))
-
-
-def _belief(parts: tuple, d: int) -> GaussianBelief:
+def _belief(parts: tuple) -> GaussianBelief:
+    # a d-dimensional Gaussian's parts are d * d + 3 * d + 1 floats
+    d = (math.isqrt(4 * len(parts) + 5) - 3) // 2
     n, square, flat = d * (d + 1) // 2, _SQUARE[d], np.array(parts[:-1])
     return GaussianBelief._from_parts(
         flat[square], flat[n:n + d].copy(), flat[n + d:n + 2 * d].copy(),
@@ -309,10 +317,10 @@ def step_update(
     beliefs: BeliefSet, u_t: float, y_t: float, cfg: PriorConfig, t: int = 0
 ) -> tuple[BeliefSet, StepReport]:
     """One online step: predict, then sweep the message schedule until it
-    settles (see the module docstring). The returned state belief becomes
-    the next step's previous state."""
-    carry, report = _step(_carry(beliefs), u_t, y_t, cfg, t)
-    return _belief_set(carry, beliefs.q_coeffs.dim), report
+    settles (see the module docstring). The returned set holds the kernel's
+    carry, whose state belief is the next step's previous state."""
+    carry, report = _step(beliefs.carry, u_t, y_t, cfg, t)
+    return BeliefSet._from_carry(carry), report
 
 
 def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
@@ -513,22 +521,18 @@ def compute_free_energy(
     """Single-timestep free energy E_q[log q] - E_q[log p] of x_next, w,
     gamma and xi, with the messages' affine surrogate. The previous state is
     held fixed and enters only through the transition expectation."""
-    _require_proper(beliefs)
-    prior, w_prior = _carry(beliefs_prior_for_step), beliefs_prior_for_step.q_coeffs
-    q_coeffs, q_state = beliefs.q_coeffs, beliefs.q_state
-    bg, bx = beliefs.q_gamma.rate, beliefs.q_xi.rate
+    w, ag, bg, ax, bx, _, log_bg, _, log_bx, z = beliefs.carry
+    w_prior, q_coeffs = beliefs_prior_for_step.q_coeffs, beliefs.q_coeffs
     esr = nlarx.expected_square_residual(
-        q_state, beliefs_prior_for_step.q_state, q_coeffs,
+        beliefs.q_state, beliefs_prior_for_step.q_state, q_coeffs,
         cfg.node_config(u_t))
     quad = expected_quadratic(w_prior.precision.tolist(),
                               (q_coeffs.mean - w_prior.mean).tolist(),
                               q_coeffs.cov.tolist())
-    fixed = _fixed_terms(prior, q_coeffs.dim, beliefs.q_gamma.shape,
-                         beliefs.q_xi.shape)
-    energy = _free_energy(
-        fixed, quad, q_coeffs.logdet, float(q_state.mean[0]),
-        float(q_state.cov[0, 0]), bg, bx, math.log(bg), math.log(bx), esr,
-        float(y_t))
+    fixed = _fixed_terms(beliefs_prior_for_step.carry, q_coeffs.dim, ag, ax)
+    # z[5] and z[7]: x_next's mean and variance
+    energy = _free_energy(fixed, quad, w[-1], z[5], z[7], bg, bx, log_bg,
+                          log_bx, esr, float(y_t))
     if not math.isfinite(energy):
         raise RuntimeError(f"non-finite free energy {energy}")
     return energy
@@ -592,18 +596,17 @@ def identify_stream(
 ) -> tuple[BeliefSet, list[StepReport]]:
     """Fold the online update over a stream of (input, output) pairs.
 
-    Single pass that keeps one `StepReport` per step. The beliefs stay in
-    the kernel's float form from step to step, and become a `BeliefSet`
-    once, after the last step.
+    Single pass of `step_update` that keeps one `StepReport` per step; the
+    returned set builds its numpy beliefs only when one is read.
     """
-    carry = _carry(initial_beliefs(cfg))
+    beliefs = initial_beliefs(cfg)
     reports: list[StepReport] = []
     for t, (u_t, y_t) in enumerate(samples):
-        carry, report = _step(carry, u_t, y_t, cfg, t)
+        beliefs, report = step_update(beliefs, u_t, y_t, cfg, t)
         reports.append(report)
     if not reports:
         raise ValueError("insufficient data: empty sample stream")
-    return _belief_set(carry, cfg.n_coeffs + 1), reports
+    return beliefs, reports
 
 
 def identify(data: TimeSeries, cfg: PriorConfig) -> tuple[BeliefSet, list[StepReport]]:

@@ -70,3 +70,18 @@ def test_probe_replacements_keep_their_arity(monkeypatch, tmp_path):
     assert main(["predict", "--data", str(data), "--artifact", str(artifact),
                  "--protocol", "rollout", "--out", str(tmp_path / "p.csv")]) == 0
     assert calls == ["identify_stream"] * 2 + ["simulate_rollout"]
+
+
+def test_identify_stream_steps_through_step_update(monkeypatch):
+    # one path: the tracer's `engine.step_update` span sees every step
+    steps = []
+    step_update = engine.step_update
+
+    def counted(beliefs, u_t, y_t, cfg, t=0):
+        steps.append(t)
+        return step_update(beliefs, u_t, y_t, cfg, t)
+
+    monkeypatch.setattr(engine, "step_update", counted)
+    pairs = [(0.01 * t, 0.005 * t) for t in range(25)]
+    _, reports = engine.identify_stream(pairs, PriorConfig())
+    assert steps == [report.t for report in reports] == list(range(25))

@@ -548,6 +548,20 @@ class TestIdentifyPredictEvaluate:
         assert out.endswith("recovered physical parameters:\n"
                             "  none: mass must be positive\n")
 
+    def test_report_after_an_overflowing_sample_period(self, tmp_path,
+                                                       params_file, capsys):
+        # identify accepts --delta 1e200; its square overflows in report
+        data, art = tmp_path / "data.csv", tmp_path / "run.yaml"
+        assert run("simulate", "--params", params_file, "--steps", 100,
+                   "--delta", 0.1, "--out", data) == 0
+        assert run("identify", "--data", data, "--delta", 1e200,
+                   "--out", art) == 0
+        capsys.readouterr()
+        assert run("report", "--artifact", art) == 0
+        assert capsys.readouterr().out.endswith(
+            "recovered physical parameters:\n"
+            "  none: the parameters overflow at delta=1e+200\n")
+
     @pytest.mark.parametrize("command", ["identify", "predict", "evaluate"])
     def test_negative_split_index(self, tmp_path, dataset, capsys, command):
         argv = [command, "--data", dataset, "--split-index", -5]

@@ -73,6 +73,14 @@ class TestArToPhys:
         np.testing.assert_allclose([p.m, p.c, p.a, p.b, p.tau],
                                    [1, 0.5, 2, 3, 10], rtol=1e-4)
 
+    def test_overflowing_period_is_a_value_error(self):
+        # delta**2 overflows: the posterior maps to no oscillator, and
+        # `report` prints the reason
+        coeffs = ArCoefficients([1.933, -0.029, -0.952], 0.0095, 1.1e5)
+        with pytest.raises(ValueError,
+                           match=r"the parameters overflow at delta=1e\+200"):
+            ar_to_phys(coeffs, delta=1e200, xi=1.0)
+
     def test_random_roundtrips(self):
         rng = np.random.default_rng(3)
         count = 0

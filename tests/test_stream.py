@@ -1,15 +1,15 @@
-"""`identify_stream` carries the beliefs from step to step in the kernel's
-float form and builds a `BeliefSet` once, after the last step;
-`step_update` converts a `BeliefSet` in and out around the same kernel.
-Splitting a run between the two must not change a bit, and the stream must
-be read one pair per step.
+"""`identify_stream` is a fold of `step_update`, and a `BeliefSet` holds the
+kernel's float form, so chained steps convert nothing and build no numpy
+belief until one is read. Splitting a run between the two must not change
+a bit, and the stream must be read one pair per step.
 """
 
 import numpy as np
 import pytest
 
-from duffingid import PriorConfig
-from duffingid.engine import identify_stream, step_update
+from duffingid import PriorConfig, engine
+from duffingid.beliefs import GaussianBelief
+from duffingid.engine import identify_stream, initial_beliefs, step_update
 from test_acceptance import RUN_CONFIG, make_series
 
 
@@ -85,3 +85,64 @@ def test_stream_is_read_one_pair_per_step():
     assert len(reports) == 6
     assert log == [entry for t in range(6)
                    for entry in (("pull", t), ("u", t), ("y", t))]
+
+
+@pytest.fixture(scope="module")
+def pairs_200():
+    series = make_series(sim_seed=8, T=201)
+    return list(zip(series.u[:-1].tolist(), series.y[1:].tolist()))
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("mode", ["nlarx", "larx"])
+def test_chained_steps_equal_identify(pairs_200, mode, trace):
+    cfg = PriorConfig(model_mode=mode, trace_free_energy=trace, **RUN_CONFIG)
+    want_beliefs, want_reports = identify_stream(pairs_200, cfg)
+    beliefs, reports = initial_beliefs(cfg), []
+    for t, (u_t, y_t) in enumerate(pairs_200):
+        beliefs, report = step_update(beliefs, u_t, y_t, cfg, t)
+        reports.append(report)
+    assert len(reports) == 200
+    assert_same_belief_set(beliefs, want_beliefs)
+    for part in ("q_theta", "q_eta"):
+        for field in ("precision", "potential", "mean", "cov", "logdet"):
+            assert_bit_equal(getattr(getattr(beliefs, part), field),
+                             getattr(getattr(want_beliefs, part), field),
+                             f"{part}.{field}")
+    assert reports == want_reports
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("mode", ["nlarx", "larx"])
+def test_chained_steps_build_no_gaussian_until_read(pairs_200, mode, trace,
+                                                    monkeypatch):
+    # the sets carry the kernel's floats from step to step; the carry is
+    # computed once, from the prior's beliefs
+    cfg = PriorConfig(model_mode=mode, trace_free_energy=trace, **RUN_CONFIG)
+    beliefs = initial_beliefs(cfg)
+    built, carries = [], []
+
+    def counted(fn, log):
+        def wrapper(*args, **kwargs):
+            log.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("from_natural", "_from_parts"):
+        monkeypatch.setattr(GaussianBelief, name, classmethod(
+            counted(GaussianBelief.__dict__[name].__func__, built)))
+    monkeypatch.setattr(GaussianBelief, "__init__",
+                        counted(GaussianBelief.__init__, built))
+    monkeypatch.setattr(engine, "_carry", counted(engine._carry, carries))
+    for t, (u_t, y_t) in enumerate(pairs_200):
+        beliefs, _ = step_update(beliefs, u_t, y_t, cfg, t)
+    assert built == []
+    assert carries == ["_carry"]
+    views = ("q_coeffs", "q_gamma", "q_xi", "q_state", "q_theta", "q_eta")
+    first = [getattr(beliefs, name) for name in views]
+    assert built
+    # built once: a second read returns the same objects and builds nothing
+    count = len(built)
+    assert all(getattr(beliefs, name) is view
+               for name, view in zip(views, first))
+    assert len(built) == count
