@@ -18,6 +18,12 @@ import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# the position in the upper triangle, row by row, of each entry of a
+# symmetric d x d matrix
+SQUARE_FROM_UPPER = {
+    d: np.array([[min(i, j) * (2 * d + 1 - min(i, j)) // 2 + abs(i - j)
+                  for j in range(d)] for i in range(d)]) for d in (1, 2, 3, 4)}
+
 
 class ImproperBeliefError(ValueError):
     """An operation required a normalizable belief but got a degenerate one."""
@@ -87,51 +93,33 @@ def _symmetric(precision, dim: int) -> np.ndarray:
 
 
 def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
-    """Covariance and log-determinant of a positive-definite precision, or
-    (None, None), by `closed_form_inverse`. A precision whose inverse is not
-    finite, or whose determinant underflows to 0 or overflows to inf, counts
-    as singular."""
-    inverse = closed_form_inverse(p.tolist())
+    """Covariance and log-determinant of a symmetric precision of dimension
+    1 to 4, or (None, None) when it is not positive definite (Sylvester's
+    criterion), its inverse is not finite, or its determinant underflows to
+    0 or overflows to inf. Scalar arithmetic, as numpy's per-call overhead
+    dominates at these sizes: 1 and 2 dimensions written out, 3 and 4 by
+    `inverse_3x3` and `inverse_4x4`, which read the upper triangle only; the
+    covariance is gathered from that through `SQUARE_FROM_UPPER`."""
+    rows = p.tolist()
+    d = len(rows)
+    if d == 1:
+        a = rows[0][0]
+        inverse = (1.0 / a, a) if a > 0.0 else None
+    elif d == 2:
+        (a, b), (_, c) = rows
+        det = a * c - b * b
+        inverse = (c / det, -b / det, a / det, det) if a > 0.0 and det > 0.0 else None
+    elif d == 3:
+        inverse = inverse_3x3(*rows[0], *rows[1][1:], rows[2][2])
+    else:
+        inverse = inverse_4x4(*rows[0], *rows[1][1:], *rows[2][2:], rows[3][3])
     if inverse is None:
         return None, None
-    cov, det = inverse
-    cov = np.array(cov)
+    *upper, det = inverse
+    cov = np.array(upper)[SQUARE_FROM_UPPER[d]]
     if not (0.0 < det < math.inf and np.isfinite(cov).all()):
         return None, None
     return cov, math.log(det)
-
-
-def closed_form_inverse(p: list) -> tuple[list, float] | None:
-    """Inverse and determinant of a symmetric matrix of dimension 1 to 4,
-    as nested lists of floats, or None when it is not positive definite
-    (Sylvester's criterion). Three and four dimensions go through
-    `inverse_3x3` and `inverse_4x4`, which read the upper triangle only.
-    Scalar arithmetic: numpy's per-call overhead dominates at these sizes.
-    """
-    d = len(p)
-    if d == 1:
-        a = p[0][0]
-        if not a > 0.0:
-            return None
-        return [[1.0 / a]], a
-    if d == 2:
-        (a, b), (_, c) = p
-        det = a * c - b * b
-        if not (a > 0.0 and det > 0.0):
-            return None
-        return [[c / det, -b / det], [-b / det, a / det]], det
-    if d == 3:
-        inverse = inverse_3x3(*p[0], *p[1][1:], p[2][2])
-        if inverse is None:
-            return None
-        l00, l01, l02, l11, l12, l22, det = inverse
-        return [[l00, l01, l02], [l01, l11, l12], [l02, l12, l22]], det
-    inverse = inverse_4x4(*p[0], *p[1][1:], *p[2][2:], p[3][3])
-    if inverse is None:
-        return None
-    c00, c01, c02, c03, c11, c12, c13, c22, c23, c33, det = inverse
-    return [[c00, c01, c02, c03], [c01, c11, c12, c13],
-            [c02, c12, c22, c23], [c03, c13, c23, c33]], det
 
 
 def inverse_3x3(a: float, b: float, c: float, e: float, f: float,
@@ -244,7 +232,7 @@ def expected_quadratic(a: list, mean: list, cov: list) -> float:
     covariance, in scalar code on (nested) lists of floats. Only the leading
     len(a) coordinates of x enter, so A may weigh a leading block. The terms
     a_ij (m_i m_j + cov_ij) are summed row by row, left to right, the order
-    that `engine._step` writes out for its prior quadratic."""
+    that `engine.step_update` writes out for its prior quadratic."""
     total = 0.0
     for m_i, a_row, cov_row in zip(mean, a, cov):
         for m_j, a_ij, cov_ij in zip(mean, a_row, cov_row):

@@ -335,7 +335,7 @@ def _positive_at(payload: dict, key: str) -> float:
 
 def _gaussian_at(payload: dict, key: str, size: int) -> GaussianBelief:
     """The proper Gaussian belief stored under a dotted key as mean and
-    precision, its mean `size` finite numbers."""
+    precision, its mean `size` finite numbers and its precision symmetric."""
     arrays = []
     for part in ("mean", "precision"):
         value = _at(payload, f"{key}.{part}", "list")
@@ -350,6 +350,9 @@ def _gaussian_at(payload: dict, key: str, size: int) -> GaussianBelief:
         belief = GaussianBelief(*arrays)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
+    # GaussianBelief would average it with its transpose
+    if not np.array_equal(arrays[1], arrays[1].T, equal_nan=True):
+        raise ValueError(f"{key}.precision must be symmetric")
     if belief.cov is None:
         raise ValueError(f"{key}.precision is not positive definite")
     return belief

@@ -20,7 +20,7 @@ variance `EPSILON`, for the next step's regressor. The free energy F counts
 only the step's own variables x[t+1], w, gamma and xi; a copy is an
 equality, which adds nothing, so F does not depend on `EPSILON`.
 
-One online step is the kernel `_step`. It predicts, then sweeps the
+One online step is the kernel `step_update`. It predicts, then sweeps the
 message schedule; every sweep combines the fresh messages with the beliefs
 the step started from (the previous posteriors act as this step's priors),
 so repeated sweeps refine rather than double-count the observation. From
@@ -32,12 +32,12 @@ the carry (`_carry`): q(w) and q(z) as one flat tuple of floats each (the
 upper triangles of precision and covariance, the -0.0 off the diagonal of
 q(z)'s covariance kept), the Gamma shapes and rates, and lgamma of each
 shape and log of each rate, which the next step's free energy reads as its
-prior's. A `BeliefSet` holds the carry: `step_update` passes a set's carry
-to the kernel and returns the kernel's carry as a set, which builds its
-numpy beliefs only when one is read. `identify_stream` is a fold of
-`step_update`, so the batch and the per-sample API run one path on one
-state form. The `nlarx` messages, `combine_*` and `compute_free_energy`
-compose the same step from belief objects and stay the tested reference.
+prior's. A `BeliefSet` holds the carry: `step_update` reads a set's carry
+and returns a set that holds only its own, which builds its numpy beliefs
+only when one is read. `identify_stream` is a fold of `step_update`, so
+the batch and the per-sample API run one path on one state form. The
+`nlarx` messages, `combine_*` and `compute_free_energy` compose the same
+step from belief objects and stay the tested reference.
 
 Rounding rule: the kernel reproduces that composition bit for bit, so every
 float operation keeps its order there. No numpy runs inside a step, and a
@@ -67,15 +67,15 @@ stays `** 2`, libm's pow, which rounds differently from `x * x` about once
 in a thousand. The kernel writes the prior quadratic E[(w - m0)' Lambda0
 (w - m0)] out on local floats, in `beliefs.expected_quadratic`'s order.
 
-Failure contract: `step_update(..., t)` and the kernel raise
-`InferenceError` with `.step == t` for every failure they detect inside the
-step: an input or output sample that is not a finite float, a non-finite
-coefficient message precision, state mean, coefficient mean or expected
-squared residual ("diverged", caught where it first appears), an improper
-posterior, a negative gamma message rate and a non-finite free energy.
-Only an improper incoming belief raises `ImproperBeliefError`, which
-carries no step; a set built from beliefs raises it when `step_update`
-first reads its carry. `identify_stream` passes these errors on unchanged.
+Failure contract: `step_update(..., t)` raises `InferenceError` with
+`.step == t` for every failure it detects inside the step: an input or
+output sample that is not a finite float, a non-finite coefficient message
+precision, state mean, coefficient mean or expected squared residual
+("diverged", caught where it first appears), an improper posterior, a
+negative gamma message rate and a non-finite free energy. Only an improper
+incoming belief raises `ImproperBeliefError`, which carries no step; a set
+built from beliefs raises it when `step_update` first reads its carry.
+`identify_stream` passes these errors on unchanged.
 """
 
 from __future__ import annotations
@@ -83,13 +83,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .beliefs import (GammaBelief, GaussianBelief, ImproperBeliefError,
-                      digamma, expected_quadratic, inverse_3x3, inverse_4x4,
-                      split_last)
+from .beliefs import (SQUARE_FROM_UPPER, GammaBelief, GaussianBelief,
+                      ImproperBeliefError, digamma, expected_quadratic,
+                      inverse_3x3, inverse_4x4, split_last)
 # not called here; the benchmark's span tracer looks them up in this module
 from .beliefs import (combine_gamma, combine_gaussian,  # noqa: F401
                       entropy_gamma, entropy_gaussian)
@@ -110,11 +111,8 @@ EPSILON = 1e-8
 # fraction of itself; `PriorConfig.iterations_per_step` caps the sweeps
 CONVERGENCE_TOL = 1e-6
 
-# the upper triangle of a d x d matrix, row by row: the flat indices of its
-# entries, and the position in it of each entry of a symmetric matrix
+# the flat indices of the upper triangle of a d x d matrix, row by row
 _UPPER = {d: np.flatnonzero(np.triu(np.ones((d, d)))) for d in (2, 3, 4)}
-_SQUARE = {d: np.array([[min(i, j) * (2 * d + 1 - min(i, j)) // 2 + abs(i - j)
-                         for j in range(d)] for i in range(d)]) for d in (2, 3, 4)}
 
 
 class InferenceError(RuntimeError):
@@ -131,22 +129,15 @@ class BeliefSet:
     `q_coeffs` is the one belief over the coefficients w = (theta, eta);
     `q_theta` and `q_eta` are views of its marginals. `initial_beliefs`
     builds the prior's `q_coeffs` as one diagonal Gaussian. A set holds the
-    read-only beliefs and the kernel's float form of them, `carry`; built
-    from either, it computes the other once, on first read. So a set built
-    from beliefs checks them on first kernel use (`_carry`), and one that
-    `step_update` returns builds its numpy beliefs only when one is read.
+    read-only beliefs and the kernel's float form of them, `carry`, and
+    computes the one it lacks once, on first read. A set built from beliefs
+    checks them on first kernel use (`_carry`); `step_update` returns a set
+    that holds only a carry and builds its numpy beliefs when one is read.
     """
 
     def __init__(self, q_coeffs: GaussianBelief, q_gamma: GammaBelief,
                  q_xi: GammaBelief, q_state: GaussianBelief):
         self._beliefs = (q_coeffs, q_gamma, q_xi, q_state)
-
-    @classmethod
-    def _from_carry(cls, carry: tuple) -> BeliefSet:
-        """The set of a `_carry`."""
-        self = object.__new__(cls)
-        self.carry = carry
-        return self
 
     @cached_property
     def carry(self) -> tuple:
@@ -211,8 +202,9 @@ class PriorConfig:
         if self.model_mode not in ("nlarx", "larx"):
             raise ValueError(f"unknown model mode {self.model_mode!r}")
         n = self.iterations_per_step
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
             raise ValueError("iterations_per_step must be an integer of at least 1")
+        object.__setattr__(self, "iterations_per_step", int(n))  # YAML-safe
         for name in ("v0_theta", "v0_eta", "a0_gamma", "b0_gamma", "a0_xi",
                      "b0_xi", "state0_cov"):
             value = getattr(self, name)
@@ -307,7 +299,7 @@ def _parts(g: GaussianBelief) -> tuple:
 def _belief(parts: tuple) -> GaussianBelief:
     # a d-dimensional Gaussian's parts are d * d + 3 * d + 1 floats
     d = (math.isqrt(4 * len(parts) + 5) - 3) // 2
-    n, square, flat = d * (d + 1) // 2, _SQUARE[d], np.array(parts[:-1])
+    n, square, flat = d * (d + 1) // 2, SQUARE_FROM_UPPER[d], np.array(parts[:-1])
     return GaussianBelief._from_parts(
         flat[square], flat[n:n + d].copy(), flat[n + d:n + 2 * d].copy(),
         flat[square + n + 2 * d], parts[-1])
@@ -316,17 +308,11 @@ def _belief(parts: tuple) -> GaussianBelief:
 def step_update(
     beliefs: BeliefSet, u_t: float, y_t: float, cfg: PriorConfig, t: int = 0
 ) -> tuple[BeliefSet, StepReport]:
-    """One online step: predict, then sweep the message schedule until it
-    settles (see the module docstring). The returned set holds the kernel's
-    carry, whose state belief is the next step's previous state."""
-    carry, report = _step(beliefs.carry, u_t, y_t, cfg, t)
-    return BeliefSet._from_carry(carry), report
-
-
-def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
-          t: int) -> tuple[tuple, StepReport]:
-    """`step_update` on the beliefs' float form (`_carry`): the posterior in
-    the same form, and the step's report."""
+    """One online step, the kernel: predict, then sweep the message schedule
+    until it settles (see the module docstring). It reads the set's carry
+    and returns a set that holds only the posterior's carry, whose state
+    belief is the next step's previous state."""
+    prior = beliefs.carry
     try:
         u, y = float(u_t), float(y_t)
     except (TypeError, ValueError) as exc:
@@ -336,8 +322,7 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
         raise InferenceError(t, f"non-finite input/output sample: u={u!r}, y={y!r}")
     w_prior, ag0, bg0, ax0, bx0, _, _, _, _, z_prior = prior
     _, _, _, _, _, x, x_prev, s00, s01, s11, _ = z_prior
-    d = cfg.n_coeffs
-    cubic = d == 3
+    cubic = cfg.model_mode == "nlarx"
     inv_eps = 1.0 / EPSILON
     last = cfg.iterations_per_step - 1
     # fixed within the step: psi (q's), J Sigma_zprev J' (r's), the upper
@@ -370,7 +355,7 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
     hz1 = inv_eps * x
     w0, w1, w2 = m0, m1, m2
     ag, ax = ag0 + 1.5 - 1.0, ax0 + 1.5 - 1.0
-    fixed = _fixed_terms(prior, d + 1, ag, ax)
+    fixed = _fixed_terms(prior, 4 if cubic else 3, ag, ax)
     eg, ex = ag0 / bg0, ax0 / bx0
     pred_mean, pred_var = forward, 1.0 / eg + 1.0 / ex
     trace = ()
@@ -505,10 +490,13 @@ def _step(prior: tuple, u_t: float, y_t: float, cfg: PriorConfig,
                   c00, c01, c02, c11, c12, c22, logdet_w)
     z_post = (za, 0.0, inv_eps, hz0, hz1, zm0, zc11 * hz1, zc00, -0.0, zc11,
               math.log(zdet))
-    # fixed[5], [7]: lgamma of the shapes; tuple.__new__ runs no Python frame
-    return ((w_post, ag, bg, ax, bx, fixed[5], log_bg, fixed[7], log_bx,
-             z_post), tuple.__new__(StepReport, (t, energy, pred_mean, pred_var,
-                                                 k + 1, trace)))
+    # the set holds the carry alone; fixed[5], [7]: lgamma of the shapes;
+    # tuple.__new__ runs no Python frame
+    posterior = object.__new__(BeliefSet)
+    posterior.carry = (w_post, ag, bg, ax, bx, fixed[5], log_bg, fixed[7],
+                       log_bx, z_post)
+    return posterior, tuple.__new__(StepReport, (t, energy, pred_mean, pred_var,
+                                                 k + 1, trace))
 
 
 def compute_free_energy(

@@ -548,6 +548,26 @@ class TestIdentifyPredictEvaluate:
         assert out.endswith("recovered physical parameters:\n"
                             "  none: mass must be positive\n")
 
+    # q(z)'s stored precision is diagonal, so its corner gets an entry
+    @pytest.mark.parametrize("key, corner", [("theta", lambda p: 0.9 * p),
+                                             ("state", lambda p: p + 1.0)])
+    def test_asymmetric_stored_precision_exit_2(self, tmp_path, dataset,
+                                                capsys, key, corner):
+        # a belief averages its precision with the transpose, so one
+        # changed entry would pass as a different posterior
+        art = tmp_path / "run.yaml"
+        assert run("identify", "--data", dataset, "--delta", 0.1,
+                   "--out", art) == 0
+        payload = yaml.safe_load(art.read_text())
+        precision = payload["posterior"][key]["precision"]
+        assert precision == np.transpose(precision).tolist()
+        precision[0][-1] = corner(precision[0][-1])
+        art.write_text(yaml.safe_dump(payload))
+        capsys.readouterr()
+        assert run("report", "--artifact", art) == 2
+        assert capsys.readouterr().err == (
+            f"error: {art}: posterior.{key}.precision must be symmetric\n")
+
     def test_report_after_an_overflowing_sample_period(self, tmp_path,
                                                        params_file, capsys):
         # identify accepts --delta 1e200; its square overflows in report
@@ -595,7 +615,11 @@ class TestMalformedFiles:
         (("posterior", "theta", "precision"), np.diag([1.0, -1.0, 1.0]).tolist()),
         (("posterior", "state", "precision"), [[1.0, 0.0], [0.0, 0.0]]),
         # a mean that is not finite
-        (("posterior", "theta", "mean"), [float("nan"), 0.0, 0.0])])
+        (("posterior", "theta", "mean"), [float("nan"), 0.0, 0.0]),
+        # precisions that are not symmetric
+        (("posterior", "theta", "precision"),
+         [[1e6, 0.0, 1.0], [0.0, 1e6, 0.0], [0.0, 0.0, 1e6]]),
+        (("posterior", "state", "precision"), [[1.0, 0.5], [0.0, 1.0]])])
     @pytest.mark.parametrize("command", ["report", "predict"])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, command, keys,
                                        value):

@@ -72,6 +72,18 @@ class TestInitialBeliefs:
         assert beliefs.q_gamma.shape == 1e3 and beliefs.q_gamma.rate == 1e1
         assert beliefs.q_xi.shape == 1e8 and beliefs.q_xi.rate == 1e3
 
+    def test_numpy_integer_sweep_cap(self):
+        # a cap read from a numpy array runs as the same int
+        cfg = PriorConfig(iterations_per_step=np.int64(3), **RUN_CONFIG)
+        assert type(cfg.iterations_per_step) is int
+        ts, _ = make_series(PhysicalParams(m=1, c=0.5, a=2, b=3, tau=10.0,
+                                           xi=1e6), 60, input_seed=54,
+                            sim_seed=54)
+        _, reports = identify(ts, cfg)
+        _, want = identify(ts, PriorConfig(iterations_per_step=3, **RUN_CONFIG))
+        assert reports == want
+        assert max(report.iterations for report in reports) == 3
+
     def test_coefficient_belief_is_the_product_of_its_parts(self):
         beliefs = initial_beliefs(PriorConfig(m0_eta=0.5, v0_eta=4.0))
         np.testing.assert_allclose(beliefs.q_coeffs.mean, [1.0, 1.0, 1.0, 0.5])

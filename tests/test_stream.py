@@ -1,8 +1,13 @@
 """`identify_stream` is a fold of `step_update`, and a `BeliefSet` holds the
 kernel's float form, so chained steps convert nothing and build no numpy
 belief until one is read. Splitting a run between the two must not change
-a bit, and the stream must be read one pair per step.
+a bit, the stream must be read one pair per step, and a step opens no
+Python frame in the package beyond its schedule.
 """
+
+import collections
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,3 +151,37 @@ def test_chained_steps_build_no_gaussian_until_read(pairs_200, mode, trace,
     assert all(getattr(beliefs, name) is view
                for name, view in zip(views, first))
     assert len(built) == count
+
+
+PACKAGE = str(Path(engine.__file__).parent)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("mode", ["nlarx", "larx"])
+def test_chained_steps_run_the_step_schedule(pairs_200, mode, trace):
+    # every Python frame of the package that 200 chained steps open: one
+    # kernel per step and nothing between it and the caller
+    cfg = PriorConfig(model_mode=mode, trace_free_energy=trace, **RUN_CONFIG)
+    beliefs = initial_beliefs(cfg)
+    beliefs.carry  # the prior's carry, computed once per run
+    calls, reports = collections.Counter(), []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        for t, (u_t, y_t) in enumerate(pairs_200):
+            beliefs, report = step_update(beliefs, u_t, y_t, cfg, t)
+            reports.append(report)
+    finally:
+        sys.setprofile(None)
+    steps, sweeps = len(reports), sum(report.iterations for report in reports)
+    assert sweeps > steps
+    want = {"step_update": steps, "_fixed_terms": steps, "digamma": 2 * steps,
+            "inverse_3x3": sweeps,
+            "_free_energy": sweeps if trace else steps}
+    if mode == "nlarx":
+        want["inverse_4x4"] = sweeps
+    assert dict(calls) == want
