@@ -187,9 +187,9 @@ def load_params(path) -> tuple[PhysicalParams, tuple[float, float]]:
 
 
 def _from_mapping(cls, raw, source, kind: str, extra=frozenset(), **keys):
-    """`cls` from a YAML mapping, lists read as tuples, `keys` in place of
-    its own; the caller reads the `extra` keys. Any other key, a document
-    that is not a mapping and a bad value are a `ConfigError` from `source`."""
+    """`cls` from a YAML mapping, `keys` in place of its own; the caller
+    reads the `extra` keys. Any other key, a document that is not a mapping
+    and a bad value are a `ConfigError` from `source`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: {kind} must be a mapping")
     raw = {**raw, **keys}
@@ -198,8 +198,7 @@ def _from_mapping(cls, raw, source, kind: str, extra=frozenset(), **keys):
     if unknown:
         raise ConfigError(f"{source}: unknown keys {unknown}")
     try:
-        return cls(**{key: tuple(value) if isinstance(value, list) else value
-                      for key, value in raw.items() if key in fields})
+        return cls(**{key: value for key, value in raw.items() if key in fields})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 

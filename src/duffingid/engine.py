@@ -34,7 +34,10 @@ q(z)'s covariance kept), the Gamma shapes and rates, and lgamma of each
 shape and log of each rate, which the next step's free energy reads as its
 prior's. A `BeliefSet` holds the carry: `step_update` reads a set's carry
 and returns a set that holds only its own, which builds its numpy beliefs
-only when one is read. `identify_stream` is a fold of `step_update`, so
+only when one is read, each Gaussian by `GaussianBelief.from_natural` from
+its precision and potential, which inverts and sums the mean as the kernel
+does; the carry's mean, covariance and log-determinant are the kernel's
+alone. `identify_stream` is a fold of `step_update`, so
 the batch and the per-sample API run one path on one state form. The
 `nlarx` messages, `combine_*` and `compute_free_energy` compose the same
 step from belief objects and stay the tested reference.
@@ -74,8 +77,10 @@ precision, state mean, coefficient mean or expected squared residual
 ("diverged", caught where it first appears), an improper posterior, a
 negative gamma message rate and a non-finite free energy. Only an improper
 incoming belief raises `ImproperBeliefError`, which carries no step; a set
-built from beliefs raises it when `step_update` first reads its carry.
-`identify_stream` passes these errors on unchanged.
+built from beliefs raises it when `step_update` first reads its carry. A
+set whose coefficient count or state size does not fit `cfg.model_mode`
+raises a ValueError that names both. `identify_stream` passes these errors
+on unchanged.
 """
 
 from __future__ import annotations
@@ -88,9 +93,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .beliefs import (SQUARE_FROM_UPPER, GammaBelief, GaussianBelief,
-                      ImproperBeliefError, digamma, expected_quadratic,
-                      inverse_3x3, inverse_4x4, split_last)
+from .beliefs import (_LOG_2PI, SQUARE_FROM_UPPER, GammaBelief,
+                      GaussianBelief, ImproperBeliefError, digamma,
+                      expected_quadratic, inverse_3x3, inverse_4x4, split_last)
 # not called here; the benchmark's span tracer looks them up in this module
 from .beliefs import (combine_gamma, combine_gaussian,  # noqa: F401
                       entropy_gamma, entropy_gaussian)
@@ -100,8 +105,6 @@ from .duffing import (ArCoefficients, TimeSeries, UnstableSimulationError,
 from . import nlarx
 from .nlarx import NodeConfig
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 # variance of the tie of q(z)'s x to the previous x_next, read at call
 # time; it enters the estimates but not the free energy
 EPSILON = 1e-8
@@ -110,9 +113,6 @@ EPSILON = 1e-8
 # than this fraction of its posterior sd and E[gamma] by less than this
 # fraction of itself; `PriorConfig.iterations_per_step` caps the sweeps
 CONVERGENCE_TOL = 1e-6
-
-# the flat indices of the upper triangle of a d x d matrix, row by row
-_UPPER = {d: np.flatnonzero(np.triu(np.ones((d, d)))) for d in (2, 3, 4)}
 
 
 class InferenceError(RuntimeError):
@@ -181,7 +181,10 @@ class PriorConfig:
     precision 0.1, informative noise priors (shape-rate convention), and a
     weakly informative unit state prior. `iterations_per_step` caps the
     sweeps of a step, which stops earlier once it settles. Construction
-    checks every field and builds the prior (`initial_beliefs`) once.
+    checks and normalises every field: numbers become floats, sequences of
+    them tuples of floats and the sweep cap an int, so equal priors compare
+    equal and save to YAML; it builds the prior (`initial_beliefs`) once to
+    check that too.
     """
 
     m0_theta: tuple = (1.0, 1.0, 1.0)
@@ -204,19 +207,37 @@ class PriorConfig:
         n = self.iterations_per_step
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
             raise ValueError("iterations_per_step must be an integer of at least 1")
-        object.__setattr__(self, "iterations_per_step", int(n))  # YAML-safe
+        fields = {"iterations_per_step": int(n)}  # YAML-safe
         for name in ("v0_theta", "v0_eta", "a0_gamma", "b0_gamma", "a0_xi",
                      "b0_xi", "state0_cov"):
             value = getattr(self, name)
             if not (is_number(value) and 0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
+            fields[name] = float(value)
         if not isinstance(self.trace_free_energy, bool):
             raise ValueError("trace_free_energy must be true or false")
+        d = self.n_coeffs
+        m0 = fields["m0_theta"] = _floats(self.m0_theta)
+        if m0 is None or len(m0) not in (d, 3):  # LARX drops a cubic entry
+            raise ValueError(f"m0_theta must be {d} numbers in {self.model_mode} "
+                             f"mode, got {self.m0_theta!r}")
+        state0 = fields["state0_mean"] = _floats(self.state0_mean)
+        if state0 is None or len(state0) != 2:
+            raise ValueError(f"state0_mean must be 2 numbers, got {self.state0_mean!r}")
+        if not is_number(self.m0_eta):
+            raise ValueError(f"m0_eta must be a number, got {self.m0_eta!r}")
+        fields["m0_eta"] = float(self.m0_eta)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        beliefs = initial_beliefs(self)
+        if not np.isfinite(np.append(beliefs.q_coeffs.potential,
+                                     beliefs.q_state.potential)).all():
+            raise ValueError("the prior means, and each times its precision, "
+                             "must be finite")
         # the closed-form inverse calls a precision singular when its
         # determinant under- or overflows or its inverse overflows; such a
         # prior would fail at step 0
-        beliefs = initial_beliefs(self)
         for names, prior in (("v0_theta and v0_eta", beliefs.q_coeffs),
                              ("state0_cov", beliefs.q_state)):
             if prior.cov is not None:
@@ -237,42 +258,25 @@ class PriorConfig:
 
 
 def initial_beliefs(cfg: PriorConfig) -> BeliefSet:
-    """Belief set holding the configured priors, q(theta, eta) as one
-    diagonal Gaussian; LARX drops the cubic entry of a 3-entry `m0_theta`.
-    A mean that is not a number, of another length, or not finite times its
-    precision, is a ValueError that names it."""
+    """Belief set holding the configured (checked) priors, q(theta, eta) as
+    one diagonal Gaussian; LARX drops the cubic entry of a 3-entry m0_theta."""
     d = cfg.n_coeffs
-    m0 = _numbers(cfg.m0_theta)
-    if d == 2 and m0 is not None and len(m0) == 3:
-        m0 = [m0[0], m0[2]]  # drop the cubic coefficient in linear mode
-    if m0 is None or len(m0) != d:
-        raise ValueError(f"m0_theta must be {d} numbers in {cfg.model_mode} "
-                         f"mode, got {cfg.m0_theta!r}")
-    state0 = _numbers(cfg.state0_mean)
-    if state0 is None or len(state0) != 2:
-        raise ValueError(f"state0_mean must be 2 numbers, got {cfg.state0_mean!r}")
-    if not is_number(cfg.m0_eta):
-        raise ValueError(f"m0_eta must be a number, got {cfg.m0_eta!r}")
-    q_coeffs = GaussianBelief(m0 + [float(cfg.m0_eta)], np.diag(
+    m0 = cfg.m0_theta if len(cfg.m0_theta) == d else cfg.m0_theta[::2]
+    q_coeffs = GaussianBelief(m0 + (cfg.m0_eta,), np.diag(
         [1.0 / cfg.v0_theta] * d + [1.0 / cfg.v0_eta]))
-    q_state = GaussianBelief(state0, np.diag([1.0 / cfg.state0_cov] * 2))
-    if not np.isfinite(np.append(q_coeffs.potential, q_state.potential)).all():
-        raise ValueError("the prior means, and each times its precision, "
-                         "must be finite")
+    q_state = GaussianBelief(cfg.state0_mean, np.diag([1.0 / cfg.state0_cov] * 2))
     return BeliefSet(q_coeffs, GammaBelief(cfg.a0_gamma, cfg.b0_gamma),
                      GammaBelief(cfg.a0_xi, cfg.b0_xi), q_state)
 
 
-def _numbers(value) -> list[float] | None:
-    """A sequence of real numbers as a list of floats; None for anything
+def _floats(value) -> tuple[float, ...] | None:
+    """A sequence of real numbers as a tuple of floats; None for anything
     else (a string, say)."""
     try:
-        items = list(value)
+        items = tuple(value)
     except TypeError:
         return None
-    if not all(map(is_number, items)):
-        return None
-    return [float(item) for item in items]
+    return tuple(map(float, items)) if all(map(is_number, items)) else None
 
 
 def _carry(beliefs: BeliefSet) -> tuple:
@@ -291,18 +295,23 @@ def _carry(beliefs: BeliefSet) -> tuple:
 
 
 def _parts(g: GaussianBelief) -> tuple:
-    upper = _UPPER[g.dim]
-    return (*g.precision.take(upper).tolist(), *g.potential.tolist(),
-            *g.mean.tolist(), *g.cov.take(upper).tolist(), g.logdet)
+    upper = np.triu_indices(g.dim)
+    return (*g.precision[upper].tolist(), *g.potential.tolist(),
+            *g.mean.tolist(), *g.cov[upper].tolist(), g.logdet)
+
+
+def _dim(parts: tuple) -> int:
+    # a d-dimensional Gaussian's parts are d * d + 3 * d + 1 floats
+    return (math.isqrt(4 * len(parts) + 5) - 3) // 2
 
 
 def _belief(parts: tuple) -> GaussianBelief:
-    # a d-dimensional Gaussian's parts are d * d + 3 * d + 1 floats
-    d = (math.isqrt(4 * len(parts) + 5) - 3) // 2
-    n, square, flat = d * (d + 1) // 2, SQUARE_FROM_UPPER[d], np.array(parts[:-1])
-    return GaussianBelief._from_parts(
-        flat[square], flat[n:n + d].copy(), flat[n + d:n + 2 * d].copy(),
-        flat[square + n + 2 * d], parts[-1])
+    # from the parts' leading precision triangle and potential, inverted and
+    # summed into the mean by `from_natural` as by the kernel
+    d = _dim(parts)
+    n = d * (d + 1) // 2
+    return GaussianBelief.from_natural(
+        np.array(parts[:n])[SQUARE_FROM_UPPER[d]], parts[n:n + d])
 
 
 def step_update(
@@ -321,8 +330,20 @@ def step_update(
     if not (isfinite(u) and isfinite(y)):
         raise InferenceError(t, f"non-finite input/output sample: u={u!r}, y={y!r}")
     w_prior, ag0, bg0, ax0, bx0, _, _, _, _, z_prior = prior
-    _, _, _, _, _, x, x_prev, s00, s01, s11, _ = z_prior
     cubic = cfg.model_mode == "nlarx"
+    try:  # a set that does not fit the mode does not unpack
+        _, _, _, _, _, x, x_prev, s00, s01, s11, _ = z_prior
+        if cubic:
+            (a00, a01, a02, a03, a11, a12, a13, a22, a23, a33, g0, g1, g2, g3,
+             m0, m1, m2, m3, _, _, _, _, _, _, _, _, _, _, _) = w_prior
+        else:
+            (a00, a01, a02, a11, a12, a22, g0, g1, g2, m0, m1, m2,
+             _, _, _, _, _, _, _) = w_prior
+    except ValueError:
+        raise ValueError(
+            f"a belief set of {_dim(w_prior)} coefficients and a "
+            f"{_dim(z_prior)}-entry state does not fit model_mode "
+            f"{cfg.model_mode!r}, which takes {cfg.n_coeffs + 1} and 2") from None
     inv_eps = 1.0 / EPSILON
     last = cfg.iterations_per_step - 1
     # fixed within the step: psi (q's), J Sigma_zprev J' (r's), the upper
@@ -337,8 +358,6 @@ def step_update(
                 q1 * q1 + r11, q1 * q2 + r12, q1 * q3, q2 * q2 + r22, q2 * q3,
                 q3 * q3)
         i00, i01, i02, i03, i11, i12, i13, i22, i23, i33 = info
-        (a00, a01, a02, a03, a11, a12, a13, a22, a23, a33, g0, g1, g2, g3,
-         m0, m1, m2, m3, _, _, _, _, _, _, _, _, _, _, _) = w_prior
         w3 = m3
         forward = 0.0 + m0 * q0 + m1 * q1 + m2 * q2 + m3 * q3
     else:
@@ -347,8 +366,6 @@ def step_update(
         info = (q0 * q0 + r00, q0 * q1 + r01, q0 * q2, q1 * q1 + r11, q1 * q2,
                 q2 * q2)
         i00, i01, i02, i11, i12, i22 = info
-        (a00, a01, a02, a11, a12, a22, g0, g1, g2, m0, m1, m2,
-         _, _, _, _, _, _, _) = w_prior
         forward = 0.0 + m0 * q0 + m1 * q1 + m2 * q2
     if not all(map(isfinite, info)):
         raise InferenceError(t, "diverged: non-finite coefficient message precision")

@@ -1,5 +1,6 @@
 """CSV ingestion, splitting, config parsing and artifact persistence."""
 
+import dataclasses
 import re
 import warnings
 
@@ -342,6 +343,21 @@ class TestArtifact:
                                    rtol=1e-15)
         assert back.beliefs.q_gamma == artifact.beliefs.q_gamma
         assert back.beliefs.q_xi == artifact.beliefs.q_xi
+
+    @pytest.mark.parametrize("values", [
+        {"v0_theta": np.float64(10.0), "a0_gamma": np.float64(1e3),
+         "m0_eta": np.float64(1.0), "iterations_per_step": np.int64(5)},
+        {"m0_theta": np.ones(3), "state0_mean": np.zeros(2)},
+        # an int prior field is stored, and saved, as a float
+        {"v0_theta": 10, "b0_gamma": 10, "m0_theta": [1, 1, 1]}])
+    def test_config_of_other_numbers_saves_as_floats(self, tmp_path, values):
+        cfg = PriorConfig(**values)
+        assert cfg == PriorConfig() and hash(cfg) == hash(PriorConfig())
+        paths = tmp_path / "numbers.yaml", tmp_path / "floats.yaml"
+        save_artifact(dataclasses.replace(make_artifact(), config=cfg), paths[0])
+        save_artifact(make_artifact(), paths[1])
+        assert load_artifact(paths[0]).config == cfg
+        assert paths[0].read_text() == paths[1].read_text()
 
     def test_invalid_stored_config_rejected(self, tmp_path):
         path = tmp_path / "run.yaml"

@@ -1,6 +1,7 @@
 """Online inference loop, free energy and prediction protocols."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -173,6 +174,22 @@ class TestStepUpdate:
         assert report.prediction_mean == pytest.approx(forward.mean[0])
         expected_var = 1.0 / beliefs.q_gamma.mean + 1.0 / beliefs.q_xi.mean
         assert report.prediction_var == pytest.approx(expected_var)
+
+    @pytest.mark.parametrize("set_mode, state, mode, found", [
+        ("nlarx", 2, "larx", "4 coefficients and a 2-entry state"),
+        ("larx", 2, "nlarx", "3 coefficients and a 2-entry state"),
+        ("nlarx", 1, "nlarx", "4 coefficients and a 1-entry state"),
+        ("nlarx", 3, "nlarx", "4 coefficients and a 3-entry state")])
+    def test_set_that_does_not_fit_the_mode(self, set_mode, state, mode, found):
+        beliefs = initial_beliefs(PriorConfig(model_mode=set_mode))
+        beliefs = BeliefSet(beliefs.q_coeffs, beliefs.q_gamma, beliefs.q_xi,
+                            GaussianBelief(np.zeros(state), np.eye(state)))
+        cfg = PriorConfig(model_mode=mode)
+        takes = cfg.n_coeffs + 1
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"a belief set of {found} does not fit model_mode {mode!r}, "
+                f"which takes {takes} and 2") + "$"):
+            step_update(beliefs, 0.1, 0.05, cfg)
 
     def test_report_is_an_immutable_record(self):
         report = engine.StepReport(t=3, free_energy=-1.5, prediction_mean=0.1,
