@@ -15,7 +15,7 @@ import numpy as np
 from . import dataio, engine
 from .beliefs import gaussian_moments
 from .dataio import ConfigError, DatasetError, SILVERBOX_DELTA
-from .duffing import ar_to_phys, is_number, phys_to_ar, simulate
+from .duffing import ar_to_phys, fits_float, phys_to_ar, simulate
 
 
 def main(argv=None) -> int:
@@ -201,7 +201,7 @@ def cmd_report(args) -> int:
         std = math.sqrt(belief.shape) / belief.rate
         print(f"  {name:7s} {belief.mean: .6e} +/- {std:.3e}")
     total = artifact.metrics.get("free_energy_sum")
-    if is_number(total):  # artifacts written by hand may lack it
+    if fits_float(total):  # artifacts written by hand may lack it
         print(f"free energy summed over the run: {total:.6e}")
     print("recovered physical parameters:")
     try:

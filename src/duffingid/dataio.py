@@ -32,7 +32,8 @@ import numpy as np
 import yaml
 
 from .beliefs import GammaBelief, GaussianBelief, independent
-from .duffing import ArCoefficients, PhysicalParams, TimeSeries, is_number
+from .duffing import (ArCoefficients, PhysicalParams, TimeSeries, fits_float,
+                      is_number)
 from .engine import BeliefSet, PriorConfig
 
 SCHEMA_VERSION = 2
@@ -181,7 +182,7 @@ def load_params(path) -> tuple[PhysicalParams, tuple[float, float]]:
                            extra={"x0"})
     x0 = raw.get("x0", (0.0, 0.0))
     if not (isinstance(x0, (list, tuple)) and len(x0) == 2
-            and all(is_number(v) and math.isfinite(v) for v in x0)):
+            and all(fits_float(v) and math.isfinite(v) for v in x0)):
         raise ConfigError(f"{path}: x0 must be two finite numbers, got {x0!r}")
     return params, tuple(x0)
 
@@ -327,7 +328,7 @@ def _at(payload: dict, key: str, kind: str = "mapping"):
 
 def _positive_at(payload: dict, key: str) -> float:
     value = _at(payload, key, "number")
-    if not (math.isfinite(value) and value > 0):
+    if not (fits_float(value) and math.isfinite(value) and value > 0):
         raise ValueError(f"{key} must be a positive finite number, got {value!r}")
     return float(value)
 
@@ -340,7 +341,7 @@ def _gaussian_at(payload: dict, key: str, size: int) -> GaussianBelief:
         value = _at(payload, f"{key}.{part}", "list")
         try:
             arrays.append(np.array(value, dtype=float))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{key}.{part}: {exc}") from None
     if arrays[0].shape != (size,) or not np.isfinite(arrays[0]).all():
         raise ValueError(f"{key}.mean must have {size} entries, all finite, "

@@ -8,8 +8,9 @@ with a central difference for x'' and a forward difference for x', giving
 with theta1 = (2m + c*d - a*d^2)/(m + c*d), theta2 = -b*d^2/(m + c*d),
 theta3 = -m/(m + c*d), eta = d^2/(m + c*d) and process precision
 gamma = tau*(m + c*d)^2/d^4 (the input coefficient is absorbed into the
-noise). The map is invertible as long as eta != 0. `propagate` is the one
-loop of this recursion, for `simulate` and the rollout in `engine`;
+noise). The map is invertible as long as eta != 0. `propagate` runs this
+recursion for `simulate` and the rollout in `engine`, in one of two loops:
+where theta2 is zero (the linear mode, or b = 0) its loop drops the cube.
 `step_mean` is one step of it.
 """
 
@@ -27,6 +28,18 @@ DIVERGENCE_LIMIT = 1e6
 def is_number(value) -> bool:
     """A real number that is not a bool (YAML's true or false)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def fits_float(value) -> bool:
+    """A number (`is_number`) that `float` takes: an int beyond the float
+    range is not, as `float` and `math.isfinite` overflow on it."""
+    if not is_number(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 class UnstableSimulationError(RuntimeError):
@@ -51,7 +64,7 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("m", "c", "a", "b", "tau", "xi"):
             value = getattr(self, name)
-            if not (is_number(value) and math.isfinite(value)):
+            if not (fits_float(value) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.m > 0:
             raise ValueError("mass must be positive")
@@ -154,14 +167,31 @@ def propagate(coeffs: ArCoefficients, drive, x: np.ndarray) -> np.ndarray:
     """Run the noise-free recursion in place on x from its given x[0], x[1]:
     x[t] = theta1*x[t-1] + theta2*x[t-1]^3 + theta3*x[t-2] + eta*drive[t-1]
     for t >= 2, with `drive` as long as x. A state that overflows, is not
-    finite or exceeds DIVERGENCE_LIMIT raises `UnstableSimulationError(t)`."""
+    finite or exceeds DIVERGENCE_LIMIT raises `UnstableSimulationError(t)`.
+
+    Where theta2 is zero (a 2-entry theta, or b = 0), a second loop runs
+    the same sum in the same order without the cube, whose float pow costs
+    a third of a step. Its states equal the cube loop's, but a state that
+    is exactly zero, which takes every product in its sum to be zero, may
+    carry the other sign. A seed x[1] beyond about 5.6e102, whose cube
+    overflows at step 2, raises there at the first state beyond the guard
+    instead: still step 2 unless theta1*x[1] + theta3*x[0] + eta*drive[1]
+    cancels."""
     th1, th2, th3 = cubic_theta(coeffs.theta)
     eta = float(coeffs.eta)
     # memoryviews read and write Python floats without copying the series
     out = memoryview(x)
     x_now, x_prev = out[1], out[0]
+    steps = enumerate(memoryview(drive)[1:-1], start=2)
+    if not th2:
+        for t, d in steps:
+            x_now, x_prev = th1 * x_now + th3 * x_prev + eta * d, x_now
+            if not abs(x_now) <= DIVERGENCE_LIMIT:  # NaN fails it too
+                raise UnstableSimulationError(t)
+            out[t] = x_now
+        return x
     try:
-        for t, d in enumerate(memoryview(drive)[1:-1], start=2):
+        for t, d in steps:
             x_now, x_prev = (th1 * x_now + th2 * x_now ** 3 + th3 * x_prev
                              + eta * d), x_now
             if not abs(x_now) <= DIVERGENCE_LIMIT:  # NaN fails it too

@@ -101,7 +101,7 @@ from .beliefs import (combine_gamma, combine_gaussian,  # noqa: F401
                       entropy_gamma, entropy_gaussian)
 from .duffing import step_mean  # noqa: F401
 from .duffing import (ArCoefficients, TimeSeries, UnstableSimulationError,
-                      cubic_theta, is_number, propagate)
+                      cubic_theta, fits_float, propagate)
 from . import nlarx
 from .nlarx import NodeConfig
 
@@ -211,7 +211,7 @@ class PriorConfig:
         for name in ("v0_theta", "v0_eta", "a0_gamma", "b0_gamma", "a0_xi",
                      "b0_xi", "state0_cov"):
             value = getattr(self, name)
-            if not (is_number(value) and 0 < value < math.inf):
+            if not (fits_float(value) and 0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
             fields[name] = float(value)
@@ -225,7 +225,7 @@ class PriorConfig:
         state0 = fields["state0_mean"] = _floats(self.state0_mean)
         if state0 is None or len(state0) != 2:
             raise ValueError(f"state0_mean must be 2 numbers, got {self.state0_mean!r}")
-        if not is_number(self.m0_eta):
+        if not fits_float(self.m0_eta):
             raise ValueError(f"m0_eta must be a number, got {self.m0_eta!r}")
         fields["m0_eta"] = float(self.m0_eta)
         for name, value in fields.items():
@@ -276,7 +276,7 @@ def _floats(value) -> tuple[float, ...] | None:
         items = tuple(value)
     except TypeError:
         return None
-    return tuple(map(float, items)) if all(map(is_number, items)) else None
+    return tuple(map(float, items)) if all(map(fits_float, items)) else None
 
 
 def _carry(beliefs: BeliefSet) -> tuple:

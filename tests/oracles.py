@@ -153,6 +153,20 @@ def oracle_step_mean(theta, eta, z_prev, u):
     return np.array([np.dot(theta, phi) + eta * u, z_prev[0]])
 
 
+def oracle_rollout(theta, eta, drive, seed):
+    """The noise-free recursion from seed = (x[0], x[1]) over as many steps
+    as `drive` holds: x[t] = theta1*x[t-1] + theta2*x[t-1]**3 +
+    theta3*x[t-2] + eta*drive[t-1], summed left to right, in Python floats,
+    with the cube term kept whatever theta2 is. A 2-entry theta is
+    (theta1, theta3), with theta2 = 0."""
+    theta = [float(v) for v in theta]
+    th1, th2, th3 = theta if len(theta) == 3 else (theta[0], 0.0, theta[1])
+    x = [float(seed[0]), float(seed[1])]
+    for d in drive[1:-1]:
+        x.append(th1 * x[-1] + th2 * x[-1] ** 3 + th3 * x[-2] + eta * float(d))
+    return np.array(x)
+
+
 def _joint_points(blocks, order):
     """GH points/weights for a block-diagonal joint Gaussian."""
     mean = np.concatenate([np.atleast_1d(m) for m, _ in blocks])

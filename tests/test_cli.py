@@ -19,6 +19,8 @@ from duffingid.engine import BeliefSet
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PARAMS = {"m": 1.0, "c": 0.5, "a": 2.0, "b": 3.0, "tau": 10.0, "xi": 1e6}
+# an integer beyond the float range: float() and math.isfinite overflow on it
+BIG = 10 ** 400
 
 
 @pytest.fixture
@@ -568,6 +570,18 @@ class TestIdentifyPredictEvaluate:
         assert capsys.readouterr().err == (
             f"error: {art}: posterior.{key}.precision must be symmetric\n")
 
+    def test_report_skips_a_summed_free_energy_beyond_float_range(
+            self, tmp_path, capsys):
+        art = tmp_path / "truth.yaml"
+        make_truth_artifact(art)
+        payload = yaml.safe_load(art.read_text())
+        payload["metrics"]["free_energy_sum"] = BIG
+        art.write_text(yaml.safe_dump(payload))
+        assert run("report", "--artifact", art) == 0
+        out = capsys.readouterr().out
+        assert "recovered physical parameters:" in out
+        assert "free energy summed" not in out
+
     def test_report_after_an_overflowing_sample_period(self, tmp_path,
                                                        params_file, capsys):
         # identify accepts --delta 1e200; its square overflows in report
@@ -619,7 +633,14 @@ class TestMalformedFiles:
         # precisions that are not symmetric
         (("posterior", "theta", "precision"),
          [[1e6, 0.0, 1.0], [0.0, 1e6, 0.0], [0.0, 0.0, 1e6]]),
-        (("posterior", "state", "precision"), [[1.0, 0.5], [0.0, 1.0]])])
+        (("posterior", "state", "precision"), [[1.0, 0.5], [0.0, 1.0]]),
+        # integers beyond the float range
+        *(pytest.param(keys, value, id=".".join(keys) + "-big")
+          for keys, value in ((("delta",), BIG),
+                              (("posterior", "gamma", "rate"), BIG),
+                              (("posterior", "theta", "mean"), [BIG, 0.0, 0.0]),
+                              (("posterior", "state", "precision"),
+                               [[BIG, 0.0], [0.0, 1.0]])))])
     @pytest.mark.parametrize("command", ["report", "predict"])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, command, keys,
                                        value):
@@ -681,3 +702,24 @@ class TestMalformedFiles:
         assert run(command, *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("identify", "v0_theta", BIG), ("identify", "m0_theta", [1.0, BIG, 1.0]),
+        ("identify", "state0_mean", [0.0, -BIG]), ("identify", "m0_eta", BIG),
+        ("simulate", "m", BIG), ("simulate", "x0", [BIG, 0.0])],
+        ids=lambda value: "big" if value is BIG else None)
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys,
+                                               command, field, value):
+        bad = tmp_path / "bad.yaml"
+        if command == "simulate":
+            bad.write_text(yaml.safe_dump({**PARAMS, field: value}))
+            argv = ["--params", bad, "--out", tmp_path / "x.csv"]
+        else:
+            bad.write_text(yaml.safe_dump({field: value}))
+            data = tmp_path / "d.csv"
+            save_columns(data, {"u": np.zeros(10), "y": np.zeros(10)})
+            argv = ["--data", data, "--config", bad,
+                    "--out", tmp_path / "run.yaml"]
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {field} ") and err.count("\n") == 1

@@ -213,12 +213,15 @@ class TestSimulate:
         with pytest.raises(UnstableSimulationError, match="unstable simulation"):
             simulate(p, np.full(200, 5.0), delta=1.0, seed=0)
 
-    @pytest.mark.parametrize("x0", [(1e200, 0.0), (float("nan"), 0.0),
-                                    (0.0, float("inf"))])
-    def test_bad_initial_state_is_named(self, x0):
-        # the float cube of 1e200 overflows, and NaN fails the guard too;
-        # warnings are errors here, so none may come first
-        p = PhysicalParams(1, 0.5, 2, 3, 10, 1e6)
+    @pytest.mark.parametrize("x0, b", [
+        (x0, b) for b in (3, 0)
+        for x0 in ((1e200, 0.0), (float("nan"), 0.0), (0.0, float("inf")))],
+        ids=[f"x0{i}" + suffix for suffix in ("", "-b0") for i in range(3)])
+    def test_bad_initial_state_is_named(self, x0, b):
+        # the float cube of 1e200 overflows (b = 0 has no cube: x[2] is
+        # beyond the guard), and NaN fails the guard too; warnings are
+        # errors here, so none may come first
+        p = PhysicalParams(1, 0.5, 2, b, 10, 1e6)
         with pytest.raises(UnstableSimulationError, match="at step 2$"):
             simulate(p, np.zeros(20), 0.1, seed=0, x0=x0)
 

@@ -37,7 +37,7 @@ from duffingid.engine import (
     step_update,
 )
 
-from oracles import oracle_free_energy, oracle_step_mean
+from oracles import oracle_free_energy, oracle_rollout, oracle_step_mean
 from test_acceptance import RUN_CONFIG, make_resonant_series
 from test_step_kernel import random_beliefs
 
@@ -691,12 +691,44 @@ class TestPredictionProtocols:
                                 PriorConfig(model_mode=mode))
         np.testing.assert_array_equal(pred, latent)
 
-    def test_rollout_overflow_is_named(self):
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cube_free_loops_match_the_cubic_oracle(self, seed):
+        # a LARX rollout and a b = 0 simulation run propagate's loop without
+        # the cube; the oracle keeps theta2 * x**3, so a cube-free loop that
+        # computes anything else fails here, value or signbit
+        from duffingid.duffing import ArCoefficients
+        rng = np.random.default_rng(seed)
+        n = 500
+        u, y = rng.normal(0, 1, n), rng.normal(0, 1, n)
+        # stable: the companion matrix has roots radius * exp(+-i angle)
+        radius, angle = rng.uniform(0.5, 0.95), rng.uniform(0.01, np.pi)
+        theta = [2 * radius * math.cos(angle), -radius ** 2]
+        coeffs = ArCoefficients(theta, rng.uniform(1e-3, 1.0), 1.0)
+        pred = simulate_rollout(frozen_beliefs(coeffs), TimeSeries(u, y, DELTA),
+                                PriorConfig(model_mode="larx"))
+        p = PhysicalParams(m=rng.uniform(0.5, 2), c=rng.uniform(0, 1),
+                           a=rng.uniform(0.5, 5), b=0, tau=1e8, xi=1e8)
+        x0 = tuple(rng.normal(0, 0.1, 2))
+        _, latent = simulate(p, u, DELTA, seed=seed, noise_free=True, x0=x0)
+        ar = phys_to_ar(p, DELTA)
+        assert ar.theta[1] == 0
+        for got, want in ((pred, oracle_rollout(theta, coeffs.eta, u, y[:2])),
+                          (latent, oracle_rollout(ar.theta, ar.eta, u,
+                                                  x0[::-1]))):
+            assert np.abs(got).max() > 0.1  # a real trajectory, not zeros
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("keep", [[0, 1, 2], [0, 2]], ids=["nlarx", "larx"])
+    def test_rollout_overflow_is_named(self, keep):
+        from duffingid.duffing import ArCoefficients
+        coeffs = ArCoefficients(self.coeffs.theta[keep], self.coeffs.eta, 1.0)
         y = np.zeros(50)
-        y[1] = 1e200  # its float cube overflows
+        # its float cube overflows; in LARX, x[2] is beyond the guard
+        y[1] = 1e200
         data = TimeSeries(np.zeros(50), y, DELTA)
         with pytest.raises(UnstableSimulationError, match="at step 2$"):
-            simulate_rollout(frozen_beliefs(self.coeffs), data, PriorConfig())
+            simulate_rollout(frozen_beliefs(coeffs), data, PriorConfig())
 
     def test_onestep_overflow_is_named(self):
         y = np.zeros(50)
