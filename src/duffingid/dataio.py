@@ -5,15 +5,16 @@ Series are header CSV of named float columns ("u" and "y" by default), read
 by `load_columns` and `load_csv` and written by `save_columns`. numpy's C
 parser reads the rows; a row loop with Python's `float` is the error path,
 which names the first bad row, and the reference the tests hold it to.
-`save_columns` streams the rows as the shortest round-trip repr of each
-value. `load_yaml` reads the YAML files, takes 1e-4 and 1e8 as floats and
-raises `ConfigError` on a syntax error: prior configs (`load_config`),
-simulator parameter files (`load_params`) and run artifacts
-(`save_artifact`, `load_artifact`). YAML goes through libyaml where PyYAML
-was built with it; `_from_mapping` turns a config's or parameter file's
-mapping into its dataclass, which checks the values. An artifact holds the
-schema version, prior config, sample period, posterior, thinned
-free-energy trace and run metrics; readers derive the physical parameters.
+`save_columns` writes the rows as the shortest round-trip repr of each
+value, formatting and writing a block of rows at a time. `load_yaml` reads
+the YAML files, takes 1e-4 and 1e8 as floats and raises `ConfigError` on a
+syntax error: prior configs (`load_config`), simulator parameter files
+(`load_params`) and run artifacts (`save_artifact`, `load_artifact`). YAML
+goes through libyaml where PyYAML was built with it; `_from_mapping` turns
+a config's or parameter file's mapping into its dataclass, which checks the
+values. An artifact holds the schema version, prior config, sample period,
+posterior, thinned free-energy trace and run metrics; readers derive the
+physical parameters.
 `save_truth` writes the simulator's truth sidecar.
 """
 
@@ -40,6 +41,7 @@ SCHEMA_VERSION = 2
 
 SILVERBOX_DELTA = 1.0 / 610.35
 SILVERBOX_SPLIT = 40000
+_BLOCK = 4096  # rows per write of save_columns
 
 
 class DatasetError(ValueError):
@@ -123,12 +125,19 @@ def load_csv(path, delta: float = SILVERBOX_DELTA, input_column: str = "u",
 def save_columns(path, columns: dict) -> None:
     """Write named float columns of equal length as header CSV; each value
     is its shortest round-trip repr, so it reads back exactly. The rows are
-    the bytes `csv.writer` writes for floats, streamed line by line."""
-    line = ",".join(["{!r}"] * len(columns)) + "\r\n"
-    values = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
+    the bytes `csv.writer` writes for floats, formatted and written
+    _BLOCK rows at a time. Columns of unequal length are a ValueError."""
+    arrays = [np.asarray(c, dtype=float) for c in columns.values()]
+    lengths = {name: len(a) for name, a in zip(columns, arrays)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns of unequal length: {lengths}")
+    n = len(arrays[0]) if arrays else 0
+    row = ",".join(["{!r}"] * len(arrays)) + "\r\n"
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(columns)
-        handle.writelines(map(line.format, *values))
+        for lo in range(0, n, _BLOCK):
+            block = np.column_stack([a[lo:lo + _BLOCK] for a in arrays])
+            handle.write((row * len(block)).format(*block.ravel().tolist()))
 
 
 def check_split(n: int, split_index: int) -> None:

@@ -167,6 +167,25 @@ def oracle_rollout(theta, eta, drive, seed):
     return np.array(x)
 
 
+def oracle_unstable_step(theta, eta, drive, seed, limit=1e6):
+    """The first step t of `oracle_rollout`'s recursion, checked after every
+    state, whose state is NaN or beyond `limit` in magnitude, or whose cube
+    term x[t-1]**3 overflows; None where every state passes."""
+    theta = [float(v) for v in theta]
+    th1, th2, th3 = theta if len(theta) == 3 else (theta[0], 0.0, theta[1])
+    x_prev, x_now = float(seed[0]), float(seed[1])
+    for t, d in enumerate(drive[1:-1], start=2):
+        try:
+            cube = x_now ** 3
+        except OverflowError:
+            return t
+        x_prev, x_now = x_now, (th1 * x_now + th2 * cube + th3 * x_prev
+                                + eta * float(d))
+        if not abs(x_now) <= limit:
+            return t
+    return None
+
+
 def _joint_points(blocks, order):
     """GH points/weights for a block-diagonal joint Gaussian."""
     mean = np.concatenate([np.atleast_1d(m) for m, _ in blocks])

@@ -1,7 +1,9 @@
 """CSV ingestion, splitting, config parsing and artifact persistence."""
 
+import csv
 import dataclasses
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from duffingid import PriorConfig
 from duffingid.beliefs import GammaBelief, GaussianBelief, independent
 from duffingid.dataio import (
+    _BLOCK,
     ConfigError,
     DatasetError,
     RunArtifact,
@@ -105,6 +108,43 @@ class TestLoadCsv:
         assert path.read_text().splitlines()[0] == "y_hat,sq_error,extra"
         for want, got in zip(columns.values(), load_columns(path, list(columns))):
             np.testing.assert_array_equal(got, want)
+
+
+# values whose repr takes every form: signed zero, subnormal, exponent
+# forms small and large, the largest float and the non-finite ones
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-5, 1e16, sys.float_info.max,
+                  -sys.float_info.max, float("nan"), float("inf"),
+                  float("-inf"), 0.1, -2.5]
+
+
+class TestSaveColumns:
+    @pytest.mark.parametrize("n_columns", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      2 * _BLOCK + 3])
+    def test_bytes_of_csv_writer(self, tmp_path, rows, n_columns):
+        rng = np.random.default_rng(rows + n_columns)
+        columns = {}
+        for k in range(n_columns):
+            values = rng.normal(0.0, 10.0 ** rng.integers(-8, 8), rows)
+            at = rng.random(rows) < 0.3
+            values[at] = rng.choice(SPECIAL_FLOATS, at.sum())
+            columns[f"c{k}"] = values
+        # every special value, in the last block
+        k = min(rows, len(SPECIAL_FLOATS))
+        columns["c0"][rows - k:] = SPECIAL_FLOATS[:k]
+        path, reference = tmp_path / "cols.csv", tmp_path / "ref.csv"
+        save_columns(path, columns)
+        with open(reference, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            writer.writerows(zip(*(c.tolist() for c in columns.values())))
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        path = tmp_path / "cols.csv"
+        with pytest.raises(ValueError, match=r"unequal length.*'a': 5, 'b': 3"):
+            save_columns(path, {"a": np.zeros(5), "b": np.zeros(3)})
+        assert not path.exists()
 
 
 # CSV text for the loader's two parsers: values made of digits, ".", "e",

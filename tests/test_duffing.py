@@ -1,10 +1,12 @@
 """Parameter maps, transition function and simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from duffingid import duffing
 from duffingid.duffing import (
     ArCoefficients,
     PhysicalParams,
@@ -16,7 +18,7 @@ from duffingid.duffing import (
     simulate,
     step_mean,
 )
-from oracles import oracle_step_mean
+from oracles import oracle_rollout, oracle_step_mean, oracle_unstable_step
 
 
 class TestPhysToAr:
@@ -166,6 +168,102 @@ class TestStepMean:
         coeffs = ArCoefficients([1.0, 0.0, 0.0], 0.0, 1.0)
         out = step_mean(coeffs, np.array([3.0, 7.0]), 1.0)
         np.testing.assert_allclose(out, [3.0, 3.0])
+
+
+CHUNK = duffing._CHUNK
+# steps of the recursion (samples past the two seeds) around chunk ends
+CHUNK_STEPS = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+LOOPS = {"cubic": [1.9, -0.05, -0.95], "cube-free": [1.9, -0.95]}
+
+
+class TestPropagate:
+    """propagate runs the series chunk by chunk; every state and every
+    error step must be those of a recursion checked after each state."""
+
+    @staticmethod
+    def run(theta, drive, seed, eta=0.01):
+        x = np.zeros(len(drive))
+        x[:2] = seed
+        try:
+            return propagate(ArCoefficients(theta, eta, 1.0), drive, x)
+        except UnstableSimulationError as exc:
+            return exc.step
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("steps", CHUNK_STEPS)
+    def test_matches_the_oracle_across_chunks(self, steps, loop):
+        rng = np.random.default_rng(steps)
+        drive = rng.normal(0.0, 1.0, steps + 2)
+        seed = rng.normal(0.0, 0.1, 2)
+        x = self.run(LOOPS[loop], drive, seed)
+        want = oracle_rollout(LOOPS[loop], 0.01, drive, seed)
+        assert oracle_unstable_step(LOOPS[loop], 0.01, drive, seed) is None
+        assert np.abs(x[-CHUNK:]).max() > 0.01  # a trajectory, not zeros
+        np.testing.assert_array_equal(x, want)
+        np.testing.assert_array_equal(np.signbit(x), np.signbit(want))
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("step", [2, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("kick", [2e8, 1e208, math.nan, math.inf])
+    def test_divergence_at_a_chunk_end_is_named(self, step, kick, loop):
+        # the state at `step` leaves the guard: first or last of its chunk.
+        # After a kick of 1e208 the cube loop's next cube overflows
+        drive = 0.1 * np.sin(0.3 * np.arange(2 * CHUNK + 3))
+        drive[step - 1] = kick
+        seed = (0.01, 0.02)
+        assert oracle_unstable_step(LOOPS[loop], 0.01, drive, seed) == step
+        assert self.run(LOOPS[loop], drive, seed) == step
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("eta", [0.0, 0.01])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_drive_is_named(self, bad, eta, loop):
+        # eta * inf is inf, and 0 * inf and 0 * nan are nan
+        drive = np.zeros(2 * CHUNK + 5)
+        drive[CHUNK + 7] = bad
+        seed = (0.5, 0.4)
+        assert oracle_unstable_step(LOOPS[loop], eta, drive, seed) == CHUNK + 8
+        assert self.run(LOOPS[loop], drive, seed, eta) == CHUNK + 8
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("x1", [5.7e102, -1e103, 1e200, math.inf])
+    def test_seed_beyond_the_cube_range_is_named(self, x1, loop):
+        # the cube loop's cube overflows at step 2 before any state is
+        # kept; the cube-free loop's x[2] is beyond the guard
+        drive = np.zeros(CHUNK + 10)
+        assert oracle_unstable_step(LOOPS[loop], 0.01, drive, (0.0, x1)) == 2
+        assert self.run(LOOPS[loop], drive, (0.0, x1)) == 2
+
+    def test_cube_overflow_in_a_later_chunk_is_named(self):
+        # a hardening spring with theta2 > 0 kicked to 2e3: its states
+        # grow as a power tower, leave the guard at the next step and
+        # overflow the cube a few steps on, all inside the second chunk
+        theta = [1.0, 1.0, -0.5]
+        drive = np.zeros(2 * CHUNK + 3)
+        drive[CHUNK + 99] = 2e5  # eta * 2e5 = 2e3 at step CHUNK + 100
+        seed = (0.0, 0.0)
+        overflow = oracle_unstable_step(theta, 0.01, drive, seed, math.inf)
+        assert CHUNK + 102 < overflow <= 2 * CHUNK + 1
+        assert oracle_unstable_step(theta, 0.01, drive, seed) == CHUNK + 101
+        assert self.run(theta, drive, seed) == CHUNK + 101
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_memory_is_bounded_by_the_chunk(self, loop):
+        # a list of 100,000 states holds about 3 MB of floats and pointers,
+        # and the list of the drive's products as much again
+        rng = np.random.default_rng(0)
+        drive = rng.normal(0.0, 1.0, 100_000)
+        x = np.zeros(len(drive))
+        x[:2] = 0.1
+        coeffs = ArCoefficients(LOOPS[loop], 0.01, 1.0)
+        tracemalloc.start()
+        try:
+            propagate(coeffs, drive, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.isfinite(x).all() and np.abs(x).max() > 0.01
 
 
 class TestSimulate:
