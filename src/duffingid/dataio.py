@@ -13,8 +13,8 @@ syntax error: prior configs (`load_config`), simulator parameter files
 goes through libyaml where PyYAML was built with it; `_from_mapping` turns
 a config's or parameter file's mapping into its dataclass, which checks the
 values. An artifact holds the schema version, prior config, sample period,
-posterior, thinned free-energy trace and run metrics; readers derive the
-physical parameters.
+posterior and run metrics; readers derive the physical parameters. A
+version-2 artifact, which also held a free-energy trace, loads as version 3.
 `save_truth` writes the simulator's truth sidecar.
 """
 
@@ -37,7 +37,7 @@ from .duffing import (ArCoefficients, PhysicalParams, TimeSeries, fits_float,
                       is_number)
 from .engine import BeliefSet, PriorConfig
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 SILVERBOX_DELTA = 1.0 / 610.35
 SILVERBOX_SPLIT = 40000
@@ -204,7 +204,7 @@ def _from_mapping(cls, raw, source, kind: str, extra=frozenset(), **keys):
         raise ConfigError(f"{source}: {kind} must be a mapping")
     raw = {**raw, **keys}
     fields = {field.name for field in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - fields - extra)
+    unknown = sorted(set(raw) - fields - extra, key=str)  # keys of any type
     if unknown:
         raise ConfigError(f"{source}: unknown keys {unknown}")
     try:
@@ -246,7 +246,6 @@ class RunArtifact:
     config: PriorConfig
     delta: float
     beliefs: BeliefSet
-    free_energies: list
     metrics: dict
 
 
@@ -272,7 +271,6 @@ def save_artifact(artifact: RunArtifact, path) -> None:
         "config": config_to_dict(artifact.config),
         "delta": float(artifact.delta),
         "posterior": belief_set_to_dict(artifact.beliefs),
-        "free_energies": [float(v) for v in artifact.free_energies],
         "metrics": artifact.metrics,
     }
     with open(path, "w") as handle:
@@ -288,10 +286,10 @@ def load_artifact(path) -> RunArtifact:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: artifact must be a mapping")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version not in (2, SCHEMA_VERSION):  # 2 holds every key of 3
         raise ConfigError(
             f"{path}: schema version mismatch (got {version}, "
-            f"expected {SCHEMA_VERSION})")
+            f"expected {SCHEMA_VERSION} or 2)")
     config = config_from_dict(payload.get("config"), source=str(path))
     try:
         return RunArtifact(
@@ -306,7 +304,6 @@ def load_artifact(path) -> RunArtifact:
                 q_xi=GammaBelief(_positive_at(payload, "posterior.xi.shape"),
                                  _positive_at(payload, "posterior.xi.rate")),
                 q_state=_gaussian_at(payload, "posterior.state", 2)),
-            free_energies=_at(payload, "free_energies", "list"),
             metrics=_at(payload, "metrics"),
         )
     except ValueError as exc:

@@ -674,4 +674,5 @@ def evaluate_mse(predictions: np.ndarray, actual: np.ndarray) -> float:
     if predictions.shape != actual.shape:
         raise ValueError(
             f"length mismatch: {predictions.shape} vs {actual.shape}")
-    return float(np.mean((predictions - actual) ** 2))
+    with np.errstate(over="ignore"):  # a miss beyond float range is inf
+        return float(np.mean((predictions - actual) ** 2))

@@ -48,7 +48,6 @@ def make_truth_artifact(path, delta=0.1, xi=1e8):
         config=PriorConfig(),
         delta=delta,
         beliefs=beliefs,
-        free_energies=[0.0],
         metrics={"final_free_energy": 0.0, "steps": 1},
     )
     save_artifact(artifact, path)
@@ -237,7 +236,8 @@ class TestIdentifyPredictEvaluate:
                    "--out", art, "--delta", 0.1)
         assert code == 0
         payload = yaml.safe_load(art.read_text())
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
+        assert "free_energies" not in payload
         assert payload["metrics"]["steps"] == 399
         assert "physical" not in payload
         assert np.isfinite(payload["metrics"]["final_free_energy"])
@@ -247,7 +247,6 @@ class TestIdentifyPredictEvaluate:
 
     def test_identify_stores_the_summed_free_energy(self, tmp_path,
                                                     params_file, capsys):
-        # more steps than the 1000 the stored trace is thinned to
         data, cfgfile = tmp_path / "long.csv", tmp_path / "cfg.yaml"
         run("simulate", "--params", params_file, "--steps", 2100, "--seed", 5,
             "--out", data, "--delta", 0.1)
@@ -261,7 +260,7 @@ class TestIdentifyPredictEvaluate:
                               PriorConfig(**config))
         total = math.fsum(r.free_energy for r in reports)
         assert payload["metrics"]["free_energy_sum"] == total
-        assert len(payload["free_energies"]) < len(reports)
+        assert payload["metrics"]["final_free_energy"] == reports[-1].free_energy
         capsys.readouterr()
         assert run("report", "--artifact", art) == 0
         assert (f"free energy summed over the run: {total:.6e}\n"
@@ -431,6 +430,23 @@ class TestIdentifyPredictEvaluate:
         assert captured.err.strip() == "error: unstable simulation at step 2"
         assert captured.out == "" and not out.exists()
 
+    def test_predict_overflowing_square_is_inf(self, tmp_path, dataset,
+                                               capsys):
+        # a LARX prediction has no cube to overflow, but its miss of
+        # outputs of +-2e154 squares beyond float range
+        art, data, out = (tmp_path / "larx.yaml", tmp_path / "big.csv",
+                          tmp_path / "p.csv")
+        assert run("identify", "--data", dataset, "--delta", 0.1,
+                   "--mode", "larx", "--out", art) == 0
+        save_columns(data, {"u": np.zeros(30),
+                            "y": 2e154 * (-1.0) ** np.arange(30)})
+        capsys.readouterr()
+        assert run("predict", "--artifact", art, "--data", data,
+                   "--out", out) == 0
+        assert capsys.readouterr() == ("onestep mse inf\n", "")
+        assert any(row.endswith(",inf")
+                   for row in out.read_text().splitlines())
+
     def test_rollout_at_least_onestep(self, tmp_path, dataset, capsys):
         art = make_truth_artifact(tmp_path / "truth.yaml")
         mse = {}
@@ -485,6 +501,13 @@ class TestIdentifyPredictEvaluate:
                    "--split-index", 20) == 0
         assert capsys.readouterr().out.strip() == "4.000e-04"
 
+    def test_evaluate_overflowing_square_is_inf(self, tmp_path, capsys):
+        data, pred = tmp_path / "d.csv", tmp_path / "pred.csv"
+        save_columns(data, {"u": np.zeros(20), "y": np.zeros(20)})
+        save_columns(pred, {"y_hat": np.full(20, 1e200)})
+        assert run("evaluate", "--pred", pred, "--data", data) == 0
+        assert capsys.readouterr() == ("inf\n", "")
+
     def test_evaluate_length_mismatch_exit_2(self, tmp_path, capsys):
         # a prediction of the validation head scored without --split-index
         data = tmp_path / "d.csv"
@@ -511,6 +534,45 @@ class TestIdentifyPredictEvaluate:
         assert run(command, *argv) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {art}: unknown keys ['state0_covv']")
+
+    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("command", ["report", "predict"])
+    def test_other_schema_version_exit_2(self, tmp_path, dataset, capsys,
+                                         command, version):
+        art = tmp_path / "truth.yaml"
+        make_truth_artifact(art)
+        art.write_text(art.read_text().replace(
+            "schema_version: 3\n", f"schema_version: {version}\n"))
+        argv = ["--artifact", art]
+        if command == "predict":
+            argv += ["--data", dataset, "--out", tmp_path / "p"]
+        assert run(command, *argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {art}: schema version mismatch (got {version}, "
+            "expected 3 or 2)\n")
+
+    def test_version_2_artifact_gives_the_same_output(self, tmp_path,
+                                                      dataset, capsys):
+        # a version-2 artifact also held a free-energy trace, which is
+        # ignored
+        v3, v2 = tmp_path / "v3.yaml", tmp_path / "v2.yaml"
+        assert run("identify", "--data", dataset, "--delta", 0.1,
+                   "--out", v3) == 0
+        v2.write_text(v3.read_text().replace(
+            "schema_version: 3\n",
+            "free_energies:\n- -1.5\n- 2.0\nschema_version: 2\n"))
+        outputs = []
+        for art in (v2, v3):
+            capsys.readouterr()
+            assert run("report", "--artifact", art) == 0
+            files = []
+            for protocol in ("onestep", "rollout"):
+                out = tmp_path / f"{art.stem}-{protocol}.csv"
+                assert run("predict", "--artifact", art, "--data", dataset,
+                           "--protocol", protocol, "--out", out) == 0
+                files.append(out.read_bytes())
+            outputs.append((capsys.readouterr(), files))
+        assert outputs[0] == outputs[1]
 
     def test_report(self, tmp_path, capsys):
         art = make_truth_artifact(tmp_path / "truth.yaml")
@@ -615,10 +677,10 @@ class TestIdentifyPredictEvaluate:
 class TestMalformedFiles:
     @pytest.mark.parametrize("keys, value", [
         *(((key,), "DROP") for key in ("config", "delta", "posterior",
-                                       "free_energies", "metrics")),
+                                       "metrics")),
         (("posterior", "state"), "DROP"), (("posterior", "gamma", "rate"), "DROP"),
         (("posterior", "theta", "mean"), "DROP"), (("delta",), "fast"),
-        (("delta",), [0.1]), (("free_energies",), 5), (("metrics",), [1, 2]),
+        (("delta",), [0.1]), (("metrics",), [1, 2]),
         (("posterior",), [1.0]), (("posterior", "xi"), "wide"),
         (("posterior", "eta", "mean"), ["a", "b"]), (("config",), None),
         (("delta",), -0.1), (("delta",), 0), (("delta",), float("nan")),
@@ -666,6 +728,28 @@ class TestMalformedFiles:
         assert err.startswith(f"error: {art}: ") and err.count("\n") == 1
         # the message names the dotted key at fault
         assert ".".join(keys) in err
+
+    @pytest.mark.parametrize("command", ["identify", "simulate", "report"])
+    def test_unknown_keys_of_mixed_types_exit_2(self, tmp_path, params_file,
+                                                capsys, command):
+        # YAML keys may be ints, listed beside str keys in order of their text
+        bad = tmp_path / "bad.yaml"
+        keys = "[1, 'foo']"
+        if command == "identify":
+            data = tmp_path / "d.csv"
+            save_columns(data, {"u": np.zeros(10), "y": np.zeros(10)})
+            bad.write_text("1: 2\nfoo: 3\n")
+            argv = ["--data", data, "--config", bad, "--out", tmp_path / "r"]
+        elif command == "simulate":
+            bad.write_text(Path(params_file).read_text() + "2: 3\nzz: 1\n")
+            argv = ["--params", bad, "--out", tmp_path / "x.csv"]
+            keys = "[2, 'zz']"
+        else:
+            text = Path(make_truth_artifact(tmp_path / "t.yaml")).read_text()
+            bad.write_text(text.replace("config:\n", "config:\n  1: 2\n  foo: 3\n"))
+            argv = ["--artifact", bad]
+        assert run(command, *argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: unknown keys {keys}\n"
 
     @pytest.mark.parametrize("command, text", [
         ("simulate", b"m: 1.0\nc: [0.5\n"), ("identify", b"a0_gamma: [1, 2\n"),

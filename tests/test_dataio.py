@@ -22,6 +22,7 @@ from duffingid.dataio import (
     SILVERBOX_DELTA,
     SILVERBOX_SPLIT,
     _load_columns_by_row,
+    belief_set_to_dict,
     config_from_dict,
     config_to_dict,
     load_artifact,
@@ -361,7 +362,6 @@ def make_artifact():
         config=PriorConfig(),
         delta=SILVERBOX_DELTA,
         beliefs=beliefs,
-        free_energies=[3.2, 1.1, -0.4],
         metrics={"final_free_energy": -0.4, "steps": 3},
     )
 
@@ -374,7 +374,6 @@ class TestArtifact:
         back = load_artifact(path)
         assert back.config == artifact.config
         assert back.delta == artifact.delta
-        assert back.free_energies == artifact.free_energies
         assert back.metrics == artifact.metrics
         np.testing.assert_allclose(back.beliefs.q_theta.mean,
                                    artifact.beliefs.q_theta.mean, rtol=1e-15)
@@ -411,11 +410,23 @@ class TestArtifact:
         artifact = make_artifact()
         path = tmp_path / "run.yaml"
         save_artifact(artifact, path)
-        text = path.read_text().replace("schema_version: 2",
+        text = path.read_text().replace("schema_version: 3",
                                         "schema_version: 99")
         path.write_text(text)
         with pytest.raises(ConfigError, match="schema version mismatch"):
             load_artifact(path)
+
+    def test_version_2_loads_without_its_trace(self, tmp_path):
+        # a version-2 artifact is a version-3 one with a free-energy trace
+        v3, v2 = tmp_path / "v3.yaml", tmp_path / "v2.yaml"
+        save_artifact(make_artifact(), v3)
+        payload = load_yaml(v3)
+        payload.update(schema_version=2, free_energies=[3.2, 1.1, -0.4])
+        v2.write_text(yaml.safe_dump(payload))
+        old, new = load_artifact(v2), load_artifact(v3)
+        assert (old.config, old.delta, old.metrics) == (
+            new.config, new.delta, new.metrics)
+        assert belief_set_to_dict(old.beliefs) == belief_set_to_dict(new.beliefs)
 
     @pytest.mark.parametrize("mode, key, mean", [
         ("nlarx", "theta", [float("nan"), 0.0, 0.0]),

@@ -760,6 +760,10 @@ class TestEvaluateMse:
         with pytest.raises(ValueError, match="length mismatch"):
             evaluate_mse(np.zeros(3), np.zeros(4))
 
+    def test_overflowing_square_is_inf(self):
+        # a miss whose square is beyond float range, with no warning
+        assert evaluate_mse(np.array([1e200, 0.0]), np.zeros(2)) == math.inf
+
 
 class TestPosteriorCoefficients:
     def test_roundtrip_means(self):
