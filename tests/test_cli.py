@@ -676,11 +676,11 @@ class TestIdentifyPredictEvaluate:
 
 class TestMalformedFiles:
     @pytest.mark.parametrize("keys, value", [
-        *(((key,), "DROP") for key in ("config", "delta", "posterior",
-                                       "metrics")),
+        *(((key,), "DROP") for key in ("config", "delta", "posterior")),
+        (("posterior", "xi"), "DROP"), (("metrics",), "DROP"),
         (("posterior", "state"), "DROP"), (("posterior", "gamma", "rate"), "DROP"),
         (("posterior", "theta", "mean"), "DROP"), (("delta",), "fast"),
-        (("delta",), [0.1]), (("metrics",), [1, 2]),
+        (("delta",), [0.1]), (("posterior", "gamma"), 5), (("metrics",), [1, 2]),
         (("posterior",), [1.0]), (("posterior", "xi"), "wide"),
         (("posterior", "eta", "mean"), ["a", "b"]), (("config",), None),
         (("delta",), -0.1), (("delta",), 0), (("delta",), float("nan")),
