@@ -5,10 +5,6 @@ from .beliefs import (
     GammaBelief,
     GaussianBelief,
     ImproperBeliefError,
-    combine_gamma,
-    combine_gaussian,
-    entropy_gamma,
-    entropy_gaussian,
     gaussian_moments,
 )
 from .duffing import (
@@ -19,14 +15,12 @@ from .duffing import (
     ar_to_phys,
     phys_to_ar,
     simulate,
-    step_mean,
 )
 from .engine import (
     BeliefSet,
     InferenceError,
     PriorConfig,
     StepReport,
-    compute_free_energy,
     evaluate_mse,
     identify,
     identify_stream,

@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "3: 2000 of the sine, or all rows of an --input file, by "
                    "default")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="CSV of the input u, output "
+                   "y and latent x; the coefficients go to OUT.truth.yaml")
     p.add_argument("--delta", type=float, default=SILVERBOX_DELTA)
     p.add_argument("--sine-amplitude", type=float, default=0.1)
     p.add_argument("--sine-frequency", type=float, default=0.7,
@@ -121,8 +122,8 @@ def cmd_simulate(args) -> int:
 
     ts, latent = simulate(params, u, args.delta, seed=args.seed, x0=x0,
                           noise_free=args.noise_free)
-    dataio.save_columns(args.out, {"u": ts.u, "y": ts.y})
-    dataio.save_truth(f"{args.out}.truth.yaml", truth, latent)
+    dataio.save_columns(args.out, {"u": ts.u, "y": ts.y, "x": latent})
+    dataio.save_truth(f"{args.out}.truth.yaml", truth)
     print(f"wrote {len(ts)} samples to {args.out}")
     return 0
 

@@ -1,21 +1,22 @@
 """Dataset ingestion, train/validation split, config parsing and artifact
 persistence: the one home of the file formats.
 
-Series are header CSV of named float columns ("u" and "y" by default), read
-by `load_columns` and `load_csv` and written by `save_columns`. numpy's C
-parser reads the rows; a row loop with Python's `float` is the error path,
-which names the first bad row, and the reference the tests hold it to.
-`save_columns` writes the rows as the shortest round-trip repr of each
-value, formatting and writing a block of rows at a time. `load_yaml` reads
-the YAML files, takes 1e-4 and 1e8 as floats and raises `ConfigError` on a
-syntax error: prior configs (`load_config`), simulator parameter files
-(`load_params`) and run artifacts (`save_artifact`, `load_artifact`). YAML
-goes through libyaml where PyYAML was built with it; `_from_mapping` turns
-a config's or parameter file's mapping into its dataclass, which checks the
-values. An artifact holds the schema version, prior config, sample period,
-posterior and run metrics; readers derive the physical parameters. A
-version-2 artifact, which also held a free-energy trace, loads as version 3.
-`save_truth` writes the simulator's truth sidecar.
+Series are header CSV of named float columns ("u" and "y" by default; a
+simulated series also has its latent "x"), read by `load_columns` and
+`load_csv` and written by `save_columns`. numpy's C parser reads the rows;
+a row loop with Python's `float` is the error path, which names the first
+bad row, and the reference the tests hold it to. `save_columns` writes the
+rows as the shortest round-trip repr of each value, formatting and writing
+a block of rows at a time. `load_yaml` reads the YAML files, takes 1e-4 and
+1e8 as floats and raises `ConfigError` on a syntax error: prior configs
+(`load_config`), simulator parameter files (`load_params`) and run
+artifacts (`save_artifact`, `load_artifact`). YAML goes through libyaml
+where PyYAML was built with it; `_from_mapping` turns a config's or
+parameter file's mapping into its dataclass, which checks the values. An
+artifact holds the schema version, prior config, sample period, posterior
+and run metrics; readers derive the physical parameters. A version-2
+artifact, which also held a free-energy trace, loads as version 3.
+`save_truth` writes the simulator's truth sidecar, its coefficients only.
 """
 
 from __future__ import annotations
@@ -213,12 +214,12 @@ def _from_mapping(cls, raw, source, kind: str, extra=frozenset(), **keys):
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def save_truth(path, coeffs: ArCoefficients, latent: np.ndarray) -> None:
-    """Write the generating coefficients and the latent trajectory of a
-    simulated series as YAML."""
+def save_truth(path, coeffs: ArCoefficients) -> None:
+    """Write the generating coefficients of a simulated series as YAML, the
+    mapping `psi` of theta, eta and gamma; its latent trajectory is the
+    series' `x` column."""
     truth = {"psi": {"theta": coeffs.theta.tolist(), "eta": coeffs.eta,
-                     "gamma": coeffs.gamma},
-             "latent_x": latent.tolist()}
+                     "gamma": coeffs.gamma}}
     with open(path, "w") as handle:
         yaml.dump(truth, handle, Dumper=_SafeDumper)
 

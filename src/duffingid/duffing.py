@@ -169,10 +169,11 @@ def cubic_theta(theta) -> tuple[float, float, float]:
 def propagate(coeffs: ArCoefficients, drive, x: np.ndarray) -> np.ndarray:
     """Run the noise-free recursion in place on x from its given x[0], x[1]:
     x[t] = theta1*x[t-1] + theta2*x[t-1]^3 + theta3*x[t-2] + eta*drive[t-1]
-    for t >= 2, with `drive` as long as x. The first step t whose state is
-    not finite or exceeds DIVERGENCE_LIMIT, or whose cube term overflows,
-    raises `UnstableSimulationError(t)`, the step a check after every state
-    names; x past step t - 1 is then unspecified.
+    for t >= 2. A `drive` of another length than x is a ValueError before
+    any state is written. The first step t whose state is not finite or
+    exceeds DIVERGENCE_LIMIT, or whose cube term overflows, raises
+    `UnstableSimulationError(t)`, the step a check after every state names;
+    x past step t - 1 is then unspecified.
 
     The series runs in chunks of _CHUNK states, so no whole-series list is
     built: numpy forms a chunk's eta*drive (the product a float multiply
@@ -185,10 +186,12 @@ def propagate(coeffs: ArCoefficients, drive, x: np.ndarray) -> np.ndarray:
     overflows at step 2, raises there at the first state beyond the guard
     instead: still step 2 unless theta1*x[1] + theta3*x[0] + eta*drive[1]
     cancels."""
+    n = len(x)
+    if len(drive) != n:
+        raise ValueError(f"drive has {len(drive)} samples for {n} states")
     th1, th2, th3 = cubic_theta(coeffs.theta)
     eta = float(coeffs.eta)
     x_prev, x_now = x[:2].tolist()
-    n = len(x)
     with np.errstate(over="ignore", invalid="ignore"):  # the guard names it
         for lo in range(2, n, _CHUNK):
             forcing = (eta * drive[lo - 1:min(lo + _CHUNK, n) - 1]).tolist()

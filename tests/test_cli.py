@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import yaml
 
-from duffingid import PhysicalParams, PriorConfig, identify, phys_to_ar
+from duffingid import (PhysicalParams, PriorConfig, identify, phys_to_ar,
+                       simulate)
 from duffingid.cli import main
-from duffingid.dataio import load_csv, save_artifact, save_columns
+from duffingid.dataio import load_columns, load_csv, save_artifact, save_columns
 from duffingid.dataio import RunArtifact
 from duffingid.beliefs import GammaBelief, GaussianBelief, independent
 from duffingid.engine import BeliefSet
@@ -67,7 +68,50 @@ class TestSimulate:
         np.testing.assert_allclose(sidecar["psi"]["theta"], coeffs.theta)
         assert sidecar["psi"]["eta"] == pytest.approx(coeffs.eta)
         assert sidecar["psi"]["gamma"] == pytest.approx(coeffs.gamma)
-        assert len(sidecar["latent_x"]) == 500
+        (x,) = load_columns(out, ("x",))
+        assert len(x) == 500
+
+    @pytest.mark.parametrize("noise_free", [False, True])
+    def test_x_column_is_the_latent(self, tmp_path, params_file, noise_free):
+        out = tmp_path / "sim.csv"
+        flag = ["--noise-free"] if noise_free else []
+        assert run("simulate", "--params", params_file, "--steps", 300,
+                   "--seed", 3, "--out", out, "--delta", 0.1, *flag) == 0
+        assert out.read_text().splitlines()[0] == "u,y,x"
+        u, y, x = load_columns(out, ("u", "y", "x"))
+        ts, latent = simulate(PhysicalParams(**PARAMS), u, 0.1, seed=3,
+                              noise_free=noise_free)
+        np.testing.assert_array_equal(y, ts.y)
+        np.testing.assert_array_equal(x, latent)
+        np.testing.assert_array_equal(np.signbit(x), np.signbit(latent))
+        if noise_free:
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert not np.array_equal(x, y)
+
+    def test_sidecar_holds_only_the_coefficients(self, tmp_path, params_file):
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--params", params_file, "--steps", 50,
+                   "--out", out, "--delta", 0.1) == 0
+        coeffs = phys_to_ar(PhysicalParams(**PARAMS), 0.1)
+        sidecar = yaml.safe_load((tmp_path / "sim.csv.truth.yaml").read_text())
+        assert sidecar == {"psi": {"theta": coeffs.theta.tolist(),
+                                   "eta": coeffs.eta, "gamma": coeffs.gamma}}
+
+    def test_input_file_with_its_own_x(self, tmp_path, params_file):
+        # an earlier simulation's output drives a new one through its u
+        # column alone; the new file's x is the new run's latent
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run("simulate", "--params", params_file, "--steps", 200,
+                   "--seed", 1, "--out", first, "--delta", 0.1) == 0
+        assert run("simulate", "--params", params_file, "--input", first,
+                   "--seed", 2, "--out", second, "--delta", 0.1) == 0
+        u, x_first = load_columns(first, ("u", "x"))
+        u_second, x = load_columns(second, ("u", "x"))
+        _, latent = simulate(PhysicalParams(**PARAMS), u, 0.1, seed=2)
+        np.testing.assert_array_equal(u_second, u)
+        np.testing.assert_array_equal(x, latent)
+        assert not np.array_equal(x, x_first)
 
     def test_reproducible_byte_for_byte(self, tmp_path, params_file):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -108,8 +152,8 @@ class TestSimulate:
                    "--steps", 5, "--out", out, "--delta", 0.1) == 0
         ts = load_csv(str(out), delta=0.1)
         np.testing.assert_array_equal(ts.u, 0.1 * np.sin(np.arange(5) * 0.3))
-        sidecar = yaml.safe_load((tmp_path / "sim.csv.truth.yaml").read_text())
-        assert len(sidecar["latent_x"]) == 5
+        (x,) = load_columns(out, ("x",))
+        assert len(x) == 5
         capsys.readouterr()
         # more steps than the file has rows, or fewer than none
         for steps in (51, -1):
@@ -461,6 +505,20 @@ class TestIdentifyPredictEvaluate:
         art = make_truth_artifact(tmp_path / "truth.yaml", delta=0.2)
         assert run("predict", "--artifact", art, "--data", dataset,
                    "--out", tmp_path / "p.csv") == 0
+
+    def test_evaluate_against_the_latent(self, tmp_path, dataset, capsys):
+        art = make_truth_artifact(tmp_path / "truth.yaml")
+        pred = tmp_path / "pred.csv"
+        assert run("predict", "--artifact", art, "--data", dataset,
+                   "--out", pred) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--pred", pred, "--data", dataset,
+                   "--output-column", "x") == 0
+        (y_hat,) = load_columns(pred, ("y_hat",))
+        y, x = load_columns(dataset, ("y", "x"))
+        want = f"{np.mean((y_hat - x) ** 2):.3e}\n"
+        assert want != f"{np.mean((y_hat - y) ** 2):.3e}\n"
+        assert capsys.readouterr() == (want, "")
 
     def test_evaluate_identical_series(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -340,13 +340,11 @@ class TestParams:
 
     def test_truth_sidecar(self, tmp_path):
         coeffs = phys_to_ar(PhysicalParams(1.0, 0.5, 2.0, 3.0, 10.0, 1e6), 0.1)
-        latent = np.array([0.0, 0.1, -0.25])
         path = tmp_path / "sim.csv.truth.yaml"
-        save_truth(path, coeffs, latent)
+        save_truth(path, coeffs)
         assert load_yaml(path) == {
             "psi": {"theta": coeffs.theta.tolist(), "eta": coeffs.eta,
-                    "gamma": coeffs.gamma},
-            "latent_x": [0.0, 0.1, -0.25]}
+                    "gamma": coeffs.gamma}}
 
 
 def make_artifact():

@@ -248,6 +248,18 @@ class TestPropagate:
         assert self.run(theta, drive, seed) == CHUNK + 101
 
     @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("drive_len", [5, 9, 11])
+    def test_drive_of_another_length_is_refused(self, drive_len, loop):
+        # a short drive would leave the states past it at their old values
+        x = np.zeros(10)
+        x[:2] = 0.1
+        with pytest.raises(ValueError, match=f"^drive has {drive_len} "
+                           "samples for 10 states$"):
+            propagate(ArCoefficients(LOOPS[loop], 0.01, 1.0),
+                      np.ones(drive_len), x)
+        np.testing.assert_array_equal(x, [0.1, 0.1] + [0.0] * 8)
+
+    @pytest.mark.parametrize("loop", LOOPS)
     def test_memory_is_bounded_by_the_chunk(self, loop):
         # a list of 100,000 states holds about 3 MB of floats and pointers,
         # and the list of the drive's products as much again
