@@ -11,9 +11,11 @@ gamma = tau*(m + c*d)^2/d^4 (the input coefficient is absorbed into the
 noise). The map is invertible as long as eta != 0. `propagate` runs this
 recursion for `simulate` and the rollout in `engine`, chunk by chunk, in
 one of two loops: where theta2 is zero (the linear mode, or b = 0) its loop
-drops the cube. Its divergence error names the same step as a check after
-every state; the states past that step are unspecified, and no caller
-reads them. `step_mean` is one step of it.
+drops the cube, which is the regressor's product x * x * x
+(`nlarx.regressor_psi`): an overflowing one gives an infinite or NaN state
+and raises nothing. The divergence error names the same step as a check
+after every state; the states past that step are unspecified, and no
+caller reads them. `step_mean` is one step of it.
 """
 
 from __future__ import annotations
@@ -168,25 +170,26 @@ def cubic_theta(theta) -> tuple[float, float, float]:
 
 def propagate(coeffs: ArCoefficients, drive, x: np.ndarray) -> np.ndarray:
     """Run the noise-free recursion in place on x from its given x[0], x[1]:
-    x[t] = theta1*x[t-1] + theta2*x[t-1]^3 + theta3*x[t-2] + eta*drive[t-1]
-    for t >= 2. A `drive` of another length than x is a ValueError before
-    any state is written. The first step t whose state is not finite or
-    exceeds DIVERGENCE_LIMIT, or whose cube term overflows, raises
+    x[t] = theta1*x[t-1] + theta2*(x[t-1]*x[t-1]*x[t-1]) + theta3*x[t-2]
+    + eta*drive[t-1] for t >= 2, the cube being the regressor's product.
+    An x of fewer than two states, or a `drive` of another length than x,
+    is a ValueError before any state is written. The first step t whose
+    state is not finite or exceeds DIVERGENCE_LIMIT raises
     `UnstableSimulationError(t)`, the step a check after every state names;
     x past step t - 1 is then unspecified.
 
     The series runs in chunks of _CHUNK states, so no whole-series list is
     built: numpy forms a chunk's eta*drive (the product a float multiply
     gives), a Python loop collects its states in Python floats, x takes
-    them at once and the guard then checks them. Where theta2 is zero (a 2-entry theta, or b = 0), the loop
-    runs the same sum in the same order without the cube, whose float pow
-    costs a third of a step. Its states equal the cube loop's, but a state
-    that is exactly zero, which takes every product in its sum to be zero,
-    may carry the other sign. A seed x[1] beyond about 5.6e102, whose cube
-    overflows at step 2, raises there at the first state beyond the guard
-    instead: still step 2 unless theta1*x[1] + theta3*x[0] + eta*drive[1]
-    cancels."""
+    them at once and the guard then checks them. Where theta2 is zero (a
+    2-entry theta, or b = 0), the loop runs the same sum in the same order
+    without the cube. Its states equal the cube loop's, but a state that is
+    exactly zero, which takes every product in its sum to be zero, may
+    carry the other sign."""
     n = len(x)
+    if n < 2:
+        raise ValueError(f"x has {n} samples; propagate needs its two seed "
+                         "states x[0] and x[1]")
     if len(drive) != n:
         raise ValueError(f"drive has {len(drive)} samples for {n} states")
     th1, th2, th3 = cubic_theta(coeffs.theta)
@@ -194,28 +197,23 @@ def propagate(coeffs: ArCoefficients, drive, x: np.ndarray) -> np.ndarray:
     x_prev, x_now = x[:2].tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # the guard names it
         for lo in range(2, n, _CHUNK):
-            forcing = (eta * drive[lo - 1:min(lo + _CHUNK, n) - 1]).tolist()
+            hi = min(lo + _CHUNK, n)
+            forcing = (eta * drive[lo - 1:hi - 1]).tolist()
             states = []
             append = states.append
-            try:
-                if th2:
-                    for f in forcing:
-                        x_now, x_prev = (th1 * x_now + th2 * x_now ** 3
-                                         + th3 * x_prev + f), x_now
-                        append(x_now)
-                else:
-                    for f in forcing:
-                        x_now, x_prev = th1 * x_now + th3 * x_prev + f, x_now
-                        append(x_now)
-            except OverflowError:  # the float cube of a state beyond 5.6e102
-                pass
-            hi = lo + len(states)
+            if th2:
+                for f in forcing:
+                    x_now, x_prev = (th1 * x_now + th2 * (x_now * x_now * x_now)
+                                     + th3 * x_prev + f), x_now
+                    append(x_now)
+            else:
+                for f in forcing:
+                    x_now, x_prev = th1 * x_now + th3 * x_prev + f, x_now
+                    append(x_now)
             x[lo:hi] = states
             within = np.abs(x[lo:hi]) <= DIVERGENCE_LIMIT  # NaN fails it too
             if not within.all():
                 raise UnstableSimulationError(lo + int(within.argmin()))
-            if len(states) < len(forcing):
-                raise UnstableSimulationError(hi)
     return x
 
 

@@ -155,33 +155,32 @@ def oracle_step_mean(theta, eta, z_prev, u):
 
 def oracle_rollout(theta, eta, drive, seed):
     """The noise-free recursion from seed = (x[0], x[1]) over as many steps
-    as `drive` holds: x[t] = theta1*x[t-1] + theta2*x[t-1]**3 +
-    theta3*x[t-2] + eta*drive[t-1], summed left to right, in Python floats,
-    with the cube term kept whatever theta2 is. A 2-entry theta is
-    (theta1, theta3), with theta2 = 0."""
+    as `drive` holds: x[t] = theta1*x[t-1] + theta2*(x[t-1]*x[t-1]*x[t-1])
+    + theta3*x[t-2] + eta*drive[t-1], summed left to right, in Python
+    floats, with the cube term, the regressor's product, kept whatever
+    theta2 is. A 2-entry theta is (theta1, theta3), with theta2 = 0."""
     theta = [float(v) for v in theta]
     th1, th2, th3 = theta if len(theta) == 3 else (theta[0], 0.0, theta[1])
     x = [float(seed[0]), float(seed[1])]
     for d in drive[1:-1]:
-        x.append(th1 * x[-1] + th2 * x[-1] ** 3 + th3 * x[-2] + eta * float(d))
+        x_now = x[-1]
+        x.append(th1 * x_now + th2 * (x_now * x_now * x_now) + th3 * x[-2]
+                 + eta * float(d))
     return np.array(x)
 
 
 def oracle_unstable_step(theta, eta, drive, seed, limit=1e6):
     """The first step t of `oracle_rollout`'s recursion, checked after every
-    state, whose state is NaN or beyond `limit` in magnitude, or whose cube
-    term x[t-1]**3 overflows; None where every state passes."""
+    state, whose state is infinite, NaN or beyond `limit` in magnitude
+    (an overflowing cube gives an infinite or NaN state); None where every
+    state passes."""
     theta = [float(v) for v in theta]
     th1, th2, th3 = theta if len(theta) == 3 else (theta[0], 0.0, theta[1])
     x_prev, x_now = float(seed[0]), float(seed[1])
     for t, d in enumerate(drive[1:-1], start=2):
-        try:
-            cube = x_now ** 3
-        except OverflowError:
-            return t
-        x_prev, x_now = x_now, (th1 * x_now + th2 * cube + th3 * x_prev
-                                + eta * float(d))
-        if not abs(x_now) <= limit:
+        x_prev, x_now = x_now, (th1 * x_now + th2 * (x_now * x_now * x_now)
+                                + th3 * x_prev + eta * float(d))
+        if not (math.isfinite(x_now) and abs(x_now) <= limit):
             return t
     return None
 

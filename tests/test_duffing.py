@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from duffingid import duffing
+from duffingid import beliefs, duffing, nlarx
 from duffingid.duffing import (
     ArCoefficients,
     PhysicalParams,
@@ -149,6 +149,23 @@ class TestStepMean:
                                 drive[t - 1])
                 assert out[0] == x[t] and out[1] == x[t - 1]
 
+    def test_cube_is_the_regressor_product(self):
+        # one cube: a step is the dot product of (theta, eta) with the
+        # identification regressor, whose cube is x * x * x. Where x ** 3
+        # rounds otherwise, a step by the power gives another state
+        rng = np.random.default_rng(7)
+        xs = rng.normal(0.0, 3.0, 400)
+        assert sum(x ** 3 != x * x * x for x in xs.tolist()) > 40
+        for x in xs.tolist():
+            # th1 stays nonzero, so dot's leading 0.0 + cannot flip a -0.0
+            theta = [rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
+                     rng.uniform(-1.0, 0.0)]
+            eta, x_prev, u = rng.uniform(0.0, 1.0), rng.normal(), rng.normal()
+            want = beliefs.dot([*theta, eta],
+                               nlarx.regressor_psi([x, x_prev], 3, u))
+            got = step_mean(ArCoefficients(theta, eta, 1.0), (x, x_prev), u)
+            assert got[0] == want
+
     def test_divergence_guard(self):
         coeffs = ArCoefficients([3.0, 0.0, 1.5], 0.1, 1.0)
         with pytest.raises(UnstableSimulationError):
@@ -207,7 +224,8 @@ class TestPropagate:
     @pytest.mark.parametrize("kick", [2e8, 1e208, math.nan, math.inf])
     def test_divergence_at_a_chunk_end_is_named(self, step, kick, loop):
         # the state at `step` leaves the guard: first or last of its chunk.
-        # After a kick of 1e208 the cube loop's next cube overflows
+        # After a kick of 1e208 the cube loop's next cube overflows to an
+        # infinite state, past the named step
         drive = 0.1 * np.sin(0.3 * np.arange(2 * CHUNK + 3))
         drive[step - 1] = kick
         seed = (0.01, 0.02)
@@ -228,8 +246,8 @@ class TestPropagate:
     @pytest.mark.parametrize("loop", LOOPS)
     @pytest.mark.parametrize("x1", [5.7e102, -1e103, 1e200, math.inf])
     def test_seed_beyond_the_cube_range_is_named(self, x1, loop):
-        # the cube loop's cube overflows at step 2 before any state is
-        # kept; the cube-free loop's x[2] is beyond the guard
+        # the cube loop's cube overflows at step 2, which makes x[2]
+        # infinite or NaN; the cube-free loop's x[2] is beyond the guard
         drive = np.zeros(CHUNK + 10)
         assert oracle_unstable_step(LOOPS[loop], 0.01, drive, (0.0, x1)) == 2
         assert self.run(LOOPS[loop], drive, (0.0, x1)) == 2
@@ -237,7 +255,8 @@ class TestPropagate:
     def test_cube_overflow_in_a_later_chunk_is_named(self):
         # a hardening spring with theta2 > 0 kicked to 2e3: its states
         # grow as a power tower, leave the guard at the next step and
-        # overflow the cube a few steps on, all inside the second chunk
+        # overflow the cube to an infinite state a few steps on, all inside
+        # the second chunk
         theta = [1.0, 1.0, -0.5]
         drive = np.zeros(2 * CHUNK + 3)
         drive[CHUNK + 99] = 2e5  # eta * 2e5 = 2e3 at step CHUNK + 100
@@ -258,6 +277,15 @@ class TestPropagate:
             propagate(ArCoefficients(LOOPS[loop], 0.01, 1.0),
                       np.ones(drive_len), x)
         np.testing.assert_array_equal(x, [0.1, 0.1] + [0.0] * 8)
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_seed_states_are_refused(self, n, loop):
+        x = np.full(n, 0.1)
+        with pytest.raises(ValueError, match=f"^x has {n} samples; propagate "
+                           r"needs its two seed states x\[0\] and x\[1\]$"):
+            propagate(ArCoefficients(LOOPS[loop], 0.01, 1.0), np.ones(n), x)
+        np.testing.assert_array_equal(x, [0.1] * n)
 
     @pytest.mark.parametrize("loop", LOOPS)
     def test_memory_is_bounded_by_the_chunk(self, loop):

@@ -694,8 +694,8 @@ class TestPredictionProtocols:
     @pytest.mark.parametrize("seed", range(5))
     def test_cube_free_loops_match_the_cubic_oracle(self, seed):
         # a LARX rollout and a b = 0 simulation run propagate's loop without
-        # the cube; the oracle keeps theta2 * x**3, so a cube-free loop that
-        # computes anything else fails here, value or signbit
+        # the cube; the oracle keeps theta2 * (x * x * x), so a cube-free
+        # loop that computes anything else fails here, value or signbit
         from duffingid.duffing import ArCoefficients
         rng = np.random.default_rng(seed)
         n = 500
