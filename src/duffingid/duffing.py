@@ -158,7 +158,8 @@ def ar_to_phys(coeffs: ArCoefficients, delta: float, xi: float) -> PhysicalParam
     except OverflowError:
         raise ValueError(f"the parameters overflow at delta={delta!r}") from None
     return PhysicalParams(m=m, c=(1 + th3) * delta / eta,
-                          a=(1 - th1 - th3) / eta, b=-th2 / eta, tau=tau, xi=xi)
+                          a=(1 - th1 - th3) / eta, tau=tau, xi=xi,
+                          b=0.0 - th2 / eta)  # +0.0, not -0.0, for LARX
 
 
 def cubic_theta(theta) -> tuple[float, float, float]:

@@ -44,43 +44,43 @@ step from belief objects and stay the tested reference.
 
 Rounding rule: the kernel reproduces that composition bit for bit, so every
 float operation keeps its order there. No numpy runs inside a step, and a
-step builds no list. Once per step it writes out psi and J Sigma_zprev J'
-as `nlarx.regressor_psi` and `regressor_spread` compute them, the entries
-of `nlarx.coefficient_information` and the prediction, and it computes the
+step builds no list. Once per step it writes out psi and J Sigma_zprev J' as
+`nlarx.regressor_psi` and `regressor_spread` compute them, the precision per
+E[gamma] of `nlarx.msg_coefficients` and the prediction, and it computes the
 free energy's `_fixed_terms`. A sweep holds q(w) in local floats, written
 out once per coefficient count: the distinct entries of its symmetric
 precision and covariance (10 for NLARX, 6 for LARX). The precision `prec0 +
 E[gamma] info` and potential `pot0 + psi (E[gamma] E[x])` are float
 expressions entry by entry, as numpy's elementwise ufuncs round them;
 `beliefs.inverse_4x4` or `inverse_3x3` inverts the precision. The mean, the
-forward mean E[w]'psi and the expected squared residual
-(`nlarx.residual_moment`) are sums left to right, as `beliefs.dot` sums
-them, so no BLAS kernel enters an estimate. The carry's upper triangles
-stand for the whole: a_ij + s b_ij is exactly symmetric when a and b are,
-and a float product commutes exactly. q(z) and the Gamma updates are
-scalar algebra: q(z)'s precision is always diag(E[gamma] + E[xi],
-1/EPSILON). The free energy has two parts, each shared with
+forward mean E[w]'psi and the expected squared residual (as
+`nlarx.expected_square_residual` sums it) are sums left to right, as
+`beliefs.dot` sums them, so no BLAS kernel enters an estimate. The carry's
+upper triangles stand for the whole: a_ij + s b_ij is exactly symmetric when
+a and b are, and a float product commutes exactly. q(z) and the Gamma
+updates are scalar algebra: q(z)'s precision is always diag(E[gamma] +
+E[xi], 1/EPSILON). The free energy has two parts, each shared with
 `compute_free_energy`. `_fixed_terms` holds what a step's sweeps cannot
 move: the digammas and log Gammas of the shapes, fixed within a step, and
 the prior's terms, from the carry. `_free_energy` adds, per sweep, the log
 of x_next's variance; the kernel takes the logs of the two Gamma rates once
 each and carries the last sweep's on. Each value is the one the single
-formula computed, so F keeps its expression tree and order; its square
-stays `** 2`, libm's pow, which rounds differently from `x * x` about once
-in a thousand. The kernel writes the prior quadratic E[(w - m0)' Lambda0
-(w - m0)] out on local floats, in `beliefs.expected_quadratic`'s order.
+formula computed, so F keeps its expression tree and order; its square stays
+`** 2`, libm's pow, which rounds differently from `x * x` about once in a
+thousand. The kernel writes E[(w - m0)' Lambda0 (w - m0)], the prior
+quadratic, out on local floats, in `beliefs.expected_quadratic`'s order.
 
 Failure contract: `step_update(..., t)` raises `InferenceError` with
 `.step == t` for every failure it detects inside the step: an input or
-output sample that is not a finite float, a non-finite coefficient message
-precision, state mean, coefficient mean or expected squared residual
-("diverged", caught where it first appears), an improper posterior, a
-negative gamma message rate and a non-finite free energy. Only an improper
-incoming belief raises `ImproperBeliefError`, which carries no step; a set
-built from beliefs raises it when `step_update` first reads its carry. A
-set whose coefficient count or state size does not fit `cfg.model_mode`
-raises a ValueError that names both. `identify_stream` passes these errors
-on unchanged.
+output sample that is not a finite float, an incoming E[gamma] or E[xi] of
+0, a non-finite coefficient message precision, state mean, coefficient mean
+or expected squared residual ("diverged", caught where it first appears),
+an improper posterior, a negative gamma message rate and a non-finite free
+energy. Only an improper incoming belief raises `ImproperBeliefError`,
+which carries no step; a set built from beliefs raises it when
+`step_update` first reads its carry. A set whose coefficient count or state
+size does not fit `cfg.model_mode` raises a ValueError that names both.
+`identify_stream` passes these errors on unchanged.
 """
 
 from __future__ import annotations
@@ -231,6 +231,13 @@ class PriorConfig:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
         beliefs = initial_beliefs(self)
+        for names, g in (("a0_gamma and b0_gamma", beliefs.q_gamma),
+                         ("a0_xi and b0_xi", beliefs.q_xi)):
+            # the step divides by the mean; lgamma(shape) overflows past MAXLGM
+            if not (0.0 < g.mean < math.inf and g.shape <= 2.556348e305):
+                raise ValueError(f"the Gamma prior from {names} leaves the "
+                                 "float range: its mean must be positive and "
+                                 "finite, its shape at most 2.556348e305")
         if not np.isfinite(np.append(beliefs.q_coeffs.potential,
                                      beliefs.q_state.potential)).all():
             raise ValueError("the prior means, and each times its precision, "
@@ -374,6 +381,8 @@ def step_update(
     ag, ax = ag0 + 1.5 - 1.0, ax0 + 1.5 - 1.0
     fixed = _fixed_terms(prior, 4 if cubic else 3, ag, ax)
     eg, ex = ag0 / bg0, ax0 / bx0
+    if eg == 0.0 or ex == 0.0:  # a rate far above its shape, or infinite
+        raise InferenceError(t, "an incoming E[gamma] or E[xi] is 0")
     pred_mean, pred_var = forward, 1.0 / eg + 1.0 / ex
     trace = ()
     for k in range(cfg.iterations_per_step):
@@ -455,8 +464,6 @@ def step_update(
         bg = bg0 + rate
         miss = y - zm0
         bx = bx0 + 0.5 * (miss * miss + zc00)
-        if not (bg > 0.0 and bx > 0.0):
-            raise InferenceError(t, "improper posterior")
         eg_previous = eg
         eg, ex = ag / bg, ax / bx
 

@@ -15,8 +15,8 @@ previous state:
 `regressor_psi` builds psi and `regressor_spread` builds J Sigma_zprev J';
 all message math below is exact given that surrogate. The engine's step
 writes both out once per step, since they are fixed within it.
-`coefficient_information` and `residual_moment` are the scalar forms of two
-messages; the step writes their sums out on local floats in the same
+`msg_coefficients` builds its precision and `expected_square_residual` its
+sum in scalar code; the step writes both out on local floats in the same
 floating-point order, and the tests hold the two to each other bit for bit.
 """
 
@@ -78,44 +78,6 @@ def regressor_spread(zp_mean: list[float], zp_cov: list[list[float]],
     return [[s00, gs00, s01], [gs00, gs00 * g, gs01], [s01, gs01, s11]]
 
 
-def coefficient_information(psi: list[float],
-                            spread: list[list[float]]) -> list[list[float]]:
-    """psi psi' + J~ Sigma_zprev J~', the precision of the coefficient
-    message per unit E[gamma] (J~ = [J; 0]), as nested lists of floats;
-    exactly symmetric. Scalar code, like `regressor_spread`."""
-    u = psi[-1]
-    info = [[a * b + value for b, value in zip(psi, spread_row)] + [a * u]
-            for a, spread_row in zip(psi, spread)]
-    return info + [[u * b for b in psi]]
-
-
-def residual_moment(
-    resid: float,
-    x_var: float,
-    w_mean: list[float],
-    w_cov: list[list[float]],
-    psi: list[float],
-    spread: list[list[float]],
-) -> float:
-    """`expected_square_residual` from moments, in scalar code: the mean
-    residual x_mean - `dot`(w_mean, psi) and the variance x_var of
-    the new position, the mean and covariance of w as (nested) lists of
-    floats, and psi and J Sigma_zprev J' (`regressor_spread`) at the
-    previous-state mean, which stay fixed within a step.
-
-    With the surrogate the residual is x_next - psi' w - (J'theta)'(z_prev
-    - z_bar), so its second moment is (x_mean - psi' E[w])^2 + x_var +
-    psi' Cov(w) psi + E[theta' J Sigma_zprev J' theta]; the last term
-    holds both E[theta]' J Sigma_zprev J' E[theta] and trace(Sigma_theta J
-    Sigma_zprev J').
-    """
-    total = resid * resid + x_var
-    for psi_i, cov_row in zip(psi, w_cov):
-        for psi_j, cov_ij in zip(psi, cov_row):
-            total += psi_i * cov_ij * psi_j
-    return total + expected_quadratic(spread, w_mean, w_cov)
-
-
 def msg_coefficients(
     q_z: GaussianBelief,
     q_zprev: GaussianBelief,
@@ -130,11 +92,15 @@ def msg_coefficients(
     zp_mean, zp_cov = (m.tolist() for m in gaussian_moments(q_zprev))
     d = cfg.n_coeffs
     psi = regressor_psi(zp_mean, d, cfg.u)
+    spread = regressor_spread(zp_mean, zp_cov, d)
+    u = psi[-1]
+    # psi psi' + J~ Sigma_zprev J~' in scalar code; exactly symmetric
+    info = [[a * b + value for b, value in zip(psi, spread_row)] + [a * u]
+            for a, spread_row in zip(psi, spread)]
+    info.append([u * b for b in psi])
     e_gamma = q_gamma.mean
-    precision = np.array(coefficient_information(
-        psi, regressor_spread(zp_mean, zp_cov, d)))
     return GaussianBelief.from_natural(
-        e_gamma * precision, np.array(psi) * (e_gamma * q_z.mean[0]))
+        e_gamma * np.array(info), np.array(psi) * (e_gamma * q_z.mean[0]))
 
 
 def msg_theta(
@@ -193,16 +159,27 @@ def expected_square_residual(
     """E[(x_next - g(theta, z_prev) - eta*u)^2] with the affine surrogate for
     phi, under the coefficient belief q(w) = q(theta, eta). Sum of the
     squared mean residual and the variance of the residual, so nonnegative
-    by construction."""
+    by construction.
+
+    With the surrogate the residual is x_next - psi' w - (J'theta)'(z_prev
+    - z_bar), so its second moment is (x_mean - psi' E[w])^2 + x_var +
+    psi' Cov(w) psi + E[theta' J Sigma_zprev J' theta]; the last term
+    holds both E[theta]' J Sigma_zprev J' E[theta] and trace(Sigma_theta J
+    Sigma_zprev J'). Summed in scalar code, left to right.
+    """
     z_mean, z_cov = gaussian_moments(q_z)
     zp_mean, zp_cov = (m.tolist() for m in gaussian_moments(q_zprev))
     w_mean, w_cov = gaussian_moments(q_coeffs)
     d = cfg.n_coeffs
-    w = w_mean.tolist()
+    w, w_cov = w_mean.tolist(), w_cov.tolist()
     psi = regressor_psi(zp_mean, d, cfg.u)
-    return residual_moment(
-        float(z_mean[0]) - dot(w, psi), float(z_cov[0, 0]), w,
-        w_cov.tolist(), psi, regressor_spread(zp_mean, zp_cov, d))
+    resid = float(z_mean[0]) - dot(w, psi)
+    total = resid * resid + float(z_cov[0, 0])
+    for psi_i, cov_row in zip(psi, w_cov):
+        for psi_j, cov_ij in zip(psi, cov_row):
+            total += psi_i * cov_ij * psi_j
+    return total + expected_quadratic(
+        regressor_spread(zp_mean, zp_cov, d), w, w_cov)
 
 
 def msg_forward_state(

@@ -420,7 +420,7 @@ class TestInvariantsAndValidation:
 
 class TestExpectedQuadratic:
     # (rows of A, size of the mean): 4 entries weighed by a 3x3 A is the
-    # leading block that `nlarx.residual_moment` passes
+    # leading block that `nlarx.expected_square_residual` passes
     @pytest.mark.parametrize("rows, dim", [(2, 2), (3, 3), (4, 4), (3, 4)])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_numpy(self, rows, dim, seed):

@@ -655,6 +655,23 @@ class TestIdentifyPredictEvaluate:
         for name, value in printed.items():
             assert float(value) == pytest.approx(PARAMS[name], rel=1e-6)
 
+    def test_report_of_a_larx_artifact(self, tmp_path, capsys):
+        # LARX stores (theta1, theta3); its theta2 is +0.0, and so is b
+        art = tmp_path / "larx.yaml"
+        make_truth_artifact(art)
+        payload = yaml.safe_load(art.read_text())
+        payload["config"]["model_mode"] = "larx"
+        theta = payload["posterior"]["theta"]
+        theta["mean"] = theta["mean"][::2]
+        theta["precision"] = (np.eye(2) * 1e6).tolist()
+        art.write_text(yaml.safe_dump(payload))
+        assert run("report", "--artifact", art) == 0
+        coefficients, physical = capsys.readouterr().out.split(
+            "recovered physical parameters:\n")
+        names = [line.split()[0] for line in coefficients.splitlines()[1:]]
+        assert names == ["theta1", "theta3", "eta", "gamma", "xi"]
+        assert "  b        0.000000e+00\n" in physical
+
     def test_unphysical_posterior_is_kept(self, tmp_path, params_file, capsys):
         # the README walkthrough's data under the default priors ends with
         # theta3 > 0, which maps to no positive mass
@@ -826,7 +843,12 @@ class TestMalformedFiles:
         ("identify", b"m0_eta: [1, 2]\n"), ("identify", b"state0_mean: [a, 0]\n"),
         ("identify", b"v0_theta: abc\n"),
         # YAML booleans, which Python counts as 1 and 0
-        ("identify", b"v0_theta: true\n"), ("identify", b"m0_eta: false\n")])
+        ("identify", b"v0_theta: true\n"), ("identify", b"m0_eta: false\n"),
+        # Gamma priors at the edges of the float range: a mean that rounds
+        # to 0, and a shape whose lgamma overflows
+        ("identify", b"a0_gamma: 5.0e-324\n"),
+        ("identify", b"a0_gamma: 1.0e+308\n"),
+        ("identify", b"a0_xi: 5.0e-324\n"), ("identify", b"a0_xi: 1.0e+308\n")])
     def test_yaml_syntax_error_exit_2(self, tmp_path, capsys, command, text):
         bad = tmp_path / "bad.yaml"
         if command == "report":

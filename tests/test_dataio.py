@@ -54,6 +54,16 @@ class TestLoadCsv:
         np.testing.assert_allclose(ts.y, [0.2, 0.4, 0.6])
         assert ts.delta == 0.01
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_too_few_rows(self, tmp_path, rows):
+        path = write(tmp_path / "d.csv", "u,y\n" + "0.1,0.2\n" * rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="^" + re.escape(
+                    f"{path}: insufficient data: need at least 3 samples")
+                    + "$"):
+                load_csv(path)
+
     def test_nan_row_named(self, tmp_path):
         rows = "\n".join("0.1,0.2" for _ in range(6))
         path = write(tmp_path / "d.csv", f"u,y\n{rows}\nNaN,0.2\n0.1,0.2\n")
@@ -425,6 +435,25 @@ class TestArtifact:
         assert (old.config, old.delta, old.metrics) == (
             new.config, new.delta, new.metrics)
         assert belief_set_to_dict(old.beliefs) == belief_set_to_dict(new.beliefs)
+
+    @pytest.mark.parametrize("case, message", [
+        ("not a mapping", "artifact must be a mapping"),
+        ("precision of the wrong shape", "posterior.eta: precision shape "
+         "(2, 2) does not match dim 1")])
+    def test_malformed_payload_rejected(self, tmp_path, case, message):
+        path = tmp_path / "run.yaml"
+        save_artifact(make_artifact(), path)
+        payload = load_yaml(path)
+        if case == "not a mapping":
+            payload = [payload]
+        else:
+            payload["posterior"]["eta"]["precision"] = [[1.0, 0.0], [0.0, 1.0]]
+        path.write_text(yaml.safe_dump(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^" + re.escape(
+                    f"{path}: {message}") + "$"):
+                load_artifact(path)
 
     @pytest.mark.parametrize("mode, key, mean", [
         ("nlarx", "theta", [float("nan"), 0.0, 0.0]),

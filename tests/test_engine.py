@@ -25,6 +25,7 @@ from duffingid import engine, nlarx
 from duffingid.beliefs import (
     GammaBelief,
     GaussianBelief,
+    ImproperBeliefError,
     digamma,
     gaussian_moments,
     independent,
@@ -487,7 +488,11 @@ class TestIdentify:
     @pytest.mark.parametrize("case", [
         "non-finite input/output sample", "improper posterior",
         "improper past the leading block", "coefficient message overflow",
-        "non-finite free energy"])
+        "non-finite free energy", "unconvertible input/output sample",
+        "diverged: non-finite state mean",
+        "diverged: non-finite coefficient mean",
+        "diverged: non-finite expected squared residual",
+        "zero incoming E[gamma]", "zero incoming E[xi]"])
     @pytest.mark.parametrize("mode", ["nlarx", "larx"])
     def test_step_update_names_its_step(self, mode, case):
         # the step writes q(w) out once per coefficient count, so every
@@ -518,12 +523,10 @@ class TestIdentify:
             beliefs = BeliefSet(coupled, beliefs.q_gamma, beliefs.q_xi,
                                 beliefs.q_state)
             u, y, reason = 0.0, 0.05, "improper posterior"
-            zp_mean, zp_cov = (m.tolist() for m in
-                               gaussian_moments(beliefs.q_state))
-            message = np.array(nlarx.coefficient_information(
-                nlarx.regressor_psi(zp_mean, cfg.n_coeffs, u),
-                nlarx.regressor_spread(zp_mean, zp_cov, cfg.n_coeffs)))
-            posterior = precision + beliefs.q_gamma.mean * message
+            message = nlarx.msg_coefficients(
+                beliefs.q_state, beliefs.q_state, beliefs.q_gamma,
+                cfg.node_config(u))
+            posterior = precision + message.precision
             assert np.linalg.eigvalsh(posterior[:-1, :-1]).min() > 0.0
             assert np.linalg.det(posterior) < 0.0
         if case == "coefficient message overflow":
@@ -536,12 +539,64 @@ class TestIdentify:
             beliefs = BeliefSet(beliefs.q_coeffs, beliefs.q_gamma,
                                 GammaBelief(1.0, 1e250), beliefs.q_state)
             y = 1e200
+        if case == "unconvertible input/output sample":
+            u = "abc"
+        if case == "diverged: non-finite state mean":
+            # a huge forward mean, weighed by a huge E[gamma]
+            beliefs = BeliefSet(GaussianBelief(np.full(q.dim, 1.5e307),
+                                               100.0 * q.precision),
+                                GammaBelief(1e300, 1.0), beliefs.q_xi,
+                                beliefs.q_state)
+            y = 1e150
+        if case == "diverged: non-finite coefficient mean":
+            # the input gain's potential and the message's sum past the
+            # float range
+            mean = np.ones(q.dim)
+            mean[-1] = 1.7e298
+            precision = q.precision.copy()
+            precision[-1, -1] = 1e10
+            beliefs = BeliefSet(GaussianBelief(mean, precision),
+                                GammaBelief(1e10, 1.0), beliefs.q_xi,
+                                beliefs.q_state)
+            u, y = 1.0, 1e298
+        if case == "diverged: non-finite expected squared residual":
+            # finite means whose residual's square overflows
+            beliefs = BeliefSet(GaussianBelief(np.full(q.dim, 1e300),
+                                               q.precision),
+                                beliefs.q_gamma, beliefs.q_xi, beliefs.q_state)
+            y = 0.05
+        if case.startswith("zero incoming"):
+            # proper Gammas whose means round to 0: a shape far below its
+            # rate, and a rate that overflowed to inf
+            g, x = beliefs.q_gamma, beliefs.q_xi
+            if case.endswith("E[gamma]"):
+                g = GammaBelief(5e-324, 10.0)
+            else:
+                x = GammaBelief(1.0, math.inf)
+            beliefs = BeliefSet(q, g, x, beliefs.q_state)
+            y, reason = 0.05, r"an incoming E\[gamma\] or E\[xi\] is 0"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InferenceError,
                                match=f"step 11: {reason}") as info:
                 step_update(beliefs, u, y, cfg, t=11)
         assert info.value.step == 11
+
+    @pytest.mark.parametrize("case", ["improper gamma", "singular state"])
+    def test_improper_incoming_belief_names_no_step(self, case):
+        # a set built from beliefs is checked when the step reads its carry
+        cfg = PriorConfig()
+        beliefs = initial_beliefs(cfg)
+        q_gamma, q_state = beliefs.q_gamma, beliefs.q_state
+        if case == "improper gamma":
+            q_gamma = GammaBelief(1.0, 0.0)
+        else:  # a precision whose determinant underflows
+            q_state = GaussianBelief([0.0, 0.0], np.diag([1e-300, 1e-300]))
+        beliefs = BeliefSet(beliefs.q_coeffs, q_gamma, beliefs.q_xi, q_state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImproperBeliefError, match="improper belief"):
+                step_update(beliefs, 0.1, 0.05, cfg, t=11)
 
     @pytest.mark.parametrize("sim_seed, scale, step",
                              [(42, 1e3, 5), (2, 600.0, 6)])

@@ -21,6 +21,18 @@ def section(title):
     return text[start:] if end < 0 else text[start:end]
 
 
+def write_walkthrough(directory):
+    """Write the YAML files of the README's "Command line" section into
+    `directory` and return its shell script. Needs no pytest, so CI runs the
+    same walkthrough through the installed console script."""
+    text = section("Command line")
+    for block in fenced_blocks(text, "yaml"):
+        name = re.match(r"# (\S+)\n", block).group(1)
+        (Path(directory) / name).write_text(block)
+    (script,) = fenced_blocks(text, "sh")
+    return script
+
+
 def test_python_round_trip():
     (code,) = fenced_blocks(section("Library overview"), "python")
     namespace = {}
@@ -29,12 +41,8 @@ def test_python_round_trip():
 
 
 def test_command_line_walkthrough(tmp_path, monkeypatch, capsys):
-    text = section("Command line")
     monkeypatch.chdir(tmp_path)
-    for block in fenced_blocks(text, "yaml"):
-        name = re.match(r"# (\S+)\n", block).group(1)
-        (tmp_path / name).write_text(block)
-    (script,) = fenced_blocks(text, "sh")
+    script = write_walkthrough(tmp_path)
     lines = script.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line) for line in lines
                 if line.strip() and not line.startswith("#")]
