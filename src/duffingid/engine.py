@@ -42,33 +42,47 @@ the batch and the per-sample API run one path on one state form. The
 `nlarx` messages, `combine_*` and `compute_free_energy` compose the same
 step from belief objects and stay the tested reference.
 
-Rounding rule: the kernel reproduces that composition bit for bit, so every
-float operation keeps its order there. No numpy runs inside a step, and a
-step builds no list. Once per step it writes out psi and J Sigma_zprev J' as
-`nlarx.regressor_psi` and `regressor_spread` compute them, the precision per
-E[gamma] of `nlarx.msg_coefficients` and the prediction, and it computes the
-free energy's `_fixed_terms`. A sweep holds q(w) in local floats, written
-out once per coefficient count: the distinct entries of its symmetric
-precision and covariance (10 for NLARX, 6 for LARX). The precision `prec0 +
-E[gamma] info` and potential `pot0 + psi (E[gamma] E[x])` are float
-expressions entry by entry, as numpy's elementwise ufuncs round them;
-`beliefs.inverse_4x4` or `inverse_3x3` inverts the precision. The mean, the
-forward mean E[w]'psi and the expected squared residual (as
-`nlarx.expected_square_residual` sums it) are sums left to right, as
-`beliefs.dot` sums them, so no BLAS kernel enters an estimate. The carry's
-upper triangles stand for the whole: a_ij + s b_ij is exactly symmetric when
-a and b are, and a float product commutes exactly. q(z) and the Gamma
-updates are scalar algebra: q(z)'s precision is always diag(E[gamma] +
-E[xi], 1/EPSILON). The free energy has two parts, each shared with
-`compute_free_energy`. `_fixed_terms` holds what a step's sweeps cannot
-move: the digammas and log Gammas of the shapes, fixed within a step, and
-the prior's terms, from the carry. `_free_energy` adds, per sweep, the log
-of x_next's variance; the kernel takes the logs of the two Gamma rates once
-each and carries the last sweep's on. Each value is the one the single
-formula computed, so F keeps its expression tree and order; its square stays
-`** 2`, libm's pow, which rounds differently from `x * x` about once in a
-thousand. The kernel writes E[(w - m0)' Lambda0 (w - m0)], the prior
-quadratic, out on local floats, in `beliefs.expected_quadratic`'s order.
+Rounding rule: the kernel reproduces that composition's estimates bit for
+bit, so every float operation that enters one keeps its order there; the
+free energy, which no estimate reads, takes a shorter form (below). No numpy
+runs inside a step, and a step builds no list. Once per step it writes out
+psi and J Sigma_zprev J' as `nlarx.regressor_psi` and `regressor_spread`
+compute them, the precision per E[gamma] of `nlarx.msg_coefficients` and the
+prediction, and it computes the free energy's terms that no sweep moves. A
+sweep holds q(w) in local floats, written out once per coefficient count:
+the distinct entries of its symmetric precision and covariance (10 for
+NLARX, 6 for LARX). The precision `prec0 + E[gamma] info` and potential
+`pot0 + psi (E[gamma] E[x])` are float expressions entry by entry, as
+numpy's elementwise ufuncs round them; `beliefs.inverse_4x4` or
+`inverse_3x3` inverts the precision. The mean, the forward mean E[w]'psi and
+the expected squared residual (as `nlarx.expected_square_residual` sums it)
+are sums left to right, as `beliefs.dot` sums them, so no BLAS kernel enters
+an estimate. The carry's upper triangles stand for the whole: a_ij + s b_ij
+is exactly symmetric when a and b are, and a float product commutes exactly.
+q(z) and the Gamma updates are scalar algebra: q(z)'s precision is always
+diag(E[gamma] + E[xi], 1/EPSILON).
+
+The kernel evaluates F only right after a sweep has updated q(gamma) and
+q(xi) from that sweep's expected squared residual esr and state miss. There
+`compute_free_energy`'s general formula collapses to the variational-Bayes
+closed form (Beal, "Variational algorithms for approximate Bayesian
+inference", 2003, ch. 2): the KL of q(w) to its prior, x_next's log-variance
+and a log b per noise precision. With n coefficients, a_g, b_g the shape and
+rate of q(gamma), a_x, b_x those of q(xi), and 0 marking the step's prior,
+
+    F = K + (log det Lambda_w + E[(w - m0)' Lambda0 (w - m0)]
+             - log Var[x_next]) / 2 + a_g log b_g + a_x log b_x,
+    K = -(log det Lambda0 + n + 1 - log 2 pi) / 2 - a_g0 log b_g0
+        - a_x0 log b_x0 - (lgamma a_g - lgamma a_g0) - (lgamma a_x - lgamma a_x0),
+
+since at b_g = b_g0 + esr / 2 the energy E[gamma] (b_g0 + esr / 2) is a_g
+and the digammas cancel (a_g - 1 = a_g0 - 1/2), and likewise for xi; a sweep
+that evaluated F before its Gamma updates would need the general formula. K
+is computed once per step from the carry's prior lgammas and log rates;
+-log Var[x_next] is log EPSILON plus q(z)'s precision log-determinant, which
+the carry keeps. The two forms agree to rounding, not bit for bit. The
+kernel writes the prior quadratic E[(w - m0)' Lambda0 (w - m0)] out on local
+floats, in `beliefs.expected_quadratic`'s order.
 
 Failure contract: `step_update(..., t)` raises `InferenceError` with
 `.step == t` for every failure it detects inside the step: an input or
@@ -238,6 +252,12 @@ class PriorConfig:
                 raise ValueError(f"the Gamma prior from {names} leaves the "
                                  "float range: its mean must be positive and "
                                  "finite, its shape at most 2.556348e305")
+        # the step's q(z) precision determinant must leave x_next a variance
+        if not math.isfinite((beliefs.q_gamma.mean + beliefs.q_xi.mean)
+                             * (1.0 / EPSILON)):
+            raise ValueError("the Gamma priors from a0_gamma, b0_gamma, a0_xi "
+                             "and b0_xi leave the float range: (E[gamma] + "
+                             "E[xi]) / EPSILON must be finite")
         if not np.isfinite(np.append(beliefs.q_coeffs.potential,
                                      beliefs.q_state.potential)).all():
             raise ValueError("the prior means, and each times its precision, "
@@ -336,7 +356,7 @@ def step_update(
     isfinite, sqrt = math.isfinite, math.sqrt
     if not (isfinite(u) and isfinite(y)):
         raise InferenceError(t, f"non-finite input/output sample: u={u!r}, y={y!r}")
-    w_prior, ag0, bg0, ax0, bx0, _, _, _, _, z_prior = prior
+    w_prior, ag0, bg0, ax0, bx0, lg_g0, log_bg0, lg_x0, log_bx0, z_prior = prior
     cubic = cfg.model_mode == "nlarx"
     try:  # a set that does not fit the mode does not unpack
         _, _, _, _, _, x, x_prev, s00, s01, s11, _ = z_prior
@@ -379,19 +399,23 @@ def step_update(
     hz1 = inv_eps * x
     w0, w1, w2 = m0, m1, m2
     ag, ax = ag0 + 1.5 - 1.0, ax0 + 1.5 - 1.0
-    fixed = _fixed_terms(prior, 4 if cubic else 3, ag, ax)
     eg, ex = ag0 / bg0, ax0 / bx0
     if eg == 0.0 or ex == 0.0:  # a rate far above its shape, or infinite
         raise InferenceError(t, "an incoming E[gamma] or E[xi] is 0")
+    lg_g, lg_x = math.lgamma(ag), math.lgamma(ax)
+    # K of the closed-form free energy plus (log EPSILON) / 2 (module docstring)
+    f_fixed = (-0.5 * (w_prior[-1] + (5.0 if cubic else 4.0) - _LOG_2PI
+                       - math.log(EPSILON))
+               - ag0 * log_bg0 - ax0 * log_bx0 - (lg_g - lg_g0) - (lg_x - lg_x0))
     pred_mean, pred_var = forward, 1.0 / eg + 1.0 / ex
     trace = ()
     for k in range(cfg.iterations_per_step):
         # q(z): forward message N((forward, zp0), diag(E[gamma], 1/EPSILON))
         # times the likelihood one; precision diag(E[gamma] + E[xi], 1/EPSILON)
         za = eg + ex
-        zdet = za * inv_eps
-        if not (za > 0.0 and zdet > 0.0):
+        if not za > 0.0:
             raise InferenceError(t, "improper posterior")
+        zdet = za * inv_eps
         zc00, zc11 = inv_eps / zdet, za / zdet
         hz0 = eg * forward + ex * y
         zm0 = zc00 * hz0
@@ -491,10 +515,10 @@ def step_update(
                 quad = (0.0 + a00 * (d0 * d0 + c00) + t01 + t02
                         + t01 + a11 * (d1 * d1 + c11) + t12
                         + t02 + t12 + a22 * (d2 * d2 + c22))
-            logdet_w = math.log(det_w)
+            logdet_w, logdet_z = math.log(det_w), math.log(zdet)
             log_bg, log_bx = math.log(bg), math.log(bx)
-            energy = _free_energy(fixed, quad, logdet_w, zm0, zc00, bg, bx,
-                                  log_bg, log_bx, esr, y)
+            energy = (f_fixed + 0.5 * (logdet_w + quad + logdet_z)
+                      + ag * log_bg + ax * log_bx)
             if not isfinite(energy):
                 raise InferenceError(t, f"non-finite free energy {energy}")
             if cfg.trace_free_energy:
@@ -513,12 +537,11 @@ def step_update(
         w_post = (p00, p01, p02, p11, p12, p22, h0, h1, h2, w0, w1, w2,
                   c00, c01, c02, c11, c12, c22, logdet_w)
     z_post = (za, 0.0, inv_eps, hz0, hz1, zm0, zc11 * hz1, zc00, -0.0, zc11,
-              math.log(zdet))
-    # the set holds the carry alone; fixed[5], [7]: lgamma of the shapes;
-    # tuple.__new__ runs no Python frame
+              logdet_z)
+    # the set holds the carry alone; tuple.__new__ runs no Python frame
     posterior = object.__new__(BeliefSet)
-    posterior.carry = (w_post, ag, bg, ax, bx, fixed[5], log_bg, fixed[7],
-                       log_bx, z_post)
+    posterior.carry = (w_post, ag, bg, ax, bx, lg_g, log_bg, lg_x, log_bx,
+                       z_post)
     return posterior, tuple.__new__(StepReport, (t, energy, pred_mean, pred_var,
                                                  k + 1, trace))
 
@@ -531,62 +554,35 @@ def compute_free_energy(
     cfg: PriorConfig,
 ) -> float:
     """Single-timestep free energy E_q[log q] - E_q[log p] of x_next, w,
-    gamma and xi, with the messages' affine surrogate. The previous state is
-    held fixed and enters only through the transition expectation."""
-    w, ag, bg, ax, bx, _, log_bg, _, log_bx, z = beliefs.carry
+    gamma and xi, with the messages' affine surrogate, at any beliefs. The
+    previous state is held fixed and enters only through the transition
+    expectation. `step_update` evaluates it in closed form, which holds
+    only where q(gamma) and q(xi) were just updated (module docstring)."""
+    w, ag, bg, ax, bx, lg_g, log_bg, lg_x, log_bx, z = beliefs.carry
+    (w0, ag0, bg0, ax0, bx0, lg_g0, log_bg0, lg_x0, log_bx0,
+     _) = beliefs_prior_for_step.carry
     w_prior, q_coeffs = beliefs_prior_for_step.q_coeffs, beliefs.q_coeffs
+    n = q_coeffs.dim
     esr = nlarx.expected_square_residual(
         beliefs.q_state, beliefs_prior_for_step.q_state, q_coeffs,
         cfg.node_config(u_t))
     quad = expected_quadratic(w_prior.precision.tolist(),
                               (q_coeffs.mean - w_prior.mean).tolist(),
                               q_coeffs.cov.tolist())
-    fixed = _fixed_terms(beliefs_prior_for_step.carry, q_coeffs.dim, ag, ax)
-    # z[5] and z[7]: x_next's mean and variance
-    energy = _free_energy(fixed, quad, w[-1], z[5], z[7], bg, bx, log_bg,
-                          log_bx, esr, float(y_t))
-    if not math.isfinite(energy):
-        raise RuntimeError(f"non-finite free energy {energy}")
-    return energy
-
-
-def _fixed_terms(prior: tuple, n: int, ag: float, ax: float) -> tuple:
-    """The terms of `_free_energy` fixed within a step, from the step's prior
-    as a `_carry`, the number n of coefficients and the Gamma shapes of
-    q(gamma) and q(xi): two digammas, two lgammas and no log."""
-    w, ag0, bg0, ax0, bx0, lg_g0, log_bg0, lg_x0, log_bx0, _ = prior
-    dg_g, dg_x = digamma(ag), digamma(ax)
-    return (ag, ax, dg_g, dg_x, n * (1.0 + _LOG_2PI),
-            math.lgamma(ag), (1.0 - ag) * dg_g,
-            math.lgamma(ax), (1.0 - ax) * dg_x,
-            -0.5 * n * _LOG_2PI + 0.5 * w[-1],
-            ag0 * log_bg0 - lg_g0, ag0 - 1.0, bg0,
-            ax0 * log_bx0 - lg_x0, ax0 - 1.0, bx0)
-
-
-def _free_energy(
-    fixed: tuple, quad: float, w_logdet: float, x_mean: float, x_var: float,
-    bg: float, bx: float, log_bg: float, log_bx: float, esr: float, y: float,
-) -> float:
-    """`compute_free_energy` on floats: the step's `_fixed_terms`; the
-    expected prior quadratic E[(w - m0)' Lambda0 (w - m0)] and precision
-    log-determinant of q(w); x_next's mean and variance; the Gamma rates of
-    q(gamma) and q(xi) and their logs; the expected squared residual; y."""
-    (ag, ax, dg_g, dg_x, n_entropy, lg_g, psi_g, lg_x, psi_x, prior_w,
-     prior_g, ag0_1, bg0, prior_x, ax0_1, bx0) = fixed
+    x_var = z[7]  # z[5] and z[7]: x_next's mean and variance
     try:  # a float power or log raises where numpy's gave an infinity
-        miss2 = (y - x_mean) ** 2
-        log_var = math.log(x_var)
+        miss2, log_var = (float(y_t) - z[5]) ** 2, math.log(x_var)
     except (OverflowError, ValueError):
-        return math.inf
+        raise RuntimeError("non-finite free energy inf") from None
+    dg_g, dg_x = digamma(ag), digamma(ax)
     e_gamma, log_gamma = ag / bg, dg_g - log_bg
     e_xi, log_xi = ax / bx, dg_x - log_bx
 
     neg_entropy = -(
         0.5 * (1.0 + _LOG_2PI + log_var)
-        + 0.5 * (n_entropy - w_logdet)
-        + (ag - log_bg + lg_g + psi_g)
-        + (ax - log_bx + lg_x + psi_x)
+        + 0.5 * (n * (1.0 + _LOG_2PI) - w[-1])
+        + (ag - log_bg + lg_g + (1.0 - ag) * dg_g)
+        + (ax - log_bx + lg_x + (1.0 - ax) * dg_x)
     )
 
     # transition and likelihood factors
@@ -595,12 +591,15 @@ def _free_energy(
 
     # E_q[log prior] of the coefficient, gamma and xi priors
     e_log_priors = (
-        (prior_w - 0.5 * quad)
-        + (prior_g + ag0_1 * log_gamma - bg0 * e_gamma)
-        + (prior_x + ax0_1 * log_xi - bx0 * e_xi)
+        (-0.5 * n * _LOG_2PI + 0.5 * w0[-1] - 0.5 * quad)
+        + (ag0 * log_bg0 - lg_g0 + (ag0 - 1.0) * log_gamma - bg0 * e_gamma)
+        + (ax0 * log_bx0 - lg_x0 + (ax0 - 1.0) * log_xi - bx0 * e_xi)
     )
 
-    return neg_entropy - e_log_trans - e_log_lik - e_log_priors
+    energy = neg_entropy - e_log_trans - e_log_lik - e_log_priors
+    if not math.isfinite(energy):
+        raise RuntimeError(f"non-finite free energy {energy}")
+    return energy
 
 
 def identify_stream(

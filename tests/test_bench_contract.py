@@ -1,25 +1,32 @@
-"""The names and call shapes the benchmark relies on exist in the library.
+"""The names and call shapes the benchmark relies on exist in the library,
+and the library passes the benchmark's own output checks.
 
 `bench/tracing.py` replaces library functions by name, in the module where
 their callers look them up, and counts `GaussianBelief` constructions by
 wrapping `__init__` and `from_natural`. `bench/workloads.Probe` replaces
 `engine.identify_stream` and `engine.simulate_rollout` with functions of
-exactly their present parameters. A rename or an arity change in the
-library would break only the benchmark run; these tests make it break
-tier-1 instead.
+exactly their present parameters. `bench/workloads.check_outcome` checks
+what each workload's operation produced, and `bench/run.py` reports a run
+as correct only when it finds no problem. A rename, an arity change or an
+output the checks refuse would break only the benchmark run; these tests
+make it break tier-1 instead. They read `bench/` and write nothing there.
 """
 
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from duffingid import PhysicalParams, PriorConfig, engine, simulate
 from duffingid.beliefs import GaussianBelief
 from duffingid.cli import main
 from duffingid.dataio import save_columns
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -85,3 +92,26 @@ def test_identify_stream_steps_through_step_update(monkeypatch):
     pairs = [(0.01 * t, 0.005 * t) for t in range(25)]
     _, reports = engine.identify_stream(pairs, PriorConfig())
     assert steps == [report.t for report in reports] == list(range(25))
+
+
+def load_workloads():
+    # bench/workloads.py imports its sibling modules by their bare names
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_workload_outputs_pass_the_benchmark_checks(seed, tmp_path):
+    # each workload's set-up and one operation, checked as bench/run.py
+    # checks every operation of a run
+    workloads = load_workloads()
+    problems = {}
+    for name, make in workloads.WORKLOADS.items():
+        workload = make()
+        workload.setup(seed, tmp_path / name)
+        outcome = workload.operation(workloads.Tally())
+        problems[name] = workloads.check_outcome(outcome, None, workload.data)
+    assert problems == {name: [] for name in workloads.WORKLOADS}

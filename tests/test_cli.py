@@ -848,7 +848,11 @@ class TestMalformedFiles:
         # to 0, and a shape whose lgamma overflows
         ("identify", b"a0_gamma: 5.0e-324\n"),
         ("identify", b"a0_gamma: 1.0e+308\n"),
-        ("identify", b"a0_xi: 5.0e-324\n"), ("identify", b"a0_xi: 1.0e+308\n")])
+        ("identify", b"a0_xi: 5.0e-324\n"), ("identify", b"a0_xi: 1.0e+308\n"),
+        # Gamma priors whose means overflow q(z)'s precision determinant,
+        # (E[gamma] + E[xi]) / EPSILON
+        ("identify", b"a0_xi: 2.556348e+305\n"),
+        ("identify", b"a0_gamma: 2.5e+305\n")])
     def test_yaml_syntax_error_exit_2(self, tmp_path, capsys, command, text):
         bad = tmp_path / "bad.yaml"
         if command == "report":
