@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -92,7 +93,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path) -> None:
+    """Refuse an output path that is a directory or whose directory does
+    not exist, before the command does any work."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    folder = os.path.dirname(path)
+    if not os.path.isdir(folder or "."):
+        raise FileNotFoundError(f"cannot write {path}: no such directory {folder}")
+
+
 def cmd_simulate(args) -> int:
+    _check_out(args.out)
     params, x0 = dataio.load_params(args.params)
     source = "" if args.input == "sine" else f"{args.input}: "
     if args.steps is not None and args.steps < 3:
@@ -129,6 +141,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_identify(args) -> int:
+    _check_out(args.out)
     if not 0 < args.delta < math.inf:  # as `TimeSeries` requires
         raise ConfigError(f"--delta must be positive and finite, got {args.delta}")
     data = dataio.load_csv(args.data, args.delta, args.input_column,
@@ -152,6 +165,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_out(args.out)
     artifact = dataio.load_artifact(args.artifact)
     data = dataio.load_csv(args.data, artifact.delta, args.input_column,
                            args.output_column)

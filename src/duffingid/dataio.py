@@ -3,7 +3,8 @@ persistence: the one home of the file formats.
 
 Series are header CSV of named float columns ("u" and "y" by default; a
 simulated series also has its latent "x"), read by `load_columns` and
-`load_csv` and written by `save_columns`. numpy's C parser reads the rows;
+`load_csv` as UTF-8 with an optional byte-order mark, whatever the locale,
+and written by `save_columns`. numpy's C parser reads the rows;
 a row loop with Python's `float` is the error path, which names the first
 bad row, and the reference the tests hold it to. `save_columns` writes the
 rows as the shortest round-trip repr of each value, formatting and writing
@@ -64,7 +65,7 @@ def load_columns(path, columns) -> list[np.ndarray]:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such data file: {path}")
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         index = _column_index(path, csv.reader(handle), columns)
         try:
             with warnings.catch_warnings():
@@ -94,7 +95,7 @@ def _load_columns_by_row(path, columns) -> list[np.ndarray]:
     """`load_columns` one row at a time with `float`: its error path and
     the reference it is tested against. Blank lines are skipped and do not
     count as rows."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         index = _column_index(path, reader, columns)
         values = array("d")  # row after row, 8 bytes a value

@@ -53,11 +53,12 @@ sweep holds q(w) in local floats, written out once per coefficient count:
 the distinct entries of its symmetric precision and covariance (10 for
 NLARX, 6 for LARX). The precision `prec0 + E[gamma] info` and potential
 `pot0 + psi (E[gamma] E[x])` are float expressions entry by entry, as
-numpy's elementwise ufuncs round them; `beliefs.inverse_4x4` or
-`inverse_3x3` inverts the precision. The mean, the forward mean E[w]'psi and
-the expected squared residual (as `nlarx.expected_square_residual` sums it)
-are sums left to right, as `beliefs.dot` sums them, so no BLAS kernel enters
-an estimate. The carry's upper triangles stand for the whole: a_ij + s b_ij
+numpy's elementwise ufuncs round them; the kernel inverts the precision in
+`beliefs.inverse_3x3`'s operations and, for NLARX, `inverse_4x4`'s, so a
+step calls no other function of the package. The mean, the forward mean
+E[w]'psi and the expected squared residual (as
+`nlarx.expected_square_residual` sums it) are sums left to right, as
+`beliefs.dot` sums them, so no BLAS kernel enters an estimate. The carry's upper triangles stand for the whole: a_ij + s b_ij
 is exactly symmetric when a and b are, and a float product commutes exactly.
 q(z) and the Gamma updates are scalar algebra: q(z)'s precision is always
 diag(E[gamma] + E[xi], 1/EPSILON).
@@ -109,7 +110,7 @@ import numpy as np
 
 from .beliefs import (_LOG_2PI, SQUARE_FROM_UPPER, GammaBelief,
                       GaussianBelief, ImproperBeliefError, digamma,
-                      expected_quadratic, inverse_3x3, inverse_4x4, split_last)
+                      expected_quadratic, split_last)
 # not called here; the benchmark's span tracer looks them up in this module
 from .beliefs import (combine_gamma, combine_gaussian,  # noqa: F401
                       entropy_gamma, entropy_gaussian)
@@ -434,10 +435,33 @@ def step_update(
             p22, p23, p33 = a22 + eg * i22, a23 + eg * i23, a33 + eg * i33
             h0, h1, h2, h3 = (g0 + q0 * scale, g1 + q1 * scale,
                               g2 + q2 * scale, g3 + q3 * scale)
-            inverse = inverse_4x4(p00, p01, p02, p03, p11, p12, p13, p22, p23, p33)
-            if inverse is None:
+        else:
+            p00, p01, p02 = a00 + eg * i00, a01 + eg * i01, a02 + eg * i02
+            p11, p12, p22 = a11 + eg * i11, a12 + eg * i12, a22 + eg * i22
+            h0, h1, h2 = g0 + q0 * scale, g1 + q1 * scale, g2 + q2 * scale
+        # the inverse as `beliefs.inverse_3x3` and, for NLARX, `inverse_4x4`
+        # compute it: the leading 3x3 block's adjugate over its determinant,
+        # then the inverse through the Schur complement of that block
+        c00, c01 = p11 * p22 - p12 * p12, p12 * p02 - p01 * p22
+        c02 = p01 * p12 - p11 * p02
+        det_w = p00 * c00 + p01 * c01 + p02 * c02
+        c22 = p00 * p11 - p01 * p01
+        if not (p00 > 0.0 and c22 > 0.0 and det_w > 0.0):
+            raise InferenceError(t, "improper posterior")
+        c00, c01, c02, c22 = c00 / det_w, c01 / det_w, c02 / det_w, c22 / det_w
+        c11, c12 = (p00 * p22 - p02 * p02) / det_w, (p01 * p02 - p00 * p12) / det_w
+        if cubic:
+            k0 = c00 * p03 + c01 * p13 + c02 * p23
+            k1 = c01 * p03 + c11 * p13 + c12 * p23
+            k2 = c02 * p03 + c12 * p13 + c22 * p23
+            schur = p33 - (p03 * k0 + p13 * k1 + p23 * k2)
+            if not schur > 0.0:
                 raise InferenceError(t, "improper posterior")
-            c00, c01, c02, c03, c11, c12, c13, c22, c23, c33, det_w = inverse
+            c33 = 1.0 / schur
+            n0, n1, n2 = k0 * c33, k1 * c33, k2 * c33
+            c00, c01, c02, c03 = c00 + k0 * n0, c01 + k0 * n1, c02 + k0 * n2, -n0
+            c11, c12, c13 = c11 + k1 * n1, c12 + k1 * n2, -n1
+            c22, c23, det_w = c22 + k2 * n2, -n2, det_w * schur
             w0 = 0.0 + c00 * h0 + c01 * h1 + c02 * h2 + c03 * h3
             w1 = 0.0 + c01 * h0 + c11 * h1 + c12 * h2 + c13 * h3
             w2 = 0.0 + c02 * h0 + c12 * h1 + c22 * h2 + c23 * h3
@@ -458,13 +482,6 @@ def step_update(
                         + e01 + r11 * (w1 * w1 + c11) + e12
                         + e02 + e12 + r22 * (w2 * w2 + c22))
         else:
-            p00, p01, p02 = a00 + eg * i00, a01 + eg * i01, a02 + eg * i02
-            p11, p12, p22 = a11 + eg * i11, a12 + eg * i12, a22 + eg * i22
-            h0, h1, h2 = g0 + q0 * scale, g1 + q1 * scale, g2 + q2 * scale
-            inverse = inverse_3x3(p00, p01, p02, p11, p12, p22)
-            if inverse is None:
-                raise InferenceError(t, "improper posterior")
-            c00, c01, c02, c11, c12, c22, det_w = inverse
             w0 = 0.0 + c00 * h0 + c01 * h1 + c02 * h2
             w1 = 0.0 + c01 * h0 + c11 * h1 + c12 * h2
             w2 = 0.0 + c02 * h0 + c12 * h1 + c22 * h2

@@ -12,6 +12,7 @@ import yaml
 
 from duffingid import (PhysicalParams, PriorConfig, identify, phys_to_ar,
                        simulate)
+from duffingid import cli
 from duffingid.cli import main
 from duffingid.dataio import load_columns, load_csv, save_artifact, save_columns
 from duffingid.dataio import RunArtifact
@@ -263,6 +264,38 @@ class TestBadOptions:
         assert not out.exists()
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("target", ["missing/out", "folder"])
+    @pytest.mark.parametrize("command", ["simulate", "identify", "predict"])
+    def test_exit_2_before_any_work(self, tmp_path, params_file, capsys,
+                                    monkeypatch, command, target):
+        # a path in no directory, or a directory, fails before the command
+        # reads its input or runs, with one error line that names the path
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the command ran before checking --out")
+
+        for module, name in ((cli.dataio, "load_params"),
+                             (cli.dataio, "load_csv"),
+                             (cli.dataio, "load_artifact"), (cli, "simulate"),
+                             (cli.engine, "identify_stream"),
+                             (cli.engine, "predict_onestep")):
+            monkeypatch.setattr(module, name, unreachable)
+        (tmp_path / "folder").mkdir()
+        data = tmp_path / "data.csv"
+        save_columns(data, {"u": np.zeros(50), "y": np.zeros(50)})
+        source = {"simulate": ["--params", params_file],
+                  "identify": ["--data", data],
+                  "predict": ["--artifact", tmp_path / "run.yaml",
+                              "--data", data]}[command]
+        out = tmp_path / target
+        assert run(command, *source, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1 and not captured.out
+        assert not (tmp_path / "missing").exists()
+        assert not any((tmp_path / "folder").iterdir())
+
+
 class TestIdentifyPredictEvaluate:
     @pytest.fixture
     def dataset(self, tmp_path, params_file):
@@ -389,6 +422,17 @@ class TestIdentifyPredictEvaluate:
             "params.yaml", "rollout.csv", "run.yaml"]
         for name, content in files.items():
             assert pure_files[name] == content, name
+
+    def test_identify_reads_a_byte_order_mark(self, tmp_path, dataset):
+        # Excel and other Windows tools start a UTF-8 CSV with a byte-order
+        # mark; the run is the one on the same file without it
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + dataset.read_bytes())
+        for data, art in ((dataset, "plain.yaml"), (marked, "bom.yaml")):
+            assert run("identify", "--data", data, "--out", tmp_path / art,
+                       "--delta", 0.1) == 0
+        assert ((tmp_path / "bom.yaml").read_bytes()
+                == (tmp_path / "plain.yaml").read_bytes())
 
     def test_identify_missing_file(self, tmp_path):
         assert run("identify", "--data", tmp_path / "nope.csv",

@@ -1,5 +1,6 @@
 """CSV ingestion, splitting, config parsing and artifact persistence."""
 
+import codecs
 import csv
 import dataclasses
 import re
@@ -80,6 +81,27 @@ class TestLoadCsv:
         path = write(tmp_path / "d.csv", "u,y\n0.1,0.2\n\n0.3\n0.5,0.6\n")
         with pytest.raises(DatasetError, match="unparseable value in row 2"):
             load_csv(path)
+
+    @pytest.mark.parametrize("parse", [load_columns, _load_columns_by_row])
+    def test_byte_order_mark(self, tmp_path, parse):
+        # Excel and other Windows tools start a UTF-8 CSV with a byte-order
+        # mark; both parsers read past it
+        text = b"u,y\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        got, want = parse(marked, ("u", "y")), parse(plain, ("u", "y"))
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_byte_order_mark_bad_row_named(self, tmp_path):
+        # the row loop, which names the row, reads past the mark too
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"u,y\n0.1,0.2\n0.3,0.4\nx,0.6\n")
+        with pytest.raises(DatasetError, match="^" + re.escape(
+                f"{path}: unparseable value in row 3") + "$"):
+            load_columns(path, ("u", "y"))
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path / "d.csv", "a,y\n0.1,0.2\n")

@@ -160,7 +160,8 @@ PACKAGE = str(Path(engine.__file__).parent)
 @pytest.mark.parametrize("mode", ["nlarx", "larx"])
 def test_chained_steps_run_the_step_schedule(pairs_200, mode, trace):
     # every Python frame of the package that 200 chained steps open: one
-    # kernel per step and nothing between it and the caller
+    # kernel per step, nothing between it and the caller and nothing below
+    # it, since the kernel writes out q(w)'s inverse on its own floats
     cfg = PriorConfig(model_mode=mode, trace_free_energy=trace, **RUN_CONFIG)
     beliefs = initial_beliefs(cfg)
     beliefs.carry  # the prior's carry, computed once per run
@@ -179,7 +180,4 @@ def test_chained_steps_run_the_step_schedule(pairs_200, mode, trace):
         sys.setprofile(None)
     steps, sweeps = len(reports), sum(report.iterations for report in reports)
     assert sweeps > steps
-    want = {"step_update": steps, "inverse_3x3": sweeps}
-    if mode == "nlarx":
-        want["inverse_4x4"] = sweeps
-    assert dict(calls) == want
+    assert dict(calls) == {"step_update": steps}
