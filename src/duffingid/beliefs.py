@@ -6,7 +6,8 @@ likelihood messages are representable. Gammas use the shape-rate convention
 makes the conjugate precision update additive. The Gamma entropy and the
 free energy take log Gamma from `math.lgamma` and psi from `digamma` here,
 so the runtime needs no special-function library. Every vector product
-is `dot`, in one order on every BLAS kernel.
+is `dot`, in one order on every BLAS kernel, and `_inverse` inverts a
+precision in closed form, in the order of the step kernel `engine.step_update`.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
     1 to 4, or (None, None) when it is not positive definite (Sylvester's
     criterion), its inverse is not finite, or its determinant underflows to
     0 or overflows to inf. Scalar arithmetic, as numpy's per-call overhead
-    dominates at these sizes: 1 and 2 dimensions written out, 3 and 4 by
-    `inverse_3x3` and `inverse_4x4`, which read the upper triangle only; the
-    covariance is gathered from that through `SQUARE_FROM_UPPER`."""
+    dominates at these sizes, on the upper triangle: for 3 and 4 dimensions
+    in `engine.step_update`'s operations and order. The covariance is
+    gathered from the inverse's upper triangle through `SQUARE_FROM_UPPER`."""
     rows = p.tolist()
     d = len(rows)
     if d == 1:
@@ -109,10 +110,33 @@ def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
         (a, b), (_, c) = rows
         det = a * c - b * b
         inverse = (c / det, -b / det, a / det, det) if a > 0.0 and det > 0.0 else None
-    elif d == 3:
-        inverse = inverse_3x3(*rows[0], *rows[1][1:], rows[2][2])
     else:
-        inverse = inverse_4x4(*rows[0], *rows[1][1:], *rows[2][2:], rows[3][3])
+        # the leading 3x3 block's adjugate over its determinant, then, for
+        # d = 4, the inverse through the Schur complement of that block
+        p00, p01, p02 = rows[0][:3]
+        p11, p12, p22 = rows[1][1], rows[1][2], rows[2][2]
+        c00, c01 = p11 * p22 - p12 * p12, p12 * p02 - p01 * p22
+        c02 = p01 * p12 - p11 * p02
+        det = p00 * c00 + p01 * c01 + p02 * c02
+        c22 = p00 * p11 - p01 * p01
+        if not (p00 > 0.0 and c22 > 0.0 and det > 0.0):
+            return None, None
+        c00, c01, c02, c22 = c00 / det, c01 / det, c02 / det, c22 / det
+        c11, c12 = (p00 * p22 - p02 * p02) / det, (p01 * p02 - p00 * p12) / det
+        inverse = (c00, c01, c02, c11, c12, c22, det)
+        if d == 4:
+            p03, p13, p23, p33 = rows[0][3], rows[1][3], rows[2][3], rows[3][3]
+            k0 = c00 * p03 + c01 * p13 + c02 * p23
+            k1 = c01 * p03 + c11 * p13 + c12 * p23
+            k2 = c02 * p03 + c12 * p13 + c22 * p23
+            schur = p33 - (p03 * k0 + p13 * k1 + p23 * k2)
+            if not schur > 0.0:
+                return None, None
+            c33 = 1.0 / schur
+            n0, n1, n2 = k0 * c33, k1 * c33, k2 * c33
+            inverse = (c00 + k0 * n0, c01 + k0 * n1, c02 + k0 * n2, -n0,
+                       c11 + k1 * n1, c12 + k1 * n2, -n1, c22 + k2 * n2, -n2,
+                       c33, det * schur)
     if inverse is None:
         return None, None
     *upper, det = inverse
@@ -120,46 +144,6 @@ def _inverse(p: np.ndarray) -> tuple[np.ndarray | None, float | None]:
     if not (0.0 < det < math.inf and np.isfinite(cov).all()):
         return None, None
     return cov, math.log(det)
-
-
-def inverse_3x3(a: float, b: float, c: float, e: float, f: float,
-                i: float) -> tuple | None:
-    """The upper triangle, row by row, of the inverse of the symmetric matrix
-    with upper triangle (a, b, c; e, f; i), the adjugate over the
-    determinant, then the determinant; None when not positive definite."""
-    c00 = e * i - f * f
-    c01 = f * c - b * i
-    c02 = b * f - e * c
-    det = a * c00 + b * c01 + c * c02
-    c22 = a * e - b * b
-    if not (a > 0.0 and c22 > 0.0 and det > 0.0):
-        return None
-    c11 = a * i - c * c
-    c12 = b * c - a * f
-    return (c00 / det, c01 / det, c02 / det, c11 / det, c12 / det,
-            c22 / det, det)
-
-
-def inverse_4x4(a: float, b: float, c: float, g0: float, e: float, f: float,
-                g1: float, i: float, g2: float, h: float) -> tuple | None:
-    """`inverse_3x3` for the symmetric matrix with upper triangle (a, b, c,
-    g0; e, f, g1; i, g2; h), through the Schur complement of its leading
-    3x3 block."""
-    inverse = inverse_3x3(a, b, c, e, f, i)
-    if inverse is None:
-        return None
-    l00, l01, l02, l11, l12, l22, det = inverse
-    k0 = l00 * g0 + l01 * g1 + l02 * g2
-    k1 = l01 * g0 + l11 * g1 + l12 * g2
-    k2 = l02 * g0 + l12 * g1 + l22 * g2
-    schur = h - (g0 * k0 + g1 * k1 + g2 * k2)
-    if not schur > 0.0:
-        return None
-    v = 1.0 / schur
-    m0, m1, m2 = k0 * v, k1 * v, k2 * v
-    return (l00 + k0 * m0, l01 + k0 * m1, l02 + k0 * m2, -m0,
-            l11 + k1 * m1, l12 + k1 * m2, -m1, l22 + k2 * m2, -m2, v,
-            det * schur)
 
 
 @dataclass(frozen=True)

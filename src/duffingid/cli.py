@@ -94,8 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path) -> None:
-    """Refuse an output path that is a directory or whose directory does
-    not exist, before the command does any work."""
+    """Refuse an output path that is empty, a directory or in a directory
+    that does not exist, before the command does any work."""
+    if not path:  # os.path.dirname would read it as the current directory
+        raise FileNotFoundError("cannot write '': the path is empty")
     if os.path.isdir(path):
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
     folder = os.path.dirname(path)

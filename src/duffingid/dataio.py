@@ -8,16 +8,17 @@ and written by `save_columns`. numpy's C parser reads the rows;
 a row loop with Python's `float` is the error path, which names the first
 bad row, and the reference the tests hold it to. `save_columns` writes the
 rows as the shortest round-trip repr of each value, formatting and writing
-a block of rows at a time. `load_yaml` reads the YAML files, takes 1e-4 and
-1e8 as floats and raises `ConfigError` on a syntax error: prior configs
-(`load_config`), simulator parameter files (`load_params`) and run
-artifacts (`save_artifact`, `load_artifact`). YAML goes through libyaml
-where PyYAML was built with it; `_from_mapping` turns a config's or
-parameter file's mapping into its dataclass, which checks the values. An
-artifact holds the schema version, prior config, sample period, posterior
-and run metrics; readers derive the physical parameters. A version-2
-artifact, which also held a free-energy trace, loads as version 3.
-`save_truth` writes the simulator's truth sidecar, its coefficients only.
+a block of rows at a time. `load_yaml` reads the YAML files, as UTF-8 too,
+takes 1e-4 and 1e8 as floats and raises `ConfigError` on a syntax error or
+bytes that are not UTF-8: prior configs (`load_config`), simulator
+parameter files (`load_params`) and run artifacts (`save_artifact`,
+`load_artifact`). YAML goes through libyaml where PyYAML was built with
+it; `_from_mapping` turns a config's or parameter file's mapping into its
+dataclass, which checks the values. An artifact holds the schema
+version, prior config, sample period, posterior and run metrics; readers
+derive the physical parameters. A version-2 artifact, which also held a
+free-energy trace, loads as version 3. `save_truth` writes the
+simulator's truth sidecar, its coefficients only.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
 
 
 def load_yaml(path):
-    """The YAML document in a file: configs, parameters and artifacts."""
-    with open(path) as handle:
+    """A UTF-8 file's YAML document: configs, parameters and artifacts."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             return yaml.load(handle, Loader=_Loader)
         except (yaml.YAMLError, UnicodeDecodeError) as exc:  # multi-line

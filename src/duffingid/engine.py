@@ -54,8 +54,8 @@ the distinct entries of its symmetric precision and covariance (10 for
 NLARX, 6 for LARX). The precision `prec0 + E[gamma] info` and potential
 `pot0 + psi (E[gamma] E[x])` are float expressions entry by entry, as
 numpy's elementwise ufuncs round them; the kernel inverts the precision in
-`beliefs.inverse_3x3`'s operations and, for NLARX, `inverse_4x4`'s, so a
-step calls no other function of the package. The mean, the forward mean
+the operations and order of `beliefs._inverse`, so a step calls no other
+function of the package. The mean, the forward mean
 E[w]'psi and the expected squared residual (as
 `nlarx.expected_square_residual` sums it) are sums left to right, as
 `beliefs.dot` sums them, so no BLAS kernel enters an estimate. The carry's upper triangles stand for the whole: a_ij + s b_ij
@@ -439,9 +439,9 @@ def step_update(
             p00, p01, p02 = a00 + eg * i00, a01 + eg * i01, a02 + eg * i02
             p11, p12, p22 = a11 + eg * i11, a12 + eg * i12, a22 + eg * i22
             h0, h1, h2 = g0 + q0 * scale, g1 + q1 * scale, g2 + q2 * scale
-        # the inverse as `beliefs.inverse_3x3` and, for NLARX, `inverse_4x4`
-        # compute it: the leading 3x3 block's adjugate over its determinant,
-        # then the inverse through the Schur complement of that block
+        # the inverse as `beliefs._inverse` computes it: the leading 3x3
+        # block's adjugate over its determinant, then, for NLARX, the inverse
+        # through the Schur complement of that block
         c00, c01 = p11 * p22 - p12 * p12, p12 * p02 - p01 * p22
         c02 = p01 * p12 - p11 * p02
         det_w = p00 * c00 + p01 * c01 + p02 * c02

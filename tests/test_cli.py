@@ -265,12 +265,13 @@ class TestBadOptions:
 
 
 class TestUnwritableOut:
-    @pytest.mark.parametrize("target", ["missing/out", "folder"])
+    @pytest.mark.parametrize("target", ["missing/out", "folder", ""])
     @pytest.mark.parametrize("command", ["simulate", "identify", "predict"])
     def test_exit_2_before_any_work(self, tmp_path, params_file, capsys,
                                     monkeypatch, command, target):
-        # a path in no directory, or a directory, fails before the command
-        # reads its input or runs, with one error line that names the path
+        # a path in no directory, a directory, or an empty path fails before
+        # the command reads its input or runs, with one error line that
+        # names the path
         def unreachable(*args, **kwargs):
             raise AssertionError("the command ran before checking --out")
 
@@ -287,10 +288,10 @@ class TestUnwritableOut:
                   "identify": ["--data", data],
                   "predict": ["--artifact", tmp_path / "run.yaml",
                               "--data", data]}[command]
-        out = tmp_path / target
+        out = tmp_path / target if target else ""  # tmp_path / "" is tmp_path
         assert run(command, *source, "--out", out) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.startswith(f"error: cannot write {out or repr('')}: ")
         assert captured.err.count("\n") == 1 and not captured.out
         assert not (tmp_path / "missing").exists()
         assert not any((tmp_path / "folder").iterdir())
@@ -433,6 +434,36 @@ class TestIdentifyPredictEvaluate:
                        "--delta", 0.1) == 0
         assert ((tmp_path / "bom.yaml").read_bytes()
                 == (tmp_path / "plain.yaml").read_bytes())
+
+    def test_config_is_read_as_utf8_under_an_ascii_locale(self, tmp_path,
+                                                          dataset):
+        # a config is UTF-8 whatever the locale: under the C locale with
+        # UTF-8 mode off, a comment with a non-ASCII letter reads as it does
+        # without the comment, and bytes that are not UTF-8 exit 2 with one
+        # error line that names the file
+        body = "state0_cov: 1e-4\nb0_gamma: 1e-4\n"
+        (tmp_path / "plain.yaml").write_text(body)
+        (tmp_path / "greek.yaml").write_bytes(("# prior on γ\n" + body).encode())
+        (tmp_path / "latin1.yaml").write_bytes(b"# \xe9\n" + body.encode())
+        path = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0", "PYTHONPATH": path}
+        done = {}
+        for name in ("plain", "greek", "latin1"):
+            done[name] = subprocess.run(
+                [sys.executable, "-m", "duffingid.cli", "identify", "--data",
+                 dataset, "--delta", "0.1", "--config", f"{name}.yaml",
+                 "--out", f"{name}.run.yaml"], cwd=tmp_path, env=env,
+                capture_output=True, text=True, timeout=120)
+        assert done["plain"].returncode == done["greek"].returncode == 0, (
+            done["greek"].stderr)
+        assert done["greek"].stdout == done["plain"].stdout
+        assert ((tmp_path / "greek.run.yaml").read_bytes()
+                == (tmp_path / "plain.run.yaml").read_bytes())
+        assert done["latin1"].returncode == 2
+        assert done["latin1"].stderr.startswith("error: latin1.yaml: ")
+        assert done["latin1"].stderr.count("\n") == 1
 
     def test_identify_missing_file(self, tmp_path):
         assert run("identify", "--data", tmp_path / "nope.csv",

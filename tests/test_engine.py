@@ -502,7 +502,8 @@ class TestIdentify:
         "diverged: non-finite state mean",
         "diverged: non-finite coefficient mean",
         "diverged: non-finite expected squared residual",
-        "zero incoming E[gamma]", "zero incoming E[xi]"])
+        "zero incoming E[gamma]", "zero incoming E[xi]",
+        "infinite q(gamma)", "infinite q(xi)"])
     @pytest.mark.parametrize("mode", ["nlarx", "larx"])
     def test_step_update_names_its_step(self, mode, case):
         # the step writes q(w) out once per coefficient count, so every
@@ -585,6 +586,17 @@ class TestIdentify:
                 x = GammaBelief(1.0, math.inf)
             beliefs = BeliefSet(q, g, x, beliefs.q_state)
             y, reason = 0.05, r"an incoming E\[gamma\] or E\[xi\] is 0"
+        if case.startswith("infinite"):
+            # a Gamma of infinite shape and rate is proper, but its mean
+            # inf / inf is NaN, so q(z)'s precision E[gamma] + E[xi] is not
+            # positive
+            g, x = beliefs.q_gamma, beliefs.q_xi
+            if case.endswith("q(gamma)"):
+                g = GammaBelief(math.inf, math.inf)
+            else:
+                x = GammaBelief(math.inf, math.inf)
+            beliefs = BeliefSet(q, g, x, beliefs.q_state)
+            y, reason = 0.05, "improper posterior"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InferenceError,

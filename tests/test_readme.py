@@ -15,7 +15,7 @@ def fenced_blocks(text, language):
 
 
 def section(title):
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     start = text.index(f"## {title}\n")
     end = text.find("\n## ", start + 1)
     return text[start:] if end < 0 else text[start:end]
