@@ -105,6 +105,13 @@ def _check_out(path) -> None:
         raise FileNotFoundError(f"cannot write {path}: no such directory {folder}")
 
 
+def _split_rows(split_index):
+    """The data rows `check_split` needs to judge a split, the validation
+    head and 3 more; None, every row, without a split or for an index it
+    refuses whatever the file holds."""
+    return split_index + 3 if split_index >= 3 else None
+
+
 def cmd_simulate(args) -> int:
     _check_out(args.out)
     params, x0 = dataio.load_params(args.params)
@@ -126,13 +133,12 @@ def cmd_simulate(args) -> int:
             raise ConfigError("--sine-amplitude and --sine-frequency must give "
                               "a finite input")
     else:
-        (u,) = dataio.load_columns(args.input, ("u",))
+        (u,) = dataio.load_columns(args.input, ("u",), args.steps)
         if args.steps is not None and args.steps > len(u):
             raise DatasetError(f"{source}--steps {args.steps} beyond its {len(u)} rows")
         if len(u) < 3:
             raise DatasetError(f"{source}insufficient data: need at least 3 "
                                f"input samples, got {len(u)}")
-        u = u[:args.steps]
 
     ts, latent = simulate(params, u, args.delta, seed=args.seed, x0=x0,
                           noise_free=args.noise_free)
@@ -170,7 +176,7 @@ def cmd_predict(args) -> int:
     _check_out(args.out)
     artifact = dataio.load_artifact(args.artifact)
     data = dataio.load_csv(args.data, artifact.delta, args.input_column,
-                           args.output_column)
+                           args.output_column, _split_rows(args.split_index))
     if args.split_index:
         data, _ = dataio.split(data, args.split_index)
 
@@ -190,7 +196,8 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     (pred,) = dataio.load_columns(args.pred, ("y_hat",))
     # the input column plays no part in the error, so only y is read
-    (y,) = dataio.load_columns(args.data, (args.output_column,))
+    (y,) = dataio.load_columns(args.data, (args.output_column,),
+                               _split_rows(args.split_index))
     if args.split_index:
         dataio.check_split(len(y), args.split_index)
         y = y[:args.split_index]

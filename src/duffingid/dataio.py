@@ -4,11 +4,13 @@ persistence: the one home of the file formats.
 Series are header CSV of named float columns ("u" and "y" by default; a
 simulated series also has its latent "x"), read by `load_columns` and
 `load_csv` as UTF-8 with an optional byte-order mark, whatever the locale,
-and written by `save_columns`. numpy's C parser reads the rows;
-a row loop with Python's `float` is the error path, which names the first
-bad row, and the reference the tests hold it to. `save_columns` writes the
-rows as the shortest round-trip repr of each value, formatting and writing
-a block of rows at a time. `load_yaml` reads the YAML files, as UTF-8 too,
+and written by `save_columns`. The readers take every data row or only
+the first `max_rows`, and refuse a path that is not a regular file.
+numpy's C parser reads the rows, in chunks from the path; a row loop with
+Python's `float` is the error path, which names the first bad row, and
+the reference the tests hold it to. `save_columns` writes the rows as the
+shortest round-trip repr of each value, formatting and writing a block of
+rows at a time. `load_yaml` reads the YAML files, as UTF-8 too,
 takes 1e-4 and 1e8 as floats and raises `ConfigError` on a syntax error or
 bytes that are not UTF-8: prior configs (`load_config`), simulator
 parameter files (`load_params`) and run artifacts (`save_artifact`,
@@ -30,6 +32,7 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,8 @@ SCHEMA_VERSION = 3
 SILVERBOX_DELTA = 1.0 / 610.35
 SILVERBOX_SPLIT = 40000
 _BLOCK = 4096  # rows per write of save_columns
+# names that numpy's loadtxt opens through a decompressor
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 
 
 class DatasetError(ValueError):
@@ -55,28 +60,45 @@ class ConfigError(ValueError):
     """Malformed config or artifact file."""
 
 
-def load_columns(path, columns) -> list[np.ndarray]:
-    """The named columns of a header CSV as float arrays; rejects NaN/inf
-    values and names the row of the first bad one.
+def load_columns(path, columns, max_rows=None) -> list[np.ndarray]:
+    """The named columns of a header CSV as float arrays, from every data
+    row or the first `max_rows`; rejects NaN/inf values and names the row
+    of the first bad one. Blank lines are not rows, and rows after the
+    first `max_rows` are not parsed, so not checked.
 
-    numpy's C parser reads the rows; wherever it raises, warns (a file with
-    no data rows) or reads a non-finite value, `_load_columns_by_row`
-    reads the file again and raises its error or, for the few values only
-    Python's `float` accepts, such as `1_0`, returns its own columns."""
+    numpy's C parser reads the rows from the path, in chunks, skipping the
+    lines `csv.reader` read as the header. Wherever it raises, reads no
+    row or reads a non-finite value, `_load_columns_by_row` reads the file
+    again and raises its error or, for the few values only Python's
+    `float` accepts, such as `1_0`, returns its own columns. A path that is
+    not a regular file, such as a directory or a pipe, is refused before
+    it is opened."""
     path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"no such data file: {path}")
+    if not path.is_file():
+        raise DatasetError(f"{path}: not a regular file" if path.exists()
+                           else f"no such data file: {path}")
+    # numpy allocates max_rows rows up front, and no file holds more rows
+    # than bytes
+    if max_rows is not None and max_rows >= path.stat().st_size:
+        max_rows = None
+    if path.suffix in _COMPRESSED:
+        return _load_columns_by_row(path, columns, max_rows)
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        index = _column_index(path, csv.reader(handle), columns)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)
-                values = np.loadtxt(handle, delimiter=",", usecols=index,
-                                    ndmin=2, comments=None, quotechar='"')
-        except (ValueError, UserWarning):
-            values = None
-    if values is None or not np.isfinite(values).all():
-        return _load_columns_by_row(path, columns)
+        reader = csv.reader(handle)
+        index = _column_index(path, reader, columns)
+    try:
+        with warnings.catch_warnings():
+            # numpy warns of a blank line, which is no row, and of a file
+            # with no rows, which the row loop reports
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, delimiter=",", usecols=index, ndmin=2,
+                                comments=None, quotechar='"',
+                                skiprows=reader.line_num, max_rows=max_rows,
+                                encoding="utf-8-sig")
+    except ValueError:
+        values = None
+    if values is None or not values.size or not np.isfinite(values).all():
+        return _load_columns_by_row(path, columns, max_rows)
     return list(values.T.copy())
 
 
@@ -92,7 +114,7 @@ def _column_index(path, reader, columns) -> list[int]:
     return [header.index(column) for column in columns]
 
 
-def _load_columns_by_row(path, columns) -> list[np.ndarray]:
+def _load_columns_by_row(path, columns, max_rows=None) -> list[np.ndarray]:
     """`load_columns` one row at a time with `float`: its error path and
     the reference it is tested against. Blank lines are skipped and do not
     count as rows."""
@@ -100,7 +122,8 @@ def _load_columns_by_row(path, columns) -> list[np.ndarray]:
         reader = csv.reader(handle)
         index = _column_index(path, reader, columns)
         values = array("d")  # row after row, 8 bytes a value
-        for row_number, row in enumerate(filter(None, reader), start=1):
+        rows = islice(filter(None, reader), max_rows)
+        for row_number, row in enumerate(rows, start=1):
             try:
                 parsed = [float(row[i]) for i in index]
             except (IndexError, ValueError):
@@ -115,10 +138,10 @@ def _load_columns_by_row(path, columns) -> list[np.ndarray]:
 
 
 def load_csv(path, delta: float = SILVERBOX_DELTA, input_column: str = "u",
-             output_column: str = "y") -> TimeSeries:
-    """Parse the input and output columns of a CSV into a TimeSeries;
-    rejects NaN/inf values."""
-    u, y = load_columns(path, (input_column, output_column))
+             output_column: str = "y", max_rows=None) -> TimeSeries:
+    """Parse the input and output columns of a CSV, every data row or the
+    first `max_rows`, into a TimeSeries; rejects NaN/inf values."""
+    u, y = load_columns(path, (input_column, output_column), max_rows)
     try:
         return TimeSeries(u, y, delta)
     except ValueError as exc:

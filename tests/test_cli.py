@@ -824,6 +824,152 @@ class TestIdentifyPredictEvaluate:
         assert "split index -5 out of range" in capsys.readouterr().err
 
 
+class TestReadWindow:
+    """With --split-index S, predict and evaluate parse the data file's
+    first S + 3 rows: the validation head and the three rows that show the
+    split leaves a training segment. simulate --input parses --steps rows."""
+
+    SPLIT = 100
+
+    @pytest.fixture
+    def files(self, tmp_path, params_file, capsys):
+        data = tmp_path / "data.csv"
+        run("simulate", "--params", params_file, "--steps", 400, "--seed", 5,
+            "--out", data, "--delta", 0.1)
+        capsys.readouterr()
+        pred = tmp_path / "pred.csv"
+        save_columns(pred, {"y_hat": np.linspace(-0.01, 0.01, self.SPLIT)})
+        return data, make_truth_artifact(tmp_path / "truth.yaml"), pred
+
+    @staticmethod
+    def spoil(data, row, value, path):
+        """A copy of the data file with every field of a row set to value."""
+        lines = data.read_text().splitlines(keepends=True)
+        lines[row] = ",".join([value] * 3) + "\r\n"
+        path.write_text("".join(lines))
+        return path
+
+    def session(self, tmp_path, capsys, data, art, pred, split=SPLIT):
+        """Exit code, stdout, stderr and written bytes of predict with both
+        protocols, then evaluate of a prediction of the validation head."""
+        results = []
+        for protocol in ("onestep", "rollout"):
+            out = tmp_path / f"{protocol}.csv"
+            out.unlink(missing_ok=True)
+            code = run("predict", "--artifact", art, "--data", data,
+                       "--protocol", protocol, "--out", out,
+                       "--split-index", split)
+            results.append((code, *capsys.readouterr(),
+                            out.read_bytes() if out.exists() else None))
+        code = run("evaluate", "--pred", pred, "--data", data,
+                   "--split-index", split)
+        return results + [(code, *capsys.readouterr())]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "x", ""])
+    @pytest.mark.parametrize("row", [SPLIT + 4, 400])
+    def test_bad_row_after_the_window_is_not_read(self, tmp_path, capsys,
+                                                  files, value, row):
+        data, art, pred = files
+        clean = self.session(tmp_path, capsys, data, art, pred)
+        assert [result[0] for result in clean] == [0, 0, 0]
+        bad = self.spoil(data, row, value, tmp_path / "bad.csv")
+        assert self.session(tmp_path, capsys, bad, art, pred) == clean
+
+    @pytest.mark.parametrize("value, error", [("nan", "non-finite"),
+                                              ("x", "unparseable")])
+    @pytest.mark.parametrize("row", [1, SPLIT, SPLIT + 3])
+    def test_bad_row_inside_the_window_is_named(self, tmp_path, capsys, files,
+                                                value, error, row):
+        data, art, pred = files
+        bad = self.spoil(data, row, value, tmp_path / "bad.csv")
+        want = f"error: {bad}: {error} value in row {row}\n"
+        for code, out, err, *_ in self.session(tmp_path, capsys, bad, art, pred):
+            assert (code, out, err) == (2, "", want)
+
+    @pytest.mark.parametrize("rows, split", [(SPLIT + 2, SPLIT),
+                                             (400, 398), (400, 10 ** 30)])
+    def test_file_too_short_for_its_split(self, tmp_path, capsys, files,
+                                          rows, split):
+        data, art, pred = files
+        lines = data.read_text().splitlines(keepends=True)
+        short = tmp_path / "short.csv"
+        short.write_text("".join(lines[:rows + 1]))
+        want = (f"error: split index {split} out of range for {rows} samples "
+                "(both segments need at least 3)\n")
+        for code, out, err, *_ in self.session(tmp_path, capsys, short, art,
+                                               pred, split):
+            assert (code, out, err) == (2, "", want)
+
+    @pytest.mark.parametrize("steps", [3, 40])
+    def test_simulate_steps_of_an_input_file(self, tmp_path, params_file,
+                                             capsys, steps):
+        # the first N rows drive the same samples as a file of only those,
+        # and a bad row after them is not read
+        u = 0.1 * np.sin(np.arange(50) * 0.3)
+        drive, head = tmp_path / "u.csv", tmp_path / "head.csv"
+        save_columns(drive, {"u": u})
+        save_columns(head, {"u": u[:steps]})
+        outputs = []
+        for source, cut in ((head, []), (drive, ["--steps", steps])):
+            out = tmp_path / f"{source.stem}.out.csv"
+            code = run("simulate", "--params", params_file, "--input", source,
+                       *cut, "--out", out, "--seed", 3)
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out.replace(str(out), "OUT"),
+                            out.read_bytes(),
+                            Path(f"{out}.truth.yaml").read_bytes()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        bad = self.spoil(drive, steps + 1, "nan", tmp_path / "bad.csv")
+        out = tmp_path / "bad.out.csv"
+        assert run("simulate", "--params", params_file, "--input", bad,
+                   "--steps", steps, "--out", out, "--seed", 3) == 0
+        assert out.read_bytes() == outputs[0][2]
+
+    @pytest.mark.parametrize("steps", [51, 10 ** 30])
+    def test_simulate_steps_beyond_an_input_file(self, tmp_path, params_file,
+                                                 capsys, steps):
+        drive, out = tmp_path / "u.csv", tmp_path / "out.csv"
+        save_columns(drive, {"u": np.zeros(50)})
+        assert run("simulate", "--params", params_file, "--input", drive,
+                   "--steps", steps, "--out", out) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {drive}: --steps {steps} beyond its 50 rows\n")
+        assert not out.exists()
+
+
+class TestNotARegularFile:
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    @pytest.mark.parametrize("command, option", [
+        ("simulate", "--input"), ("identify", "--data"), ("predict", "--data"),
+        ("evaluate", "--data"), ("evaluate", "--pred")])
+    def test_exit_2_before_any_read(self, tmp_path, params_file, capsys,
+                                    command, option, kind):
+        # a FIFO is refused before it is opened, so this cannot block
+        special = tmp_path / "special"
+        if kind == "directory":
+            special.mkdir()
+        else:
+            os.mkfifo(special)
+        data, pred = tmp_path / "data.csv", tmp_path / "pred.csv"
+        save_columns(data, {"u": np.zeros(50), "y": np.zeros(50)})
+        save_columns(pred, {"y_hat": np.zeros(50)})
+        argv = {"simulate": ["--params", params_file, "--input", data],
+                "identify": ["--data", data],
+                "predict": ["--artifact",
+                            make_truth_artifact(tmp_path / "t.yaml"),
+                            "--data", data],
+                "evaluate": ["--pred", pred, "--data", data]}[command]
+        argv[argv.index(option) + 1] = special
+        if command != "evaluate":
+            argv += ["--out", tmp_path / "out"]
+        if command != "simulate":  # a split limits the rows read
+            argv += ["--split-index", 10]
+        assert run(command, *argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {special}: not a regular file\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize("keys, value", [
         *(((key,), "DROP") for key in ("config", "delta", "posterior")),

@@ -3,6 +3,7 @@
 import codecs
 import csv
 import dataclasses
+import os
 import re
 import sys
 import warnings
@@ -123,6 +124,47 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="no such data file"):
             load_csv(str(tmp_path / "nope.csv"))
 
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_not_a_regular_file(self, tmp_path, kind):
+        # refused before it is opened, so a FIFO with no writer cannot block
+        path = tmp_path / "d.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            os.mkfifo(path)
+        for parse in (load_csv, lambda p: load_columns(p, ("y",), 5)):
+            with pytest.raises(DatasetError, match="^" + re.escape(
+                    f"{path}: not a regular file") + "$"):
+                parse(str(path))
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_under_a_compressed_name(self, tmp_path, suffix):
+        # numpy's loadtxt would open these names through a decompressor
+        text = "u,y\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"
+        plain = write(tmp_path / "d.csv", text)
+        named = write(tmp_path / f"d.csv{suffix}", text)
+        for max_rows in (None, 2):
+            got = load_columns(named, ("u", "y"), max_rows)
+            want = load_columns(plain, ("u", "y"), max_rows)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("max_rows", [4, 5, 10 ** 30])
+    def test_row_limit_beyond_the_file(self, tmp_path, max_rows):
+        # numpy would allocate max_rows rows up front, and overflows past
+        # the C long range
+        path = write(tmp_path / "d.csv", "u,y\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+        ts = load_csv(path, max_rows=max_rows)
+        np.testing.assert_array_equal(ts.u, [0.1, 0.3, 0.5])
+
+    def test_rows_after_the_limit_are_not_read(self, tmp_path):
+        path = write(tmp_path / "d.csv", "u,y\n0.1,0.2\n\n0.3,0.4\n"
+                     "0.5,0.6\nnan,0.8\nx\n")
+        ts = load_csv(path, max_rows=3)
+        np.testing.assert_array_equal(ts.y, [0.2, 0.4, 0.6])
+        with pytest.raises(DatasetError, match="non-finite value in row 4$"):
+            load_csv(path, max_rows=4)
+
     def test_roundtrip_identity(self, tmp_path):
         rng = np.random.default_rng(0)
         ts = TimeSeries(rng.normal(0, 1, 100), rng.normal(0, 1, 100), 0.05)
@@ -204,6 +246,9 @@ def csv_rows(values, min_fields):
     return st.lists(rows, max_size=6).map("".join)
 
 
+# header lines: plain, after a byte-order mark, and with a quoted field
+# that holds a line end, so that the header spans two lines
+HEADERS = ["u,y\n", "\ufeffu,y\r\n", 'u,y,"a\nb"\n', '"u",y,"a\r\n"\r\n']
 CSV_PIECES = VALUE_CHARS + [",", '"', " ", "\n", "\r\n", "nan", "inf", "x"]
 CSV_BODIES = st.one_of(
     csv_rows(FINITE, 2), csv_rows(VALUES, 1),
@@ -216,23 +261,35 @@ class TestLoaderAgainstRowLoop:
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(body=CSV_BODIES,
-           columns=st.sampled_from([("u", "y"), ("y",), ("y", "u"), ("u", "u")]))
-    def test_same_columns_or_same_error(self, tmp_path, body, columns):
+    @given(header=st.sampled_from(HEADERS), body=CSV_BODIES,
+           columns=st.sampled_from([("u", "y"), ("y",), ("y", "u"), ("u", "u")]),
+           max_rows=st.one_of(st.none(), st.integers(0, 7)))
+    def test_same_columns_or_same_error(self, tmp_path, header, body, columns,
+                                        max_rows):
+        # both parsers read the same window of rows; numpy's starts after
+        # the header's lines, which a quoted field may break over
         path = tmp_path / "d.csv"
-        path.write_bytes(f"u,y\n{body}".encode())
+        path.write_bytes(f"{header}{body}".encode())
         try:
-            want = _load_columns_by_row(path, columns)
+            want = _load_columns_by_row(path, columns, max_rows)
         except DatasetError as exc:
             with pytest.raises(DatasetError) as raised:
-                load_columns(path, columns)
+                load_columns(path, columns, max_rows)
             assert str(raised.value) == str(exc)
             return
-        got = load_columns(path, columns)
+        got = load_columns(path, columns, max_rows)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
             assert g.flags.c_contiguous
+        if max_rows is None:
+            return
+        try:  # the window is the head of every row, where those parse
+            every = _load_columns_by_row(path, columns)
+        except DatasetError:
+            return
+        for g, w in zip(got, every):
+            assert np.array_equal(g, w[:max_rows])
 
     @pytest.mark.parametrize("first", ["1", "1_0"])
     def test_value_forms(self, tmp_path, first):
