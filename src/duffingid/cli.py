@@ -187,8 +187,8 @@ def cmd_predict(args) -> int:
 
     with np.errstate(over="ignore"):  # a miss beyond float range is inf
         sq_error = (pred - data.y) ** 2
+        mse = float(np.mean(sq_error))
     dataio.save_columns(args.out, {"y_hat": pred, "sq_error": sq_error})
-    mse = engine.evaluate_mse(pred, data.y)
     print(f"{args.protocol} mse {mse:.3e}")
     return 0
 

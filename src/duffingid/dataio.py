@@ -67,12 +67,14 @@ def load_columns(path, columns, max_rows=None) -> list[np.ndarray]:
     first `max_rows` are not parsed, so not checked.
 
     numpy's C parser reads the rows from the path, in chunks, skipping the
-    lines `csv.reader` read as the header. Wherever it raises, reads no
-    row or reads a non-finite value, `_load_columns_by_row` reads the file
-    again and raises its error or, for the few values only Python's
-    `float` accepts, such as `1_0`, returns its own columns. A path that is
-    not a regular file, such as a directory or a pipe, is refused before
-    it is opened."""
+    lines `csv.reader` read as the header. Wherever it raises on a value,
+    reads no row or reads a non-finite value, `_load_columns_by_row`
+    reads the file again and raises its error or, for the few values only
+    Python's `float` accepts, such as `1_0`, returns its own columns. A
+    path that is not a regular file, such as a directory or a pipe, is
+    refused before it is opened; bytes that are not UTF-8 are refused
+    wherever they are read. Each refusal is a `DatasetError` naming the
+    file."""
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"{path}: not a regular file" if path.exists()
@@ -95,6 +97,8 @@ def load_columns(path, columns, max_rows=None) -> list[np.ndarray]:
                                 comments=None, quotechar='"',
                                 skiprows=reader.line_num, max_rows=max_rows,
                                 encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:  # a ValueError, but no bad value
+        raise _not_utf8(path, exc) from None
     except ValueError:
         values = None
     if values is None or not values.size or not np.isfinite(values).all():
@@ -102,9 +106,16 @@ def load_columns(path, columns, max_rows=None) -> list[np.ndarray]:
     return list(values.T.copy())
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> DatasetError:
+    return DatasetError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def _column_index(path, reader, columns) -> list[int]:
     """Position of each named column in the header row of a csv reader."""
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if header is None:
         raise DatasetError(f"{path}: empty file")
     for column in columns:
@@ -118,20 +129,24 @@ def _load_columns_by_row(path, columns, max_rows=None) -> list[np.ndarray]:
     """`load_columns` one row at a time with `float`: its error path and
     the reference it is tested against. Blank lines are skipped and do not
     count as rows."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        index = _column_index(path, reader, columns)
-        values = array("d")  # row after row, 8 bytes a value
-        rows = islice(filter(None, reader), max_rows)
-        for row_number, row in enumerate(rows, start=1):
-            try:
-                parsed = [float(row[i]) for i in index]
-            except (IndexError, ValueError):
-                raise DatasetError(
-                    f"{path}: unparseable value in row {row_number}") from None
-            if not all(map(math.isfinite, parsed)):
-                raise DatasetError(f"{path}: non-finite value in row {row_number}")
-            values.extend(parsed)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            index = _column_index(path, reader, columns)
+            values = array("d")  # row after row, 8 bytes a value
+            rows = islice(filter(None, reader), max_rows)
+            for row_number, row in enumerate(rows, start=1):
+                try:
+                    parsed = [float(row[i]) for i in index]
+                except (IndexError, ValueError):
+                    raise DatasetError(f"{path}: unparseable value in row "
+                                       f"{row_number}") from None
+                if not all(map(math.isfinite, parsed)):
+                    raise DatasetError(
+                        f"{path}: non-finite value in row {row_number}")
+                values.extend(parsed)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if not values:
         raise DatasetError(f"{path}: no data rows")
     return list(np.frombuffer(values).reshape(-1, len(index)).T.copy())

@@ -55,11 +55,14 @@ NLARX, 6 for LARX). The precision `prec0 + E[gamma] info` and potential
 `pot0 + psi (E[gamma] E[x])` are float expressions entry by entry, as
 numpy's elementwise ufuncs round them; the kernel inverts the precision in
 the operations and order of `beliefs._inverse`, so a step calls no other
-function of the package. The mean, the forward mean
-E[w]'psi and the expected squared residual (as
-`nlarx.expected_square_residual` sums it) are sums left to right, as
-`beliefs.dot` sums them, so no BLAS kernel enters an estimate. The carry's upper triangles stand for the whole: a_ij + s b_ij
-is exactly symmetric when a and b are, and a float product commutes exactly.
+function of the package. The mean, the forward mean E[w]'psi and the
+expected squared residual (as `nlarx.expected_square_residual` sums it) are
+sums left to right, as `beliefs.dot` sums them, so no BLAS kernel enters an
+estimate. A sweep builds no tuple but the free-energy trace's, when
+`trace_free_energy` is on, and calls nothing but the float checks, `sqrt`
+and `log`: its convergence test -b < d < b is abs(d) < b, NaN included. The
+carry's upper triangles stand for the whole: a_ij + s b_ij is exactly
+symmetric when a and b are, and a float product commutes exactly.
 q(z) and the Gamma updates are scalar algebra: q(z)'s precision is always
 diag(E[gamma] + E[xi], 1/EPSILON).
 
@@ -374,28 +377,39 @@ def step_update(
             f"{cfg.model_mode!r}, which takes {cfg.n_coeffs + 1} and 2") from None
     inv_eps = 1.0 / EPSILON
     last = cfg.iterations_per_step - 1
+    # read once per step, at call time, so a patched constant still counts
+    tol, traced = CONVERGENCE_TOL, cfg.trace_free_energy
+    log, lgamma = math.log, math.lgamma
     # fixed within the step: psi (q's), J Sigma_zprev J' (r's), the upper
     # triangles of the message's precision per E[gamma] (i's) and the prior's
     # (a's), its potential (g's) and mean (m's), and the prediction
     if cubic:
-        q0, q1, q2, q3 = x, x * x * x, x_prev, u
+        q0 = x
+        q1 = x * x * x
+        q2 = x_prev
+        q3 = u
         slope = 3.0 * (x * x)  # d(x^3)/dx
         r00, r01, r02 = s00, slope * s00, s01
         r11, r12, r22 = slope * s00 * slope, slope * s01, s11
-        info = (q0 * q0 + r00, q0 * q1 + r01, q0 * q2 + r02, q0 * q3,
-                q1 * q1 + r11, q1 * q2 + r12, q1 * q3, q2 * q2 + r22, q2 * q3,
-                q3 * q3)
-        i00, i01, i02, i03, i11, i12, i13, i22, i23, i33 = info
+        i00, i01, i02 = q0 * q0 + r00, q0 * q1 + r01, q0 * q2 + r02
+        i11, i12, i22 = q1 * q1 + r11, q1 * q2 + r12, q2 * q2 + r22
+        i03, i13, i23 = q0 * q3, q1 * q3, q2 * q3
+        i33 = q3 * q3
+        finite = (isfinite(i00) and isfinite(i01) and isfinite(i02)
+                  and isfinite(i03) and isfinite(i11) and isfinite(i12)
+                  and isfinite(i13) and isfinite(i22) and isfinite(i23)
+                  and isfinite(i33))
         w3 = m3
         forward = 0.0 + m0 * q0 + m1 * q1 + m2 * q2 + m3 * q3
     else:
         q0, q1, q2 = x, x_prev, u
         r00, r01, r11 = s00, s01, s11
-        info = (q0 * q0 + r00, q0 * q1 + r01, q0 * q2, q1 * q1 + r11, q1 * q2,
-                q2 * q2)
-        i00, i01, i02, i11, i12, i22 = info
+        i00, i01, i02 = q0 * q0 + r00, q0 * q1 + r01, q0 * q2
+        i11, i12, i22 = q1 * q1 + r11, q1 * q2, q2 * q2
+        finite = (isfinite(i00) and isfinite(i01) and isfinite(i02)
+                  and isfinite(i11) and isfinite(i12) and isfinite(i22))
         forward = 0.0 + m0 * q0 + m1 * q1 + m2 * q2
-    if not all(map(isfinite, info)):
+    if not finite:
         raise InferenceError(t, "diverged: non-finite coefficient message precision")
     hz1 = inv_eps * x
     w0, w1, w2 = m0, m1, m2
@@ -403,10 +417,10 @@ def step_update(
     eg, ex = ag0 / bg0, ax0 / bx0
     if eg == 0.0 or ex == 0.0:  # a rate far above its shape, or infinite
         raise InferenceError(t, "an incoming E[gamma] or E[xi] is 0")
-    lg_g, lg_x = math.lgamma(ag), math.lgamma(ax)
+    lg_g, lg_x = lgamma(ag), lgamma(ax)
     # K of the closed-form free energy plus (log EPSILON) / 2 (module docstring)
     f_fixed = (-0.5 * (w_prior[-1] + (5.0 if cubic else 4.0) - _LOG_2PI
-                       - math.log(EPSILON))
+                       - log(EPSILON))
                - ag0 * log_bg0 - ax0 * log_bx0 - (lg_g - lg_g0) - (lg_x - lg_x0))
     pred_mean, pred_var = forward, 1.0 / eg + 1.0 / ex
     trace = ()
@@ -429,12 +443,12 @@ def step_update(
         v0, v1, v2 = w0, w1, w2
         if cubic:
             v3 = w3
-            p00, p01, p02, p03 = (a00 + eg * i00, a01 + eg * i01,
-                                  a02 + eg * i02, a03 + eg * i03)
+            p00, p01, p02 = a00 + eg * i00, a01 + eg * i01, a02 + eg * i02
+            p03 = a03 + eg * i03
             p11, p12, p13 = a11 + eg * i11, a12 + eg * i12, a13 + eg * i13
             p22, p23, p33 = a22 + eg * i22, a23 + eg * i23, a33 + eg * i33
-            h0, h1, h2, h3 = (g0 + q0 * scale, g1 + q1 * scale,
-                              g2 + q2 * scale, g3 + q3 * scale)
+            h0, h1, h2 = g0 + q0 * scale, g1 + q1 * scale, g2 + q2 * scale
+            h3 = g3 + q3 * scale
         else:
             p00, p01, p02 = a00 + eg * i00, a01 + eg * i01, a02 + eg * i02
             p11, p12, p22 = a11 + eg * i11, a12 + eg * i12, a22 + eg * i22
@@ -448,7 +462,8 @@ def step_update(
         c22 = p00 * p11 - p01 * p01
         if not (p00 > 0.0 and c22 > 0.0 and det_w > 0.0):
             raise InferenceError(t, "improper posterior")
-        c00, c01, c02, c22 = c00 / det_w, c01 / det_w, c02 / det_w, c22 / det_w
+        c00, c01, c02 = c00 / det_w, c01 / det_w, c02 / det_w
+        c22 = c22 / det_w
         c11, c12 = (p00 * p22 - p02 * p02) / det_w, (p01 * p02 - p00 * p12) / det_w
         if cubic:
             k0 = c00 * p03 + c01 * p13 + c02 * p23
@@ -459,7 +474,8 @@ def step_update(
                 raise InferenceError(t, "improper posterior")
             c33 = 1.0 / schur
             n0, n1, n2 = k0 * c33, k1 * c33, k2 * c33
-            c00, c01, c02, c03 = c00 + k0 * n0, c01 + k0 * n1, c02 + k0 * n2, -n0
+            c00, c01, c02 = c00 + k0 * n0, c01 + k0 * n1, c02 + k0 * n2
+            c03 = -n0
             c11, c12, c13 = c11 + k1 * n1, c12 + k1 * n2, -n1
             c22, c23, det_w = c22 + k2 * n2, -n2, det_w * schur
             w0 = 0.0 + c00 * h0 + c01 * h1 + c02 * h2 + c03 * h3
@@ -508,14 +524,15 @@ def step_update(
         eg_previous = eg
         eg, ex = ag / bg, ax / bx
 
-        # settled: E[gamma] and each mean of w moved by under CONVERGENCE_TOL
+        # settled: E[gamma] and each mean of w moved by under tol; -b < d < b
+        # is abs(d) < b without the call, and false for a NaN d or b alike
         done = k == last or (
-            k > 0 and abs(eg - eg_previous) < CONVERGENCE_TOL * eg
-            and abs(w0 - v0) < CONVERGENCE_TOL * sqrt(c00)
-            and abs(w1 - v1) < CONVERGENCE_TOL * sqrt(c11)
-            and abs(w2 - v2) < CONVERGENCE_TOL * sqrt(c22)
-            and (not cubic or abs(w3 - v3) < CONVERGENCE_TOL * sqrt(c33)))
-        if cfg.trace_free_energy or done:
+            k > 0 and -(b := tol * eg) < eg - eg_previous < b
+            and -(b := tol * sqrt(c00)) < w0 - v0 < b
+            and -(b := tol * sqrt(c11)) < w1 - v1 < b
+            and -(b := tol * sqrt(c22)) < w2 - v2 < b
+            and (not cubic or -(b := tol * sqrt(c33)) < w3 - v3 < b))
+        if traced or done:
             # E[(w - m)' prec0 (w - m)], as `expected_quadratic` sums it
             d0, d1, d2 = w0 - m0, w1 - m1, w2 - m2
             t01, t02 = a01 * (d0 * d1 + c01), a02 * (d0 * d2 + c02)
@@ -532,13 +549,13 @@ def step_update(
                 quad = (0.0 + a00 * (d0 * d0 + c00) + t01 + t02
                         + t01 + a11 * (d1 * d1 + c11) + t12
                         + t02 + t12 + a22 * (d2 * d2 + c22))
-            logdet_w, logdet_z = math.log(det_w), math.log(zdet)
-            log_bg, log_bx = math.log(bg), math.log(bx)
+            logdet_w, logdet_z = log(det_w), log(zdet)
+            log_bg, log_bx = log(bg), log(bx)
             energy = (f_fixed + 0.5 * (logdet_w + quad + logdet_z)
                       + ag * log_bg + ax * log_bx)
             if not isfinite(energy):
                 raise InferenceError(t, f"non-finite free energy {energy}")
-            if cfg.trace_free_energy:
+            if traced:
                 trace += (energy,)
         if done:
             break

@@ -7,7 +7,9 @@ of the expected log-factor, and derivatives come from central differences.
 The affine regressor surrogate (expansion at the previous-state mean) is
 re-derived locally so the convention matches without sharing code. The
 free energy is assembled in matrix form from LAPACK log-determinants,
-traces, scipy's Gamma entropy and the quadrature residual below.
+traces, scipy's Gamma entropy and the quadrature residual below. A whole
+run's limit, known states and known noise precision, is conjugate Bayesian
+linear regression, solved in closed form at the end.
 """
 
 from __future__ import annotations
@@ -348,3 +350,25 @@ def oracle_free_energy(w_mean, w_precision, gamma, xi, z_mean, z_precision,
                               + np.trace(prior_w_precision @ w_cov)))
     return float(-entropy - e_log_trans - e_log_lik
                  - (e_log_prior_w + lp_gamma + lp_xi))
+
+
+# ---------------------------------------------------------------------------
+# exact whole-run reference: conjugate Bayesian linear regression
+
+def oracle_linear_regression(psi, y, prior_mean, prior_precision, gamma):
+    """Posterior and log-evidence of y = psi w + e, e ~ N(0, I/gamma), under
+    w ~ N(prior_mean, inv(prior_precision)) (Bishop, *Pattern Recognition
+    and Machine Learning*, 2006, eqs. 3.50-3.51 and 3.86 with a general prior
+    precision). Returns the posterior mean, its covariance and log p(y)."""
+    psi, y = np.asarray(psi, dtype=float), np.asarray(y, dtype=float)
+    m0 = np.asarray(prior_mean, dtype=float)
+    precision = prior_precision + gamma * psi.T @ psi
+    mean = np.linalg.solve(precision, prior_precision @ m0 + gamma * psi.T @ y)
+    cov = np.linalg.solve(precision, np.eye(m0.size))
+    (_, logdet0), (_, logdet) = (np.linalg.slogdet(prior_precision),
+                                 np.linalg.slogdet(precision))
+    resid, shift = y - psi @ mean, mean - m0
+    log_evidence = (0.5 * y.size * (math.log(gamma) - math.log(2.0 * np.pi))
+                    + 0.5 * (logdet0 - logdet)
+                    - 0.5 * (gamma * resid @ resid + shift @ prior_precision @ shift))
+    return mean, cov, float(log_evidence)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats and exit codes."""
 
+import gzip
 import math
 import os
 import subprocess
@@ -968,6 +969,25 @@ class TestNotARegularFile:
         assert capsys.readouterr() == (
             "", f"error: {special}: not a regular file\n")
         assert not (tmp_path / "out").exists()
+
+
+class TestNotUtf8:
+    def test_identify_latin1_data_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"u,y\n" + b"0.1,0.2\n" * 50 + b"0.3,0.4 \xe9\n")
+        assert run("identify", "--data", data, "--out", tmp_path / "a.yaml") == 2
+        assert capsys.readouterr() == (
+            "", f"error: {data}: not UTF-8 text (invalid continuation byte)\n")
+        assert not (tmp_path / "a.yaml").exists()
+
+    def test_evaluate_gzip_prediction_file_exit_2(self, tmp_path, capsys):
+        pred, data = tmp_path / "pred.csv.gz", tmp_path / "data.csv"
+        with gzip.open(pred, "wt") as handle:
+            handle.write("y_hat\n" + "0.0\n" * 50)
+        save_columns(data, {"u": np.zeros(50), "y": np.zeros(50)})
+        assert run("evaluate", "--pred", pred, "--data", data) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {pred}: not UTF-8 text (invalid start byte)\n")
 
 
 class TestMalformedFiles:

@@ -137,6 +137,24 @@ class TestLoadCsv:
                     f"{path}: not a regular file") + "$"):
                 parse(str(path))
 
+    @pytest.mark.parametrize("name, content, reason", [
+        # the header read decodes the file's first block
+        ("head.csv", b"u,y\xe9\n" + b"0.1,0.2\n" * 4, "invalid continuation"),
+        # numpy's read meets a byte beyond that block
+        ("far.csv", b"u,y\n" + b"0.1,0.2\n" * 4000 + b"0.3,\xe9\n",
+         "invalid continuation"),
+        # the row loop reads a compressed name, here a gzip header
+        ("d.csv.gz", b"\x1f\x8b\x08\x00", "invalid start")],
+        ids=["header", "row", "compressed"])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, name,
+                                                   content, reason):
+        path = tmp_path / name
+        path.write_bytes(content)
+        message = "^" + re.escape(f"{path}: not UTF-8 text ({reason} byte)") + "$"
+        for read in (load_columns, _load_columns_by_row):
+            with pytest.raises(DatasetError, match=message):
+                read(path, ("u", "y"))
+
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_text_under_a_compressed_name(self, tmp_path, suffix):
         # numpy's loadtxt would open these names through a decompressor
